@@ -15,14 +15,10 @@ dominant transient and multiplies the rate.
 import argparse
 import time
 
-from rmlab.eisenstein import LogCache, diag_coefficient, shanks_step
+from rmlab.eisenstein import (LogCache, accelerated_ordinary_projection,
+                              diag_coefficient)
 from rmlab.padic import PadicContext
 from rmlab.quadfield import IdealDivisorEngine, NarrowClassGroup
-
-
-def profile(seq):
-    return [None if (x - y).is_zero else (x - y).v
-            for x, y in zip(seq, seq[1:])]
 
 
 def main():
@@ -35,26 +31,30 @@ def main():
     args = ap.parse_args()
     if args.n % args.p == 0:
         ap.error("--n must be coprime to --p")
+    if args.depth < 2:
+        ap.error("--depth must be at least 2")
 
     ctx = PadicContext(args.p, args.prec)
     group = NarrowClassGroup(args.disc)
     engine = IdealDivisorEngine(group, args.p)
     chi = group.odd_characters()[0]
     logs = LogCache(ctx)
+    terms = []
 
-    seq = []
-    for m in range(args.depth + 1):
+    def producer(k):
         t0 = time.time()
-        seq.append(diag_coefficient(args.n * args.p ** m, chi, engine, ctx,
-                                    logs))
-        print(f"a_{args.n}*{args.p}^{m} computed in {time.time() - t0:.1f} s")
+        value = diag_coefficient(k, chi, engine, ctx, logs)
+        print(f"a_{args.n}*{args.p}^{len(terms)} computed in "
+              f"{time.time() - t0:.1f} s")
+        terms.append(value)
+        return value
 
-    print(f"\nraw agreement profile:    {profile(seq)}")
-    col = 0
-    while len(seq) >= 3:
-        seq = shanks_step(seq)
-        col += 1
-        print(f"after Shanks column {col}:   {profile(seq)}")
+    _, cert = accelerated_ordinary_projection(producer, args.n, args.p,
+                                              args.depth, ctx)
+    # row 0 is the raw sequence, row k the k-th Shanks column
+    print(f"\nraw agreement profile:    {cert.agreements[0]}")
+    for col, prof in enumerate(cert.agreements[1:], 1):
+        print(f"after Shanks column {col}:   {prof}")
 
 
 if __name__ == "__main__":

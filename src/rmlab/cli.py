@@ -15,17 +15,14 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .eisenstein import (IdealDivisorEngine, LogCache,
-                         accelerated_ordinary_projection, diag_coefficient)
-from .gsunits import (recognize, unit_from_constant_term,
+from .gsunits import (generating_series, recognize, unit_from_constant_term,
                       valuation_predictions)
 from .lattice import algdep_padic
 from .modforms import QSeries, basis_for_level, fit_to_basis
 from .padic import PadicContext, PadicScalar, iwasawa_log
-from .quadfield import NarrowClassGroup, RMPoint, splitting_type
+from .quadfield import NarrowClassGroup, RMPoint
 from .siegelmeasure import phi_DR, poisson_JDR
 from .winding import log_Tn_Jw
 
@@ -67,7 +64,7 @@ def read_toml_subset(path: str) -> dict:
 # explicit flag is distinguishable from a --config value
 DEFAULTS = {
     "disc": 12, "p": 5, "form": None, "prec": 32, "nmax": 30,
-    "depth": 4, "out": None, "cache_dir": None, "threads": 1, "seed": 0,
+    "depth": 4, "out": None, "cache_dir": None, "threads": 1,
 }
 
 
@@ -92,6 +89,8 @@ def cache_path(cache_dir: str) -> str:
 
 def cache_load(cache_dir: str | None, D: int, p: int, prec: int,
                depth: int) -> dict:
+    """n -> cached value (as JSON) for the instance; lines that do not
+    parse, such as a torn last append, are skipped and so recomputed."""
     found = {}
     if not cache_dir:
         return found
@@ -100,7 +99,10 @@ def cache_load(cache_dir: str | None, D: int, p: int, prec: int,
         return found
     with open(path) as fh:
         for line in fh:
-            entry = json.loads(line)
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                continue
             if (entry["disc"], entry["p"], entry["version"],
                     entry["prec"], entry["depth"]) == \
                     (D, p, __version__, prec, depth):
@@ -113,11 +115,17 @@ def cache_append(cache_dir: str | None, D: int, p: int, prec: int,
     if not cache_dir or not items:
         return
     os.makedirs(cache_dir, exist_ok=True)
-    with open(cache_path(cache_dir), "a") as fh:
-        for n, value in sorted(items.items()):
-            fh.write(json.dumps({
-                "disc": D, "p": p, "n": n, "version": __version__,
-                "prec": prec, "depth": depth, "value": value}) + "\n")
+    text = "".join(json.dumps({
+        "disc": D, "p": p, "n": n, "version": __version__, "prec": prec,
+        "depth": depth, "value": value}) + "\n"
+        for n, value in sorted(items.items()))
+    with open(cache_path(cache_dir), "ab+") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if size:
+            fh.seek(size - 1)
+            if fh.read(1) != b"\n":
+                text = "\n" + text     # end a torn last line first
+        fh.write(text.encode())
 
 
 # --------------------------------------------------------------------------
@@ -145,72 +153,34 @@ def scalar_json(x: PadicScalar) -> dict:
     return x.to_json()
 
 
-def _coeff_worker(task):
-    """Stabilized coefficient for one index, self-contained for process
-    pools."""
-    D, p, prec, depth, n0 = task
-    ctx = PadicContext(p, prec)
-    group = NarrowClassGroup(D)
-    chi = group.odd_characters()[0]
-    engine = IdealDivisorEngine(group, p)
-    logs = LogCache(ctx)
-    val, cert = accelerated_ordinary_projection(
-        lambda k: diag_coefficient(k, chi, engine, ctx, logs),
-        n0, p, depth, ctx)
-    return n0, val.to_json(), cert.stabilized_at
-
-
-def stabilized_coefficients(args) -> tuple:
-    """(dict n0 -> PadicScalar as JSON, dict n0 -> stabilized_at) for all
-    n0 <= nmax coprime to p, using the cache and the process pool."""
-    D, p, prec, depth = args.disc, args.p, args.prec, args.depth
-    cached = cache_load(args.cache_dir, D, p, prec, depth)
-    wanted = [n for n in range(1, args.nmax + 1)
-              if n % p and n not in cached]
-    stab = {}
-    fresh = {}
-    if wanted:
-        tasks = [(D, p, prec, depth, n0) for n0 in wanted]
-        if args.threads > 1:
-            with ProcessPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(_coeff_worker, tasks))
-        else:
-            results = [_coeff_worker(t) for t in tasks]
-        for n0, value, at in results:
-            fresh[n0] = value
-            stab[n0] = at
-        cache_append(args.cache_dir, D, p, prec, depth, fresh)
-    cached.update(fresh)
-    return cached, stab
-
-
-def series_from_args(args):
-    """Generating series, fit, and certificate summary for the instance."""
+def instance_from_args(args) -> tuple:
+    """(context, narrow class group, RM point) named by the global flags."""
     ctx = PadicContext(args.p, args.prec)
     group = NarrowClassGroup(args.disc)
     tau = parse_form(args.form, args.disc) if args.form \
         else group.rm_representative(group.identity)
-    if splitting_type(args.disc, args.p) != "inert":
-        raise ValueError(f"p = {args.p} is not inert in "
-                         f"Q(sqrt({args.disc}))")
-    if not group.odd_characters():
-        zero = QSeries((None,) + (ctx.zero(),) * args.nmax, args.p)
-        fit = fit_to_basis(zero, basis_for_level(args.p, args.nmax), ctx)
-        return ctx, group, tau, zero, fit, {}
-    if group.h != 2:
-        raise ValueError("only narrow class number 1 or 2 supported")
-    chi = group.odd_characters()[0]
-    coeffs_json, stab = stabilized_coefficients(args)
-    sign = -chi[group.class_of_rm_point(tau)]
-    coeffs = [None] * (args.nmax + 1)
-    for n in range(1, args.nmax + 1):
-        n0 = n
-        while n0 % args.p == 0:
-            n0 //= args.p
-        coeffs[n] = PadicScalar.from_json(coeffs_json[n0]) * sign
-    series = QSeries(tuple(coeffs), args.p)
-    fit = fit_to_basis(series, basis_for_level(args.p, args.nmax), ctx)
-    return ctx, group, tau, series, fit, stab
+    return ctx, group, tau
+
+
+def stabilized_coefficients(args, tau: RMPoint, group: NarrowClassGroup,
+                            ctx: PadicContext):
+    """generating_series for the instance over the coefficient cache:
+    cached values are reused and freshly computed ones appended."""
+    D, p, prec, depth = args.disc, args.p, args.prec, args.depth
+    cached = cache_load(args.cache_dir, D, p, prec, depth)
+    res = generating_series(
+        tau, p, args.nmax, ctx, m_max=depth, group=group,
+        known={n: PadicScalar.from_json(v) for n, v in cached.items()},
+        workers=args.threads)
+    cache_append(args.cache_dir, D, p, prec, depth,
+                 {n: res.stabilized[n].to_json() for n in res.certificates})
+    return res
+
+
+def series_from_args(args) -> tuple:
+    """(context, group, RM point, GSeriesResult) for the instance."""
+    ctx, group, tau = instance_from_args(args)
+    return ctx, group, tau, stabilized_coefficients(args, tau, group, ctx)
 
 
 def fit_report(fit) -> dict:
@@ -229,19 +199,21 @@ def fit_report(fit) -> dict:
 # --------------------------------------------------------------------------
 
 def cmd_gtau(args) -> tuple:
-    ctx, group, tau, series, fit, stab = series_from_args(args)
+    ctx, group, tau, res = series_from_args(args)
     report = {
         "form": list(tau.form),
-        "coefficients": {str(n): scalar_json(series.coeffs[n])
+        "coefficients": {str(n): scalar_json(res.series.coeffs[n])
                          for n in range(1, args.nmax + 1)},
-        "stabilized_at": {str(n): v for n, v in stab.items()},
-        "fit": fit_report(fit),
+        "stabilized_at": {str(n): cert.stabilized_at
+                          for n, cert in res.certificates.items()},
+        "fit": fit_report(res.fit),
     }
     return report, EXIT_OK
 
 
 def cmd_verify(args) -> tuple:
-    ctx, group, tau, series, fit, stab = series_from_args(args)
+    ctx, group, tau, res = series_from_args(args)
+    fit = res.fit
     bar = args.threshold if args.threshold is not None else args.prec - 5
     ok = fit.min_residual_valuation is None \
         or fit.min_residual_valuation >= bar
@@ -255,14 +227,14 @@ def cmd_verify(args) -> tuple:
 
 
 def cmd_recognize(args) -> tuple:
-    ctx, group, tau, series, fit, stab = series_from_args(args)
+    ctx, group, tau, res = series_from_args(args)
     tau_class = group.class_of_rm_point(tau)
-    candidates = unit_from_constant_term(fit.a0, group, tau_class, ctx)
+    candidates = unit_from_constant_term(res.a0, group, tau_class, ctx)
     rec = recognize(candidates, group, tau_class, ctx,
                     degree=args.degree, budget=args.budget)
     report = {
         "form": list(tau.form),
-        "a0": scalar_json(fit.a0),
+        "a0": scalar_json(res.a0),
         "predicted_valuations": {
             str(s): [v.numerator, v.denominator]
             for s, v in valuation_predictions(group, tau_class).items()},
@@ -278,10 +250,7 @@ def cmd_recognize(args) -> tuple:
 
 
 def cmd_winding(args) -> tuple:
-    ctx = PadicContext(args.p, args.prec)
-    group = NarrowClassGroup(args.disc)
-    tau = parse_form(args.form, args.disc) if args.form \
-        else group.rm_representative(group.identity)
+    ctx, group, tau = instance_from_args(args)
     value = log_Tn_Jw(tau, args.n, args.p, ctx, group)
     report = {"form": list(tau.form), "n": args.n,
               "log_TnJw": scalar_json(value)}
@@ -296,10 +265,7 @@ def cmd_phi_dr(args) -> tuple:
 
 
 def cmd_jdr(args) -> tuple:
-    ctx = PadicContext(args.p, args.prec)
-    group = NarrowClassGroup(args.disc)
-    tau = parse_form(args.form, args.disc) if args.form \
-        else group.rm_representative(group.identity)
+    ctx, group, tau = instance_from_args(args)
     value = poisson_JDR(tau, args.level, ctx)
     report = {"form": list(tau.form), "level": args.level,
               "JDR": scalar_json(value),
@@ -365,9 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the JSON report here")
     common.add_argument("--cache-dir", dest="cache_dir",
                         help="coefficient cache directory")
-    common.add_argument("--threads", type=int)
-    common.add_argument("--seed", type=int,
-                        help="seed for randomized subroutines")
+    common.add_argument("--threads", type=int,
+                        help="worker processes for the coefficients; the "
+                             "indices are split into one share per worker "
+                             "(default 1)")
 
     parser = argparse.ArgumentParser(
         prog="rmlab",
@@ -436,7 +403,6 @@ def main(argv=None) -> int:
         "p": args.p,
         "prec": args.prec,
         "nmax": args.nmax,
-        "seed": args.seed,
     }
     try:
         report, code = HANDLERS[args.command](args)

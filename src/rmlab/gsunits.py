@@ -11,9 +11,12 @@ auxiliary primes.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from multiprocessing import get_context
 
 from sympy import Poly, Symbol, factorint
 
@@ -21,7 +24,7 @@ from .eisenstein import (LogCache, diag_coefficient,
                          accelerated_ordinary_projection)
 from .lattice import AlgdepResult, algdep_padic
 from .modforms import QSeries, FitResult, basis_for_level, fit_to_basis
-from .padic import (PadicContext, PadicScalar, iwasawa_log, padic_exp,
+from .padic import (PadicContext, PadicScalar, _vp, iwasawa_log, padic_exp,
                     teichmuller)
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, RMPoint,
                         next_prime, partial_zeta_zero, splitting_type)
@@ -34,10 +37,11 @@ from .quadfield import (IdealDivisorEngine, NarrowClassGroup, RMPoint,
 @dataclass
 class GSeriesResult:
     series: QSeries             # a_0 unknown; a_n for n >= 1
-    certificates: dict          # n (coprime to p) -> AccelerationCertificate
+    certificates: dict          # freshly computed n0 -> AccelerationCertificate
     fit: FitResult
     a0: PadicScalar             # inferred constant term = log_p(u_tau)
     trivial: bool               # True when the series vanishes identically
+    stabilized: dict            # n0 coprime to p -> value before tau's sign
 
 
 def _series_sign(group: NarrowClassGroup, chi: tuple, tau: RMPoint) -> int:
@@ -47,19 +51,38 @@ def _series_sign(group: NarrowClassGroup, chi: tuple, tau: RMPoint) -> int:
     return -chi[group.class_of_rm_point(tau)]
 
 
+def _project(group: NarrowClassGroup, p: int, indices, ctx: PadicContext,
+             m_max: int) -> dict:
+    """n0 -> (value, AccelerationCertificate) of the Shanks-accelerated
+    ordinary projection, before tau's sign, for each n0 in indices.  One
+    divisor engine and log cache serve the whole share; module-level so
+    that a process pool can run it."""
+    chi = group.odd_characters()[0]
+    engine = IdealDivisorEngine(group, p)
+    logs = LogCache(ctx)
+
+    def producer(k):
+        return diag_coefficient(k, chi, engine, ctx, logs)
+
+    return {n0: accelerated_ordinary_projection(producer, n0, p, m_max, ctx)
+            for n0 in indices}
+
+
 def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
                       m_max: int = 4,
                       group: NarrowClassGroup | None = None,
-                      engine: IdealDivisorEngine | None = None,
-                      logs: LogCache | None = None) -> GSeriesResult:
+                      known: dict | None = None,
+                      workers: int = 1) -> GSeriesResult:
     """G_tau up to q^{n_max}: coefficients a_n = log_p(T_n J_w[tau]) as the
     Shanks-accelerated ordinary projection of the diagonal restriction
     derivative, fitted exactly to the basis of M_2(Gamma_0(p)).
 
     Coefficients at p | n reuse the stabilized value at n / p^{v_p(n)}: the
-    ordinary limit lies in the U_p = 1 eigenspace.  Fields whose narrow
-    class group has no odd quadratic character (equivalently, with a unit of
-    norm -1) give the zero series."""
+    ordinary limit lies in the U_p = 1 eigenspace.  Values in `known`
+    (n0 -> value before tau's sign, as in `stabilized`) are not recomputed;
+    the rest are split into one interleaved share per worker.  Fields whose
+    narrow class group has no odd quadratic character (equivalently, with a
+    unit of norm -1) give the zero series."""
     D = tau.disc
     if splitting_type(D, p) != "inert":
         raise ValueError(f"p = {p} is not inert in Q(sqrt({D}))")
@@ -68,34 +91,34 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
     if not odd:
         zero = QSeries((None,) + (ctx.zero(),) * n_max, p)
         fit = fit_to_basis(zero, basis_for_level(p, n_max), ctx)
-        return GSeriesResult(zero, {}, fit, fit.a0, True)
+        return GSeriesResult(zero, {}, fit, fit.a0, True, {})
     if group.h != 2:
         raise ValueError("only narrow class number 1 or 2 supported")
-    chi = odd[0]
-    engine = engine or IdealDivisorEngine(group, p)
-    logs = logs or LogCache(ctx)
-    sign = _series_sign(group, chi, tau)
-
-    def producer(k):
-        return diag_coefficient(k, chi, engine, ctx, logs)
-
-    stabilized, certs = {}, {}
-    for n0 in range(1, n_max + 1):
-        if n0 % p == 0:
-            continue
-        val, cert = accelerated_ordinary_projection(producer, n0, p,
-                                                    m_max, ctx)
-        stabilized[n0] = val * sign
-        certs[n0] = cert
+    known = known or {}
+    indices = [n0 for n0 in range(1, n_max + 1) if n0 % p]
+    missing = [n0 for n0 in indices if n0 not in known]
+    shares = [missing[i::workers] for i in range(min(workers, len(missing)))]
+    if len(shares) > 1:
+        fresh = {}
+        # spawned workers start from a fresh import, not a copy of the caller
+        with ProcessPoolExecutor(max_workers=len(shares),
+                                 mp_context=get_context("spawn")) as pool:
+            for part in pool.map(_project, repeat(group), repeat(p), shares,
+                                 repeat(ctx), repeat(m_max)):
+                fresh.update(part)
+    else:
+        fresh = _project(group, p, missing, ctx, m_max)
+    stabilized = {n0: known[n0] if n0 in known else fresh[n0][0]
+                  for n0 in indices}
+    certs = {n0: fresh[n0][1] for n0 in missing}
+    sign = _series_sign(group, odd[0], tau)
     coeffs = [None] * (n_max + 1)
     for n in range(1, n_max + 1):
-        n0 = n
-        while n0 % p == 0:
-            n0 //= p
-        coeffs[n] = stabilized[n0]
+        n0 = n // p ** _vp(n, p)
+        coeffs[n] = stabilized[n0] * sign
     series = QSeries(tuple(coeffs), p)
     fit = fit_to_basis(series, basis_for_level(p, n_max), ctx)
-    return GSeriesResult(series, certs, fit, fit.a0, False)
+    return GSeriesResult(series, certs, fit, fit.a0, False, stabilized)
 
 
 # --------------------------------------------------------------------------
@@ -166,16 +189,7 @@ def unit_from_constant_term(a0: PadicScalar, group: NarrowClassGroup,
 def newton_slopes(coeffs, p: int) -> list:
     """Root valuations of an integer polynomial (coefficients low to high)
     from its p-adic Newton polygon, with multiplicity."""
-
-    def vp(n):
-        v = 0
-        n = abs(n)
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    pts = [(i, vp(c)) for i, c in enumerate(coeffs) if c != 0]
+    pts = [(i, _vp(c, p)) for i, c in enumerate(coeffs) if c != 0]
     if len(pts) < 2:
         raise ValueError("polynomial has at most one term")
     # lower convex hull, left to right
@@ -325,14 +339,9 @@ def _sqrt_rational(ctx: PadicContext, q: Fraction) -> PadicScalar:
     if q == 0:
         return ctx.zero()
     p = ctx.p
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    vnum, vden = _vp(q.numerator, p), _vp(q.denominator, p)
+    num, den = q.numerator // p ** vnum, q.denominator // p ** vden
+    v = vnum - vden
     if v % 2:
         raise ValueError("odd valuation: square root leaves the field")
     unit = num * pow(den, -1, ctx.modulus) % ctx.modulus

@@ -37,19 +37,20 @@ class PadicContext:
             raise ValueError(f"p must be a prime >= 5, got {self.p}")
         if self.prec < 1:
             raise ValueError("precision must be >= 1")
+        # derived once: every arithmetic operation reads them
+        p = self.p
+        object.__setattr__(self, "_r", next(
+            r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1))
+        object.__setattr__(self, "_modulus", p ** self.prec)
 
     @property
     def r(self) -> int:
-        # smallest positive quadratic non-residue mod p
-        p = self.p
-        for r in range(2, p):
-            if pow(r, (p - 1) // 2, p) == p - 1:
-                return r
-        raise AssertionError("unreachable for prime p")
+        """Smallest positive quadratic non-residue mod p."""
+        return self._r
 
     @property
     def modulus(self) -> int:
-        return self.p ** self.prec
+        return self._modulus
 
     # -- constructors -------------------------------------------------------
 

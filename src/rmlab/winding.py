@@ -21,9 +21,9 @@ from math import gcd, isqrt
 
 from .padic import PadicContext, PadicScalar, iwasawa_log
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
-                        RMPoint, automorph, embed_quadnum, enumerate_trace,
-                        is_primitive, reduce_cycle, reduce_form,
-                        splitting_type)
+                        RMPoint, _ext_gcd, automorph, embed_quadnum,
+                        enumerate_trace, is_primitive, reduce_cycle,
+                        reduce_form, splitting_type)
 
 
 @dataclass(frozen=True)
@@ -99,13 +99,6 @@ def log_Tn_Jw(tau: RMPoint, n: int, p: int, ctx: PadicContext,
 # --------------------------------------------------------------------------
 # double-coset oracle
 # --------------------------------------------------------------------------
-
-def _ext_gcd(a: int, b: int):
-    if b == 0:
-        return abs(a), (1 if a >= 0 else -1), 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
-
 
 def _hnf2(M):
     """Left-SL2(Z) Hermite normal form [[a, b], [0, d]], a, d > 0, 0 <= b < d

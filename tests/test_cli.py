@@ -4,6 +4,7 @@ import pytest
 
 from rmlab.cli import (EXIT_CRITERION, EXIT_INVALID, EXIT_OK,
                        main, read_toml_subset)
+from rmlab.gsunits import generating_series
 from rmlab.padic import PadicContext, PadicScalar
 from rmlab.quadfield import NarrowClassGroup
 from rmlab.siegelmeasure import phi_DR
@@ -146,9 +147,46 @@ def test_recognize_unit_flagship_small(capsys):
     assert rep["predicted_valuations"] == {"0": [-1, 12], "1": [1, 12]}
 
 
-def test_threads_flag(capsys, tmp_path):
-    code, rep = run(capsys, ["--disc", "12", "--p", "5", "--prec", "10",
-                             "--nmax", "3", "--depth", "2", "--threads", "2",
-                             "--cache-dir", str(tmp_path), "gtau"])
+def test_corrupt_cache_line_is_recomputed(capsys, tmp_path):
+    argv = ["--disc", "12", "--p", "5", "--prec", "12", "--nmax", "4",
+            "--depth", "2", "--cache-dir", str(tmp_path), "gtau"]
+    code, cold = run(capsys, argv)
     assert code == EXIT_OK
-    assert set(rep["coefficients"]) == {"1", "2", "3"}
+    cache = tmp_path / "coefficients.jsonl"
+    text = cache.read_text()
+    torn = text[:text.rindex("\n", 0, -1) + 1 + 40]   # an interrupted append
+    cache.write_text(torn)
+    code, rep = run(capsys, argv)
+    assert code == EXIT_OK
+    assert rep["coefficients"] == cold["coefficients"]
+    assert list(rep["stabilized_at"]) == ["4"]     # only the torn entry
+    entries = []
+    for line in cache.read_text().splitlines():
+        try:
+            entries.append(json.loads(line))
+        except ValueError:
+            pass
+    assert sorted(e["n"] for e in entries) == [1, 2, 3, 4]
+
+
+def test_threads_flag(capsys):
+    base = ["--disc", "12", "--p", "5", "--prec", "10", "--nmax", "6",
+            "--depth", "2"]
+    reports = [run(capsys, base + ["--threads", t, "gtau"])
+               for t in ("1", "2")]
+    assert [code for code, _ in reports] == [EXIT_OK, EXIT_OK]
+    serial, pooled = (rep["coefficients"] for _, rep in reports)
+    assert pooled == serial
+    group = NarrowClassGroup(12)
+    ctx = PadicContext(5, 10)
+    res = generating_series(group.rm_representative(group.identity), 5, 6,
+                            ctx, m_max=2, group=group)
+    assert serial == {str(n): res.series.coeffs[n].to_json()
+                      for n in range(1, 7)}
+    # the other narrow class: the same values with the opposite sign
+    other = group.representative(1 - group.identity)
+    form = "--form=" + ",".join(map(str, other))   # may start with "-"
+    code, rep = run(capsys, base + ["--threads", "2", form, "gtau"])
+    assert code == EXIT_OK
+    assert rep["coefficients"] == {str(n): (-res.series.coeffs[n]).to_json()
+                                   for n in range(1, 7)}
