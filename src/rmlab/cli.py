@@ -149,10 +149,6 @@ def parse_matrix(text: str):
     return ((parts[0], parts[1]), (parts[2], parts[3]))
 
 
-def scalar_json(x: PadicScalar) -> dict:
-    return x.to_json()
-
-
 def instance_from_args(args) -> tuple:
     """(context, narrow class group, RM point) named by the global flags."""
     ctx = PadicContext(args.p, args.prec)
@@ -185,8 +181,8 @@ def series_from_args(args) -> tuple:
 
 def fit_report(fit) -> dict:
     return {
-        "a0": scalar_json(fit.a0),
-        "basis_coefficients": [scalar_json(c) for c in fit.coefficients],
+        "a0": fit.a0.to_json(),
+        "basis_coefficients": [c.to_json() for c in fit.coefficients],
         "solve_indices": list(fit.solve_indices),
         "residual_valuations": {str(n): v for n, v in fit.residuals.items()},
         "min_residual_valuation": fit.min_residual_valuation,
@@ -202,7 +198,7 @@ def cmd_gtau(args) -> tuple:
     ctx, group, tau, res = series_from_args(args)
     report = {
         "form": list(tau.form),
-        "coefficients": {str(n): scalar_json(res.series.coeffs[n])
+        "coefficients": {str(n): res.series.coeffs[n].to_json()
                          for n in range(1, args.nmax + 1)},
         "stabilized_at": {str(n): cert.stabilized_at
                           for n, cert in res.certificates.items()},
@@ -234,7 +230,7 @@ def cmd_recognize(args) -> tuple:
                     degree=args.degree, budget=args.budget)
     report = {
         "form": list(tau.form),
-        "a0": scalar_json(res.a0),
+        "a0": res.a0.to_json(),
         "predicted_valuations": {
             str(s): [v.numerator, v.denominator]
             for s, v in valuation_predictions(group, tau_class).items()},
@@ -253,7 +249,7 @@ def cmd_winding(args) -> tuple:
     ctx, group, tau = instance_from_args(args)
     value = log_Tn_Jw(tau, args.n, args.p, ctx, group)
     report = {"form": list(tau.form), "n": args.n,
-              "log_TnJw": scalar_json(value)}
+              "log_TnJw": value.to_json()}
     return report, EXIT_OK
 
 
@@ -268,8 +264,8 @@ def cmd_jdr(args) -> tuple:
     ctx, group, tau = instance_from_args(args)
     value = poisson_JDR(tau, args.level, ctx)
     report = {"form": list(tau.form), "level": args.level,
-              "JDR": scalar_json(value),
-              "log_JDR": scalar_json(iwasawa_log(value))}
+              "JDR": value.to_json(),
+              "log_JDR": iwasawa_log(value).to_json()}
     return report, EXIT_OK
 
 
@@ -296,7 +292,7 @@ def cmd_algdep(args) -> tuple:
     while poly and poly[-1] == 0:
         poly.pop()
     report = {
-        "value": scalar_json(x),
+        "value": x.to_json(),
         "polynomial": poly,
         "height": res.height,
         "margin": res.margin,
@@ -320,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fundamental discriminant D > 0 (default 12)")
     common.add_argument("--p", type=int,
                         help="prime, inert in Q(sqrt(D)) (default 5)")
-    common.add_argument("--form", help="RM point as A,B,C")
+    common.add_argument("--form", help="RM point as A,B,C; a form with "
+                        "negative A must be written --form=A,B,C, e.g. "
+                        "--form=-1,2,2")
     common.add_argument("--prec", type=int,
                         help="working p-adic precision (default 32)")
     common.add_argument("--nmax", type=int,

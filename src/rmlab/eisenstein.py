@@ -1,22 +1,26 @@
 """Fourier coefficients of weight-one Eisenstein and cuspidal families over a
 real quadratic field, their diagonal restrictions, and ordinary projection.
 
-The diagonal restriction derivative produces a q-series whose coefficients
-are p-adic log sums over ideal divisors; the ordinary projection is realized
-as the stabilized limit of coefficients at indices n * p^{2m}.
+Every coefficient is a psi-weighted sum over the p-coprime ideal divisors I of
+(nu)*(different), of 1 and of log Nm I.  One kernel, `divisor_sums`, evaluates
+both by the product formula over the prime factorization, without listing
+divisors; each family coefficient is a closed form in its two sums.  The
+ordinary projection of the diagonal restriction derivative is the limit of
+its coefficients at indices n * p^m, extrapolated by iterated Shanks steps
+(`accelerated_ordinary_projection`); plain stabilization at n * p^{2m}
+(`ordinary_projection`) is kept as a check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .modforms import QSeries
 from .padic import (DualScalar, PadicContext, PadicScalar, iwasawa_log)
-from .quadfield import (IdealDivisorEngine, NarrowClassGroup,
+from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
                         TotallyPositiveElement, embed_quadnum,
-                        enumerate_trace, factor_alpha, principal_ideal,
-                        splitting_type)
+                        enumerate_trace, factor_alpha, splitting_type)
 
 
 class LogCache:
@@ -32,17 +36,48 @@ class LogCache:
         return self._cache[n]
 
 
-def _alpha_class(group: NarrowClassGroup, engine: IdealDivisorEngine,
-                 nu: TotallyPositiveElement) -> int:
-    """Narrow class of (nu) * different = (nu * sqrt(D))."""
-    return group.narrow_class_of_ideal(
-        principal_ideal(group.D, nu.alpha))
+def _local_factors(alpha: QuadNum, chi: tuple,
+                   engine: IdealDivisorEngine) -> list:
+    """(A, C, Nm P, psi(P)^e) for each P^e exactly dividing (alpha) with P
+    coprime to p, where A = sum_{k <= e} psi(P)^k and
+    C = sum_{k <= e} k psi(P)^k."""
+    out = []
+    for fac in factor_alpha(engine.D, alpha):
+        if fac[0] == engine.p:
+            continue
+        e, q = fac[3], fac[4]
+        x = chi[engine.prime_class(fac)]
+        out.append((sum(x ** k for k in range(e + 1)),
+                    sum(k * x ** k for k in range(1, e + 1)), q, x ** e))
+    return out
+
+
+def divisor_sums(alpha: QuadNum, chi: tuple, engine: IdealDivisorEngine,
+                 logs: LogCache) -> tuple:
+    """The divisor-sum kernel: (mass, log_sum, psi((alpha))) with
+    mass = sum psi(I) and log_sum = sum psi(I) log Nm I over the p-coprime
+    divisors I of (alpha).
+
+    Both factor over the primes P_i^{e_i} || (alpha): mass = prod_i A_i and
+    log_sum = sum_i (prod_{j != i} A_j) C_i log Nm P_i (see `_local_factors`),
+    so no divisor list is built, and no log is taken when two or more A_i
+    vanish.  psi((alpha)) = prod_i psi(P_i)^{e_i}: the prime over the inert p
+    is (p), narrowly principal, so it adds nothing."""
+    local = _local_factors(alpha, chi, engine)
+    masses = [A for A, _, _, _ in local]
+    log_sum = logs.ctx.zero()
+    if masses.count(0) <= 1:
+        for i, (_, C, q, _) in enumerate(local):
+            cof = prod(masses[:i] + masses[i + 1:])
+            if C and cof:
+                log_sum = log_sum + logs.log_int(q) * (cof * C)
+    return prod(masses), log_sum, prod(s for _, _, _, s in local)
 
 
 def sigma_psi(nu: TotallyPositiveElement, chi: tuple,
               engine: IdealDivisorEngine) -> int:
     """Sum of psi(I) over p-coprime divisors I of (nu) * different."""
-    return sum(chi[d.class_idx] for d in engine.divisors(nu.alpha))
+    return prod(A for A, _, _, _ in _local_factors(nu.alpha, chi, engine))
 
 
 def eis_family_coeff(pair: str, nu: TotallyPositiveElement, chi: tuple,
@@ -54,20 +89,11 @@ def eis_family_coeff(pair: str, nu: TotallyPositiveElement, chi: tuple,
     if pair not in ("1,psi", "psi,1"):
         raise ValueError("unsupported character pair")
     logs = logs or LogCache(ctx)
-    group = engine.group
-    total_class = group.narrow_class_of_ideal(
-        principal_ideal(group.D, nu.alpha))
-    a = ctx.zero()
-    b = ctx.zero()
-    for d in engine.divisors(nu.alpha):
-        cof_class = group.compose(total_class, group.inverse[d.class_idx])
-        if pair == "1,psi":
-            weight = chi[d.class_idx]           # eta = 1, phi = psi
-        else:
-            weight = chi[cof_class]             # eta = psi, phi = 1
-        a = a + weight
-        b = b + weight * logs.log_int(d.norm)
-    return DualScalar(a, b)
+    mass, log_sum, psi_alpha = divisor_sums(nu.alpha, chi, engine, logs)
+    if pair == "psi,1":
+        # psi(cofactor) = psi((alpha)) psi(I) for quadratic psi
+        mass, log_sum = psi_alpha * mass, log_sum * psi_alpha
+    return DualScalar(ctx.from_int(mass), log_sum)
 
 
 def antiparallel_coeff(nu: TotallyPositiveElement, chi: tuple,
@@ -82,22 +108,16 @@ def antiparallel_coeff(nu: TotallyPositiveElement, chi: tuple,
     if Ltot.is_zero:
         raise ArithmeticError("degenerate total L-invariant")
     logs = logs or LogCache(ctx)
-    group = engine.group
-    p = engine.p
-    nu0 = nu.deprived(p)
-    total_norm = nu0.ideal_norm
+    nu0 = nu.deprived(engine.p)
+    mass, log_sum, _ = divisor_sums(nu0.alpha, chi, engine, logs)
     r1 = L1 * Ltot.inverse()
     r2 = L2 * Ltot.inverse()
-    log_nu = iwasawa_log(embed_quadnum(nu0.nu, ctx))
-    a = ctx.zero()
-    b = ctx.zero()
-    for d in engine.divisors(nu0.alpha):
-        w = chi[d.class_idx]
-        term = (-log_nu + r1 * logs.log_int(d.norm)
-                + r2 * logs.log_int(total_norm // d.norm))
-        a = a + w
-        b = b + w * term
-    return DualScalar(a, b)
+    # log Nm(cofactor) = log Nm(alpha_0) - log Nm I
+    b = r1 * log_sum - r2 * log_sum
+    if mass:
+        log_nu = iwasawa_log(embed_quadnum(nu0.nu, ctx))
+        b = b + (r2 * logs.log_int(nu0.ideal_norm) - log_nu) * mass
+    return DualScalar(ctx.from_int(mass), b)
 
 
 def eis_combination_coeff(nu: TotallyPositiveElement, chi: tuple,
@@ -121,16 +141,12 @@ def dual_coeff_Fplus(nu: TotallyPositiveElement, chi: tuple,
     """Coefficient of the combined family, free of L-invariants:
     sum over I | (nu_0)*different of psi(I)(1 - eps log(nu_0 / Nm I))."""
     logs = logs or LogCache(ctx)
-    p = engine.p
-    nu0 = nu.deprived(p)
-    log_nu = iwasawa_log(embed_quadnum(nu0.nu, ctx))
-    a = ctx.zero()
-    b = ctx.zero()
-    for d in engine.divisors(nu0.alpha):
-        w = chi[d.class_idx]
-        a = a + w
-        b = b - w * (log_nu - logs.log_int(d.norm))
-    return DualScalar(a, b)
+    nu0 = nu.deprived(engine.p)
+    mass, log_sum, _ = divisor_sums(nu0.alpha, chi, engine, logs)
+    b = log_sum
+    if mass:
+        b = b - iwasawa_log(embed_quadnum(nu0.nu, ctx)) * mass
+    return DualScalar(ctx.from_int(mass), b)
 
 
 def diag_coefficient(n: int, chi: tuple, engine: IdealDivisorEngine,
@@ -138,46 +154,18 @@ def diag_coefficient(n: int, chi: tuple, engine: IdealDivisorEngine,
                      logs: LogCache | None = None) -> PadicScalar:
     """n-th coefficient of the diagonal restriction derivative:
     -sum over Tr(nu)=n, p-coprime I | (nu_0)*different, of
-    psi(I) log_p(nu_0 sqrt(D) / Nm(I)).
-
-    The divisor sum factors over the prime factorization of (nu_0)*different:
-    with x_i = psi(prime_i) and e ranging to the multiplicity, the character
-    mass is prod_i A_i (A_i = sum_e x_i^e) and the psi-weighted log-norm sum
-    is sum_i (prod_{j != i} A_j) C_i log(q_i) with C_i = sum_e e x_i^e.  This
-    avoids materializing divisor lists and skips the (often unneeded) log of
-    nu_0 when the character mass vanishes."""
+    psi(I) log_p(nu_0 sqrt(D) / Nm(I)), that is
+    sum over nu of log_sum - mass * log_p(alpha_0) from `divisor_sums`, with
+    alpha_0 = nu_0 sqrt(D).  The log of alpha_0 is skipped when the mass
+    vanishes, as it does for every nu when psi is odd."""
     logs = logs or LogCache(ctx)
-    D = engine.D
-    p = engine.p
     total = ctx.zero()
-    for elt in enumerate_trace(n, D):
-        elt0 = elt.deprived(p)
-        data = []
-        for fac in factor_alpha(D, elt0.alpha):
-            if fac[0] == p:
-                continue
-            emax, pnorm = fac[3], fac[4]
-            x = chi[engine.prime_class(fac)]
-            A = sum(x ** e for e in range(emax + 1))
-            C = sum(e * x ** e for e in range(1, emax + 1))
-            data.append((A, C, pnorm))
-        zeros = [i for i, (A, _, _) in enumerate(data) if A == 0]
-        if len(zeros) <= 1:
-            for i, (A, C, q) in enumerate(data):
-                if not C:
-                    continue
-                cof = 1
-                for j, (Aj, _, _) in enumerate(data):
-                    if j != i:
-                        cof *= Aj
-                if cof:
-                    total = total + logs.log_int(q) * (cof * C)
-        if not zeros:
-            mass = 1
-            for A, _, _ in data:
-                mass *= A
-            total = total - \
-                iwasawa_log(embed_quadnum(elt0.alpha, ctx)) * mass
+    for elt in enumerate_trace(n, engine.D):
+        alpha0 = elt.deprived(engine.p).alpha
+        mass, log_sum, _ = divisor_sums(alpha0, chi, engine, logs)
+        total = total + log_sum
+        if mass:
+            total = total - iwasawa_log(embed_quadnum(alpha0, ctx)) * mass
     return total
 
 
@@ -214,6 +202,12 @@ def shanks_step(seq: list) -> list:
     return out
 
 
+def _agreement_profile(seq: list) -> list:
+    """Valuations of consecutive differences, None where one vanishes."""
+    return [None if (x - y).is_zero else (x - y).v
+            for x, y in zip(seq, seq[1:])]
+
+
 @dataclass
 class AccelerationCertificate:
     depth: int                 # number of Shanks columns applied
@@ -235,18 +229,12 @@ def accelerated_ordinary_projection(producer, n: int, p: int, m_max: int,
     if m_max < 2:
         raise ValueError("need at least three terms to extrapolate")
     seq = [producer(n * p ** m) for m in range(m_max + 1)]
-    agreements = []
-
-    def profile(s):
-        return [None if (x - y).is_zero else (x - y).v
-                for x, y in zip(s, s[1:])]
-
-    agreements.append(profile(seq))
+    agreements = [_agreement_profile(seq)]
     depth = 0
     while len(seq) >= 3:
         seq = shanks_step(seq)
         depth += 1
-        agreements.append(profile(seq))
+        agreements.append(_agreement_profile(seq))
     # conservative certificate: the deepest column with two entries to
     # compare (a single-entry column certifies nothing by itself)
     last = next((prof[-1] for prof in reversed(agreements) if prof), None)
@@ -266,10 +254,7 @@ def ordinary_projection(producer, n: int, p: int, m_max: int,
     if threshold is None:
         threshold = ctx.prec // 2
     values = [producer(n * p ** (2 * m)) for m in range(m_max + 1)]
-    agreement = []
-    for x, y in zip(values, values[1:]):
-        d = x - y
-        agreement.append(None if d.is_zero else d.v)
+    agreement = _agreement_profile(values)
     last = agreement[-1] if agreement else None
     digits = ctx.prec if last is None else last
     if digits < threshold:

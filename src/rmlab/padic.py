@@ -240,9 +240,6 @@ class PadicScalar:
 
     __rmul__ = __mul__
 
-    def scale_int(self, n: int) -> "PadicScalar":
-        return self.ctx.from_int(n) * self if n else self.ctx.zero()
-
     # -- Galois -------------------------------------------------------------
 
     def frobenius(self) -> "PadicScalar":

@@ -17,7 +17,7 @@ from math import gcd, isqrt
 from sympy import factorint
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
-from .padic import PadicContext, PadicScalar
+from .padic import PadicContext, PadicScalar, _vp
 
 
 # --------------------------------------------------------------------------
@@ -397,9 +397,6 @@ class RMPoint:
         return QuadNum(self.disc, Fraction(-self.B, 2 * self.A),
                        Fraction(1, 2 * self.A))
 
-    def conj_value(self) -> QuadNum:
-        return self.value().conj()
-
     def negate(self) -> "RMPoint":
         return RMPoint(-self.A, self.B, -self.C)
 
@@ -729,7 +726,9 @@ class DivisorIdeal:
 
 class IdealDivisorEngine:
     """Enumerates p-coprime divisors of principal ideals with norms, narrow
-    classes and character data; caches per-prime classes."""
+    classes and character data; caches per-prime classes.  The explicit
+    enumeration serves the ideal-pair route in `winding` and the tests;
+    `eisenstein.divisor_sums` needs only the per-prime classes."""
 
     def __init__(self, group: NarrowClassGroup, p: int):
         self.group = group
@@ -744,11 +743,9 @@ class IdealDivisorEngine:
             self._pclass[key] = self.group.narrow_class_of_ideal(I)
         return self._pclass[key]
 
-    def divisors(self, alpha: QuadNum, skip_p: bool = True):
-        """All divisors I | (alpha) with p coprime to I when skip_p."""
-        facs = factor_alpha(self.D, alpha)
-        if skip_p:
-            facs = [f for f in facs if f[0] != self.p]
+    def divisors(self, alpha: QuadNum):
+        """All divisors I | (alpha) with p coprime to I."""
+        facs = [f for f in factor_alpha(self.D, alpha) if f[0] != self.p]
         divs = [DivisorIdeal(self.D, 1, self.group.identity, ())]
         for fac in facs:
             _, _, _, emax, pnorm = fac
@@ -794,14 +791,7 @@ class TotallyPositiveElement:
 
     def vp(self, p: int) -> int:
         """p-valuation of nu, p inert (equals that of alpha)."""
-        u = (self.s - self.n * self.D) // 2
-        v = self.n
-        k = 0
-        while u % p == 0 and v % p == 0:
-            u //= p
-            v //= p
-            k += 1
-        return k
+        return _vp(gcd((self.s - self.n * self.D) // 2, self.n), p)
 
     def deprived(self, p: int) -> "TotallyPositiveElement":
         k = self.vp(p)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .padic import PadicContext, PadicScalar, iwasawa_log
+from .padic import PadicContext, PadicScalar, _vp, iwasawa_log
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
                         RMPoint, _ext_gcd, automorph, embed_quadnum,
                         enumerate_trace, is_primitive, reduce_cycle,
@@ -188,14 +188,7 @@ def _strip_p(w: QuadNum, p: int) -> QuadNum:
     """Divide out the p-power content of an RM point (inert p, so
     v_p(w) = v_p(Nm w) / 2)."""
     nm = w.norm()
-    vp = 0
-    num, den = abs(nm.numerator), nm.denominator
-    while num % (p * p) == 0:
-        num //= p * p
-        vp += 1
-    while den % (p * p) == 0:
-        den //= p * p
-        vp -= 1
+    vp = _vp(nm.numerator, p) // 2 - _vp(nm.denominator, p) // 2
     return w * Fraction(1, p) ** vp if vp else w
 
 

@@ -33,30 +33,51 @@ def test_sigma_psi_conjugation_antisymmetry():
             assert sigma_psi(nu, CHI, ENGINE) == -sigma_psi(conj, CHI, ENGINE)
 
 
-def test_sigma_trivial_character_counts_divisors():
-    trivial = tuple(1 for _ in range(GROUP.h))
-    for nu in enumerate_trace(3, D):
-        assert sigma_psi(nu, trivial, ENGINE) == len(
-            ENGINE.divisors(nu.alpha))
+# fields for the kernel-against-divisor-walk checks: (60, 13) has h+ = 4 and
+# two odd characters, (40, 7) has no odd character
+KERNEL_FIELDS = [(12, 5), (24, 7), (40, 7), (60, 13)]
 
 
-def test_eis_family_pair_reindexing():
-    # (psi,1) at nu is the I -> (nu)d/I reindexing of (1,psi)
-    for nu in enumerate_trace(4, D):
-        e1 = eis_family_coeff("1,psi", nu, CHI, ENGINE, CTX, LOGS)
-        e2 = eis_family_coeff("psi,1", nu, CHI, ENGINE, CTX, LOGS)
-        total_class = GROUP.narrow_class_of_ideal(
-            principal_ideal(D, nu.alpha))
-        total_norm = nu.ideal_norm
-        a = CTX.zero()
-        b = CTX.zero()
-        for d in ENGINE.divisors(nu.alpha):
-            cof = GROUP.compose(total_class, GROUP.inverse[d.class_idx])
-            a = a + CHI[cof]
-            b = b + CHI[cof] * LOGS.log_int(d.norm)
-        assert e2.a.equals(a) and e2.b.equals(b)
-        # and the reindexed sum is psi(total) times the (1,psi) a-part
-        assert e2.a.equals(e1.a * CHI[total_class])
+@pytest.mark.parametrize("disc, p", KERNEL_FIELDS)
+def test_sigma_trivial_character_counts_divisors(disc, p):
+    # sigma_psi is the explicit sum over the divisor walk, which for the
+    # trivial character counts the divisors
+    group = NarrowClassGroup(disc)
+    engine = IdealDivisorEngine(group, p)
+    for chi in group.characters:
+        for n in (1, 3, p, 2 * p):
+            for nu in enumerate_trace(n, disc):
+                assert sigma_psi(nu, chi, engine) == sum(
+                    chi[d.class_idx] for d in engine.divisors(nu.alpha))
+
+
+@pytest.mark.parametrize("disc, p", KERNEL_FIELDS)
+def test_eis_family_pair_reindexing(disc, p):
+    # (psi,1) at nu is the I -> (nu)d/I reindexing of (1,psi); both against
+    # the explicit divisor walk
+    group = NarrowClassGroup(disc)
+    engine = IdealDivisorEngine(group, p)
+    ctx = PadicContext(p, 20)
+    logs = LogCache(ctx)
+    for chi in group.characters:
+        for n in (1, 4, p, 2 * p):
+            for nu in enumerate_trace(n, disc):
+                e1 = eis_family_coeff("1,psi", nu, chi, engine, ctx, logs)
+                e2 = eis_family_coeff("psi,1", nu, chi, engine, ctx, logs)
+                total_class = group.narrow_class_of_ideal(
+                    principal_ideal(disc, nu.alpha))
+                a1, b1, a2, b2 = (ctx.zero(),) * 4
+                for d in engine.divisors(nu.alpha):
+                    cof = group.compose(total_class,
+                                        group.inverse[d.class_idx])
+                    a1 = a1 + chi[d.class_idx]
+                    b1 = b1 + chi[d.class_idx] * logs.log_int(d.norm)
+                    a2 = a2 + chi[cof]
+                    b2 = b2 + chi[cof] * logs.log_int(d.norm)
+                assert e1.a.equals(a1) and e1.b.equals(b1)
+                assert e2.a.equals(a2) and e2.b.equals(b2)
+                # and the reindexed sum is psi(total) times the (1,psi) a-part
+                assert e2.a.equals(e1.a * chi[total_class])
 
 
 def test_eis_family_rejects_unknown_pair():
