@@ -276,8 +276,17 @@ def cmd_fit(args) -> tuple:
             data = json.load(fh)
     else:
         data = json.load(sys.stdin)
+    coeffs = data.get("coefficients") if isinstance(data, dict) else None
+    if isinstance(coeffs, dict):
+        # a gtau report: keyed by n >= 1; a_0 and absent n are unknown
+        known = {int(n): c for n, c in coeffs.items()}
+        coeffs = [None] + [known.get(n)
+                           for n in range(1, max(known, default=0) + 1)]
+    if not isinstance(coeffs, list):
+        raise ValueError("series file needs 'coefficients' as a list or as "
+                         "an object keyed by n")
     coeffs = [None if c is None else PadicScalar.from_json(c)
-              for c in data["coefficients"]]
+              for c in coeffs]
     series = QSeries(tuple(coeffs), args.p)
     fit = fit_to_basis(series, basis_for_level(args.p, series.n_max), ctx)
     return {"fit": fit_report(fit)}, EXIT_OK

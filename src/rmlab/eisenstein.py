@@ -42,13 +42,12 @@ def _local_factors(alpha: QuadNum, chi: tuple,
     coprime to p, where A = sum_{k <= e} psi(P)^k and
     C = sum_{k <= e} k psi(P)^k."""
     out = []
-    for fac in factor_alpha(engine.D, alpha):
-        if fac[0] == engine.p:
+    for P, e in factor_alpha(engine.D, alpha):
+        if P.a == engine.p:
             continue
-        e, q = fac[3], fac[4]
-        x = chi[engine.prime_class(fac)]
+        x = chi[engine.prime_class(P)]
         out.append((sum(x ** k for k in range(e + 1)),
-                    sum(k * x ** k for k in range(1, e + 1)), q, x ** e))
+                    sum(k * x ** k for k in range(1, e + 1)), P.norm, x ** e))
     return out
 
 

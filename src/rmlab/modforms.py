@@ -121,32 +121,6 @@ def _to_padic(x, ctx: PadicContext) -> PadicScalar:
     return ctx.from_rational(x)
 
 
-def _solve_square(rows, rhs, ctx):
-    """Exact Gaussian elimination over Q_{p^2} with min-valuation pivoting."""
-    k = len(rows)
-    A = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    perm = list(range(k))
-    for col in range(k):
-        piv, pv = None, None
-        for r in range(col, k):
-            x = A[r][col]
-            if x.is_zero:
-                continue
-            if pv is None or x.v < pv:
-                piv, pv = r, x.v
-        if piv is None:
-            raise ArithmeticError("singular fit subsystem at working precision")
-        A[col], A[piv] = A[piv], A[col]
-        perm[col], perm[piv] = perm[piv], perm[col]
-        inv = A[col][col].inverse()
-        A[col] = [x * inv for x in A[col]]
-        for r in range(k):
-            if r != col and not A[r][col].is_zero:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [A[i][k] for i in range(k)]
-
-
 def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext,
                  threshold: int | None = None) -> FitResult:
     """Fit s (constant term unknown) to the basis q-expansions.
@@ -159,16 +133,17 @@ def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext,
     if len(known) < k + 1:
         raise ValueError("not enough known coefficients to overdetermine")
     bmat = {n: [_to_padic(b.coeffs[n], ctx) for b in basis] for n in known}
-    # square subsystem: greedily accept rows that extend the exact rank
+    # square subsystem: greedily accept rows that extend the exact rank,
+    # each reduced with its right-hand side
     solve_idx = []
-    reduced = []  # rows in echelon form, each with its pivot column
+    reduced = []  # rows [basis values | a_n] in echelon form, with pivots
     for n in known:
-        row = bmat[n][:]
+        row = bmat[n] + [_to_padic(s.coeffs[n], ctx)]
         for prow, pcol in reduced:
             if not row[pcol].is_zero:
                 f = row[pcol] * prow[pcol].inverse()
                 row = [x - f * y for x, y in zip(row, prow)]
-        pivots = [j for j, x in enumerate(row) if not x.is_zero]
+        pivots = [j for j, x in enumerate(row[:k]) if not x.is_zero]
         if not pivots:
             continue
         pcol = min(pivots, key=lambda j: row[j].v)
@@ -178,9 +153,15 @@ def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext,
             break
     if len(solve_idx) < k:
         raise ArithmeticError("no nonsingular subsystem found")
-    coeffs = _solve_square([bmat[n] for n in solve_idx],
-                           [_to_padic(s.coeffs[n], ctx) for n in solve_idx],
-                           ctx)
+    # back-substitution, last pivot first: each row vanishes at the pivots
+    # of the rows before it
+    coeffs = [None] * k
+    for row, pcol in reversed(reduced):
+        rhs = row[k]
+        for j, c in enumerate(coeffs):
+            if c is not None:
+                rhs = rhs - row[j] * c
+        coeffs[pcol] = rhs * row[pcol].inverse()
     residuals = {}
     min_val = None
     for n in known:

@@ -128,10 +128,6 @@ class PadicScalar:
     def is_zero(self) -> bool:
         return self.v is None
 
-    def valuation(self):
-        """Exact valuation, or None for the zero marker."""
-        return self.v
-
     def is_rational_coord(self) -> bool:
         """True if the w-coordinate vanishes at stored precision."""
         return self.is_zero or self.u1 == 0
@@ -405,10 +401,6 @@ class DualScalar:
         self.a = a
         self.b = b
 
-    @staticmethod
-    def constant(a: PadicScalar) -> "DualScalar":
-        return DualScalar(a, a.ctx.zero())
-
     def __add__(self, other):
         return DualScalar(self.a + other.a, self.b + other.b)
 
@@ -431,6 +423,3 @@ class DualScalar:
 
     def __repr__(self):
         return f"({self.a!r}) + ({self.b!r})*eps"
-
-    def to_json(self) -> dict:
-        return {"a": self.a.to_json(), "b": self.b.to_json()}

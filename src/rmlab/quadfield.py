@@ -566,18 +566,16 @@ class IdealF:
             self.D, [b1 * c1, b1 * c2, b2 * c1, b2 * c2])
 
     def oriented_form(self) -> Form:
-        """Primitive form of an oriented Z-basis; its class is the narrow
-        class of the ideal."""
-        # basis ordered so that (beta1*beta2' - beta1'*beta2)/sqrt(D) > 0
-        beta1 = QuadNum(self.D, self.b, 0) + QuadNum.omega(self.D) * self.c
-        beta2 = QuadNum(self.D, self.a, 0)
-        n = self.a * self.c
-        A = beta1.norm() / n
-        Bf = (beta1 * beta2.conj() + beta1.conj() * beta2).a / n
-        C = beta2.norm() / n
-        assert A.denominator == 1 and Bf.denominator == 1 \
-            and C.denominator == 1
-        return (int(A), int(Bf), int(C))
+        """Primitive form Nm(x beta1 + y beta2) / Nm(I) of the oriented
+        Z-basis (beta1, beta2) = (b + c*omega, a); its class is the narrow
+        class of the ideal.  With Nm(b + c*omega) = b^2 + bcD + c^2(D^2-D)/4
+        the form is (Nm(b + c*omega)/(ac), (2b + cD)/c, a/c), in integers."""
+        # the basis is ordered so that (beta1*beta2' - beta1'*beta2)/sqrt(D)
+        # = ac > 0
+        D, a, b, c = self.D, self.a, self.b, self.c
+        nm = b * b + b * c * D + c * c * (D * D - D) // 4
+        assert nm % (a * c) == 0
+        return (nm // (a * c), (2 * b + c * D) // c, a // c)
 
 
 def ideal_from_generators(D: int, gens) -> IdealF:
@@ -665,9 +663,9 @@ def prime_ideal(D: int, q: int, which: int = 0) -> IdealF:
 def factor_alpha(D: int, alpha: QuadNum):
     """Factor the principal ideal (alpha) into primes.
 
-    Returns a list of (q, typ, root_t_or_None, exponent, prime_norm) with the
-    convention that split primes appear once per conjugate with its own
-    exponent.
+    Returns a list of (P, e) with P^e exactly dividing (alpha), P the prime
+    `IdealF` over q (so P.a = q and P.norm = Nm P), ordered by q; a split q
+    gives one pair per conjugate prime that divides.
     """
     co = alpha.coords_in_order()
     assert co is not None and not alpha.is_zero()
@@ -679,10 +677,11 @@ def factor_alpha(D: int, alpha: QuadNum):
         typ = splitting_type(D, q)
         if typ == "inert":
             assert e % 2 == 0
-            out.append((q, typ, None, e // 2, q * q))
+            out.append((IdealF(D, q, 0, q), e // 2))
         elif typ == "ramified":
-            out.append((q, typ, 0, e, q))
+            out.append((prime_ideal(D, q), e))
         else:
+            # v1 = exponent of (q, omega - t1), t1 = T mod q
             T = _hensel_root(D, q, e + 1)
             x = (u + v * T) % q ** (e + 1)
             v1 = 0
@@ -691,19 +690,10 @@ def factor_alpha(D: int, alpha: QuadNum):
                 x //= q
             t1 = T % q
             if v1:
-                out.append((q, typ, t1, v1, q))
+                out.append((IdealF(D, q, -t1, 1), v1))
             if e - v1:
-                out.append((q, typ, (D - t1) % q, e - v1, q))
+                out.append((IdealF(D, q, t1 - D, 1), e - v1))
     return out
-
-
-def prime_from_factor(D: int, fac) -> IdealF:
-    q, typ, t, _, _ = fac
-    if typ == "inert":
-        return IdealF(D, q, 0, q)
-    if typ == "ramified":
-        return prime_ideal(D, q)
-    return IdealF(D, q, (-t) % q, 1)
 
 
 @dataclass
@@ -713,12 +703,11 @@ class DivisorIdeal:
     D: int
     norm: int
     class_idx: int
-    exponents: tuple  # ((factor-record, e), ...)
+    exponents: tuple  # ((prime IdealF, e), ...)
 
     def hnf(self) -> IdealF:
         I = IdealF(self.D, 1, 0, 1)
-        for fac, e in self.exponents:
-            P = prime_from_factor(self.D, fac)
+        for P, e in self.exponents:
             for _ in range(e):
                 I = I.mult(P)
         return I
@@ -726,8 +715,9 @@ class DivisorIdeal:
 
 class IdealDivisorEngine:
     """Enumerates p-coprime divisors of principal ideals with norms, narrow
-    classes and character data; caches per-prime classes.  The explicit
-    enumeration serves the ideal-pair route in `winding` and the tests;
+    classes and character data; caches the narrow class of each prime P of
+    a `factor_alpha` pair (P, e), keyed by P.  The explicit enumeration
+    serves the ideal-pair route in `winding` and the tests;
     `eisenstein.divisor_sums` needs only the per-prime classes."""
 
     def __init__(self, group: NarrowClassGroup, p: int):
@@ -736,28 +726,26 @@ class IdealDivisorEngine:
         self.p = p
         self._pclass = {}
 
-    def prime_class(self, fac) -> int:
-        key = fac[:3]
-        if key not in self._pclass:
-            I = prime_from_factor(self.D, fac)
-            self._pclass[key] = self.group.narrow_class_of_ideal(I)
-        return self._pclass[key]
+    def prime_class(self, P: IdealF) -> int:
+        if P not in self._pclass:
+            self._pclass[P] = self.group.narrow_class_of_ideal(P)
+        return self._pclass[P]
 
     def divisors(self, alpha: QuadNum):
         """All divisors I | (alpha) with p coprime to I."""
-        facs = [f for f in factor_alpha(self.D, alpha) if f[0] != self.p]
         divs = [DivisorIdeal(self.D, 1, self.group.identity, ())]
-        for fac in facs:
-            _, _, _, emax, pnorm = fac
-            cls = self.prime_class(fac)
+        for P, emax in factor_alpha(self.D, alpha):
+            if P.a == self.p:
+                continue
+            cls = self.prime_class(P)
             new = []
             for d in divs:
                 ci, nm = d.class_idx, d.norm
                 for e in range(emax + 1):
                     new.append(DivisorIdeal(
                         self.D, nm, ci,
-                        d.exponents + (((fac, e),) if e else ())))
-                    nm *= pnorm
+                        d.exponents + (((P, e),) if e else ())))
+                    nm *= P.norm
                     ci = self.group.compose(ci, cls)
             divs = new
         return divs

@@ -47,11 +47,6 @@ def _check_instance(D: int, n: int, p: int):
         raise ValueError("n must be coprime to p")
 
 
-def lattice_class(group: NarrowClassGroup, tau: RMPoint) -> int:
-    """Narrow class of the lattice Z + Z*tau."""
-    return group.class_of_rm_point(tau)
-
-
 def rm_plus_set(tau: RMPoint, n: int, p: int,
                 group: NarrowClassGroup | None = None,
                 engine: IdealDivisorEngine | None = None) -> list:
@@ -60,7 +55,7 @@ def rm_plus_set(tau: RMPoint, n: int, p: int,
     _check_instance(D, n, p)
     group = group or NarrowClassGroup(D)
     engine = engine or IdealDivisorEngine(group, p)
-    required = lattice_class(group, tau)
+    required = group.class_of_rm_point(tau)
     out = []
     for elt in enumerate_trace(n, D):
         assert elt.vp(p) == 0  # inert p with p coprime to n

@@ -92,20 +92,36 @@ def test_jdr(capsys):
     assert value.v == 0  # principal unit representative
 
 
-def test_fit_from_file(capsys, tmp_path):
+@pytest.mark.parametrize("source", ["list", "gtau", "neither"])
+def test_fit_from_file(capsys, tmp_path, source):
+    # a coefficient list, a gtau report (coefficients keyed by n, no a_0)
+    # and a file that is neither, which is invalid input
     from rmlab.modforms import e2p_series
     ctx = PadicContext(5, 10)
     series = e2p_series(5, 8).scale(3)
-    data = {"coefficients": [None] + [
-        ctx.from_int(series.coeffs[n]).to_json() for n in range(1, 9)]}
+    listed = [None] + [ctx.from_int(series.coeffs[n]).to_json()
+                       for n in range(1, 9)]
     path = tmp_path / "series.json"
-    path.write_text(json.dumps(data))
-    code, rep = run(capsys, ["--p", "5", "--prec", "10",
+    prec = "12" if source == "gtau" else "10"
+    if source == "gtau":
+        assert main(["--disc", "12", "--p", "5", "--nmax", "6", "--depth",
+                     "2", "--prec", prec, "gtau", "--out", str(path)]) \
+            == EXIT_OK
+    else:
+        coeffs = listed if source == "list" else listed[1]
+        path.write_text(json.dumps({"coefficients": coeffs}))
+    code, rep = run(capsys, ["--p", "5", "--prec", prec,
                              "fit", "--series", str(path)])
-    assert code == EXIT_OK
-    a0 = PadicScalar.from_json(rep["fit"]["a0"])
-    assert a0.equals(ctx.from_int(12))  # 3 * (p - 1)
-    assert rep["fit"]["certified"]
+    if source == "neither":
+        assert code == EXIT_INVALID and "error" in rep
+    elif source == "gtau":
+        assert code == EXIT_OK
+        assert rep["fit"] == json.loads(path.read_text())["fit"]
+    else:
+        assert code == EXIT_OK
+        a0 = PadicScalar.from_json(rep["fit"]["a0"])
+        assert a0.equals(ctx.from_int(12))  # 3 * (p - 1)
+        assert rep["fit"]["certified"]
 
 
 def test_algdep_command(capsys):

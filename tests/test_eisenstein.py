@@ -53,12 +53,15 @@ def test_sigma_trivial_character_counts_divisors(disc, p):
 
 @pytest.mark.parametrize("disc, p", KERNEL_FIELDS)
 def test_eis_family_pair_reindexing(disc, p):
-    # (psi,1) at nu is the I -> (nu)d/I reindexing of (1,psi); both against
-    # the explicit divisor walk
+    # (psi,1) at nu is the I -> (nu)d/I reindexing of (1,psi); both, and the
+    # anti-parallel and combined families over (nu_0)d, against the explicit
+    # divisor walk (even characters reach their log nu_0 terms)
     group = NarrowClassGroup(disc)
     engine = IdealDivisorEngine(group, p)
     ctx = PadicContext(p, 20)
     logs = LogCache(ctx)
+    L1, L2 = ctx.from_int(3), ctx.from_int(8)
+    r1, r2 = L1 / (L1 + L2), L2 / (L1 + L2)
     for chi in group.characters:
         for n in (1, 4, p, 2 * p):
             for nu in enumerate_trace(n, disc):
@@ -78,6 +81,20 @@ def test_eis_family_pair_reindexing(disc, p):
                 assert e2.a.equals(a2) and e2.b.equals(b2)
                 # and the reindexed sum is psi(total) times the (1,psi) a-part
                 assert e2.a.equals(e1.a * chi[total_class])
+                ap = antiparallel_coeff(nu, chi, engine, ctx, L1, L2, logs)
+                fp = dual_coeff_Fplus(nu, chi, engine, ctx, logs)
+                nu0 = nu.deprived(p)
+                log_nu0 = iwasawa_log(embed_quadnum(nu0.nu, ctx))
+                mass, b_ap, b_fp = ctx.zero(), ctx.zero(), ctx.zero()
+                for d in engine.divisors(nu0.alpha):
+                    x = chi[d.class_idx]
+                    log_i = logs.log_int(d.norm)
+                    log_cof = logs.log_int(nu0.ideal_norm // d.norm)
+                    mass = mass + x
+                    b_ap = b_ap + (r1 * log_i + r2 * log_cof - log_nu0) * x
+                    b_fp = b_fp + (log_i - log_nu0) * x
+                assert ap.a.equals(mass) and ap.b.equals(b_ap)
+                assert fp.a.equals(mass) and fp.b.equals(b_fp)
 
 
 def test_eis_family_rejects_unknown_pair():

@@ -288,15 +288,12 @@ def test_prime_ideals():
 def test_factor_alpha_reconstructs_ideal():
     rng = random.Random(11)
     for D in (12, 40, 61):
-        from rmlab.quadfield import prime_from_factor
         for _ in range(15):
             x = rand_quadnum(D, rng, integral=True)
             I = IdealF(D, 1, 0, 1)
             nm = 1
-            for fac in factor_alpha(D, x):
-                P = prime_from_factor(D, fac)
-                e = fac[3]
-                nm *= fac[4] ** e
+            for P, e in factor_alpha(D, x):
+                nm *= P.norm ** e
                 for _ in range(e):
                     I = I.mult(P)
             assert I == principal_ideal(D, x)
@@ -321,11 +318,11 @@ def test_divisor_engine_counts_and_classes():
         eng = IdealDivisorEngine(g, p)
         for _ in range(10):
             x = rand_quadnum(D, rng, integral=True)
-            facs = [f for f in factor_alpha(D, x) if f[0] != p]
             divs = eng.divisors(x)
             expected = 1
-            for f in facs:
-                expected *= f[3] + 1
+            for P, e in factor_alpha(D, x):
+                if P.a != p:
+                    expected *= e + 1
             assert len(divs) == expected
             for d in rng.sample(divs, min(4, len(divs))):
                 I = d.hnf()
