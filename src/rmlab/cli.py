@@ -285,8 +285,14 @@ def cmd_fit(args) -> tuple:
     if not isinstance(coeffs, list):
         raise ValueError("series file needs 'coefficients' as a list or as "
                          "an object keyed by n")
-    coeffs = [None if c is None else PadicScalar.from_json(c)
-              for c in coeffs]
+    for n, c in enumerate(coeffs):
+        if c is None:
+            continue
+        try:
+            coeffs[n] = PadicScalar.from_json(c)
+        except (TypeError, KeyError, IndexError) as exc:
+            raise ValueError(f"coefficient {n} is not a p-adic scalar "
+                             f"object: {c!r}") from exc
     series = QSeries(tuple(coeffs), args.p)
     fit = fit_to_basis(series, basis_for_level(args.p, series.n_max), ctx)
     return {"fit": fit_report(fit)}, EXIT_OK

@@ -259,7 +259,8 @@ class RecognitionResult:
     newton_ok: bool
     reciprocal_ok: bool
     split_fraction: float
-    matches: list               # all (twist, coefficients) that algdep found
+    matches: list               # (twist, coefficients) found by algdep, up
+                                # to and including the accepted twist
 
     @property
     def recognized(self) -> bool:
@@ -272,16 +273,15 @@ def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,
               height_bound: int = 10 ** 6,
               split_modulus: int = 12, split_residues=(1,),
               num_split_primes: int = 50) -> RecognitionResult:
-    """Search the torsion twists for one whose value satisfies an integer
-    polynomial of bounded degree, then validate it: the Newton polygon must
-    reproduce twelve times the partial-zeta multiset, the polynomial must be
-    reciprocal up to a p-power, and it must split completely modulo (most)
-    primes in the given residue classes."""
+    """Search the torsion twists in order for the first whose value
+    satisfies an integer polynomial of bounded degree whose Newton polygon
+    reproduces twelve times the partial-zeta multiset, and stop there.  Then
+    validate it: the polynomial must be reciprocal up to a p-power, and it
+    must split completely modulo (most) primes in the given residue classes."""
     p = ctx.p
     expected = sorted(12 * v for v in
                       valuation_predictions(group, tau_class).values())
     matches = []
-    best = None
     for cand in candidates:
         # a candidate of negative p-order is recognized through its integral
         # rescaling p^s * u; the polynomial pulls back by x -> x / p^s
@@ -310,22 +310,16 @@ def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,
             matches.append((cand.twist, coeffs))
             # several torsion twists can pass every check (a root of unity
             # in the field times the unit is again such a unit); take the
-            # first matching twist for determinism.  A spurious low-degree
-            # relation (possible at small budgets) fails the polygon test,
-            # so keep ascending past it
+            # first matching twist for determinism and stop searching.  A
+            # spurious low-degree relation (possible at small budgets)
+            # fails the polygon test, so keep ascending past it
             if newton_slopes(coeffs, p) == expected:
-                if best is None:
-                    best = (cand.twist, coeffs, res)
-                break
-    if best is None:
-        return RecognitionResult(None, None, None, False, False, 0.0,
-                                 matches)
-    twist, coeffs, res = best
-    reciprocal = is_reciprocal_up_to_p_power(coeffs, p)
-    frac = splitting_fraction(coeffs, split_residues, split_modulus,
-                              num_split_primes)
-    return RecognitionResult(coeffs, twist, res, True, reciprocal, frac,
-                             matches)
+                reciprocal = is_reciprocal_up_to_p_power(coeffs, p)
+                frac = splitting_fraction(coeffs, split_residues,
+                                          split_modulus, num_split_primes)
+                return RecognitionResult(coeffs, cand.twist, res, True,
+                                         reciprocal, frac, matches)
+    return RecognitionResult(None, None, None, False, False, 0.0, matches)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exact integer lattice reduction and p-adic algebraic-dependence
 recognition.
 
-The LLL reduction here runs entirely over exact rationals (no floating-point
-Gram-Schmidt): the lattices arising from minimal-polynomial recognition have
-dimension at most a dozen, where exactness is affordable and makes runs
-reproducible bit-for-bit.
+The LLL reduction is Cohen's integral LLL (A Course in Computational
+Algebraic Number Theory, Alg. 2.6.7): it keeps the Gram determinants d_i and
+lambda_ij = d_{j+1} * mu_ij as exact integers and updates them in place on a
+swap, with no floating-point and no `Fraction` Gram-Schmidt.  Exactness makes
+runs reproducible bit-for-bit.
 
 `algdep_padic` recognizes an integer polynomial vanishing at a given element
 of Q_{p^2} to a prescribed p-adic precision budget, by reducing the lattice
@@ -31,75 +32,93 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _gram_schmidt(basis):
-    """Exact Gram-Schmidt over Q: returns (mu, norms2) where norms2[i] is the
-    squared length of the i-th orthogonalized vector as a Fraction."""
+def _integral_gram_schmidt(basis):
+    """Cohen's integral Gram-Schmidt (Alg. 2.6.7, step 2): returns (d, lam)
+    with d[i] the Gram determinant of the first i rows (d[0] = 1) and
+    lam[k][j] = d[j+1] * mu[k][j], all integers."""
     n = len(basis)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    star = [[Fraction(x) for x in row] for row in basis]
-    norms2 = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i):
-            mu[i][j] = Fraction(_dot(basis[i], star[j])) / norms2[j] \
-                if norms2[j] else Fraction(0)
-            star[i] = [si - mu[i][j] * sj
-                       for si, sj in zip(star[i], star[j])]
-        norms2[i] = _dot(star[i], star[i])
-        if norms2[i] == 0:
-            raise ValueError("basis rows are linearly dependent")
-        mu[i][i] = Fraction(1)
-    return mu, norms2
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = _dot(basis[k], basis[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise ValueError("basis rows are linearly dependent")
+            else:
+                d[k + 1] = u
+    return d, lam
+
+
+def _round_div(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, ties to even (b > 0), as
+    round(Fraction(a, b))."""
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q % 2):
+        q += 1
+    return q
+
+
+def _lovasz_ok(d, lam, k, num, den) -> bool:
+    # B_k >= (delta - mu^2) B_{k-1}, times d_k d_{k-1} > 0
+    return den * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= num * d[k] ** 2
 
 
 def gram_det(basis) -> int:
     """Determinant of the Gram matrix (squared covolume); reduction
     invariant."""
-    _, norms2 = _gram_schmidt(basis)
-    d = Fraction(1)
-    for n2 in norms2:
-        d *= n2
-    assert d.denominator == 1
-    return d.numerator
+    return _integral_gram_schmidt(basis)[0][-1]
 
 
 def lll_reduce(basis, delta: Fraction = Fraction(99, 100)):
-    """LLL-reduce a list of integer rows; exact arithmetic throughout.
+    """LLL-reduce a list of integer rows; exact integer arithmetic
+    throughout (Cohen, Alg. 2.6.7).
 
     Returns a new list of rows spanning the same lattice, satisfying the
     size-reduction and Lovasz conditions at parameter delta."""
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie in (1/4, 1)")
+    num, den = Fraction(delta).as_integer_ratio()
     b = [list(row) for row in basis]
     n = len(b)
-    mu, B = _gram_schmidt(b)
-
-    def size_reduce(k, j):
-        if abs(mu[k][j]) > Fraction(1, 2):
-            q = round(mu[k][j])
-            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-            for i in range(j + 1):
-                mu[k][i] -= q * mu[j][i]
+    d, lam = _integral_gram_schmidt(b)
 
     k = 1
     while k < n:
-        for j in range(k - 1, -1, -1):
-            size_reduce(k, j)
-        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+        for j in range(k - 1, -1, -1):      # size reduction (RED)
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                q = _round_div(lam[k][j], d[j + 1])
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                lam[k][j] -= q * d[j + 1]
+                for i in range(j):
+                    lam[k][i] -= q * lam[j][i]
+        if _lovasz_ok(d, lam, k, num, den):
             k += 1
-        else:
-            b[k - 1], b[k] = b[k], b[k - 1]
-            mu, B = _gram_schmidt(b)
-            k = max(k - 1, 1)
+            continue
+        # swap rows k-1 and k, updating d and lam in place (SWAPI)
+        b[k - 1], b[k] = b[k], b[k - 1]
+        lam[k - 1][:k - 1], lam[k][:k - 1] = lam[k][:k - 1], lam[k - 1][:k - 1]
+        l = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + l * l) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - l * t) // d[k]
+            lam[i][k - 1] = (B * t + l * lam[i][k]) // d[k + 1]
+        d[k] = B
+        k = max(k - 1, 1)
     return b
 
 
 def is_lll_reduced(basis, delta: Fraction = Fraction(99, 100)) -> bool:
-    mu, B = _gram_schmidt(basis)
-    n = len(basis)
-    for k in range(1, n):
-        if any(abs(mu[k][j]) > Fraction(1, 2) for j in range(k)):
+    num, den = Fraction(delta).as_integer_ratio()
+    d, lam = _integral_gram_schmidt(basis)
+    for k in range(1, len(basis)):
+        if any(2 * abs(lam[k][j]) > d[j + 1] for j in range(k)):
             return False
-        if B[k] < (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+        if not _lovasz_ok(d, lam, k, num, den):
             return False
     return True
 

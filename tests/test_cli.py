@@ -92,10 +92,11 @@ def test_jdr(capsys):
     assert value.v == 0  # principal unit representative
 
 
-@pytest.mark.parametrize("source", ["list", "gtau", "neither"])
+@pytest.mark.parametrize("source", ["list", "gtau", "neither", "malformed"])
 def test_fit_from_file(capsys, tmp_path, source):
-    # a coefficient list, a gtau report (coefficients keyed by n, no a_0)
-    # and a file that is neither, which is invalid input
+    # a coefficient list, a gtau report (coefficients keyed by n, no a_0),
+    # and two invalid inputs: a file that is neither, and a list with an
+    # entry that is not a scalar object
     from rmlab.modforms import e2p_series
     ctx = PadicContext(5, 10)
     series = e2p_series(5, 8).scale(3)
@@ -108,12 +109,15 @@ def test_fit_from_file(capsys, tmp_path, source):
                      "2", "--prec", prec, "gtau", "--out", str(path)]) \
             == EXIT_OK
     else:
-        coeffs = listed if source == "list" else listed[1]
+        coeffs = {"list": listed, "neither": listed[1],
+                  "malformed": [None, "x"]}[source]
         path.write_text(json.dumps({"coefficients": coeffs}))
     code, rep = run(capsys, ["--p", "5", "--prec", prec,
                              "fit", "--series", str(path)])
     if source == "neither":
         assert code == EXIT_INVALID and "error" in rep
+    elif source == "malformed":
+        assert code == EXIT_INVALID and "coefficient 1 " in rep["error"]
     elif source == "gtau":
         assert code == EXIT_OK
         assert rep["fit"] == json.loads(path.read_text())["fit"]

@@ -134,6 +134,9 @@ def test_recognize_flagship_from_exact_log():
     assert rec.newton_ok and rec.reciprocal_ok
     assert rec.split_fraction >= 0.95
     assert (0, (5, -6, 5)) in rec.matches
+    # the search stops at the accepted twist
+    assert rec.matches[-1] == (rec.twist, rec.polynomial)
+    assert all(twist <= rec.twist for twist, _ in rec.matches)
 
 
 @pytest.mark.parametrize("c1", [8, -14, 4])

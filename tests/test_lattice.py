@@ -3,10 +3,88 @@ from fractions import Fraction
 
 import pytest
 
+from rmlab import lattice
 from rmlab.lattice import (algdep_padic, eval_poly, gram_det, is_lll_reduced,
                            lll_reduce)
 from rmlab.padic import PadicContext
 from rmlab.quadfield import sqrtD_padic
+
+
+# --------------------------------------------------------------------------
+# reference LLL: textbook rational Gram-Schmidt, recomputed after each swap
+# --------------------------------------------------------------------------
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def ref_gram_schmidt(basis):
+    """(mu, B): Gram-Schmidt coefficients and squared lengths over Q."""
+    n = len(basis)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    star = [[Fraction(x) for x in row] for row in basis]
+    B = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = _dot(basis[i], star[j]) / B[j]
+            star[i] = [si - mu[i][j] * sj for si, sj in zip(star[i], star[j])]
+        B[i] = _dot(star[i], star[i])
+        if B[i] == 0:
+            raise ValueError("basis rows are linearly dependent")
+        mu[i][i] = Fraction(1)
+    return mu, B
+
+
+def ref_gram_det(basis):
+    d = Fraction(1)
+    for b in ref_gram_schmidt(basis)[1]:
+        d *= b
+    return d
+
+
+def ref_lll(basis, delta=Fraction(99, 100)):
+    b = [list(row) for row in basis]
+    mu, B = ref_gram_schmidt(b)
+    k = 1
+    while k < len(b):
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                q = round(mu[k][j])
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                for i in range(j + 1):
+                    mu[k][i] -= q * mu[j][i]
+        if B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]:
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            mu, B = ref_gram_schmidt(b)
+            k = max(k - 1, 1)
+    return b
+
+
+def ref_is_lll_reduced(basis, delta=Fraction(99, 100)):
+    mu, B = ref_gram_schmidt(basis)
+    return all(
+        all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+        and B[k] >= (delta - mu[k][k - 1] ** 2) * B[k - 1]
+        for k in range(1, len(basis)))
+
+
+def assert_matches_reference(basis):
+    try:
+        det = ref_gram_det(basis)
+    except ValueError:
+        with pytest.raises(ValueError):
+            lll_reduce(basis)
+        with pytest.raises(ValueError):
+            gram_det(basis)
+        return False
+    out = lll_reduce(basis)
+    assert out == ref_lll(basis)
+    assert gram_det(basis) == det == gram_det(out)
+    assert is_lll_reduced(basis) == ref_is_lll_reduced(basis)
+    assert is_lll_reduced(out) and ref_is_lll_reduced(out)
+    return True
 
 
 def test_lll_rejects_bad_delta_and_dependent_rows():
@@ -38,6 +116,19 @@ def test_lll_output_is_reduced_and_preserves_gram_det():
         out = lll_reduce(basis)
         assert is_lll_reduced(out)
         assert gram_det(out) == det
+
+
+def test_lll_matches_reference_on_random_bases():
+    # small entries make ties mu = k + 1/2 common, so the rounding rule of
+    # the size reduction is exercised
+    rng = random.Random(13)
+    checked = 0
+    while checked < 300:
+        n = rng.randrange(2, 7)
+        size = rng.choice([2, 5, 40, 10 ** 6])
+        basis = [[rng.randrange(-size, size + 1) for _ in range(n)]
+                 for _ in range(n)]
+        checked += assert_matches_reference(basis)
 
 
 def test_lll_recovers_planted_short_vector():
@@ -161,3 +252,21 @@ def test_algdep_margin_grows_with_budget():
     m1 = algdep_padic(x, 2, 16).margin
     m2 = algdep_padic(x, 2, 32).margin
     assert m2 > m1
+
+
+def test_lll_matches_reference_on_algdep_lattices(monkeypatch):
+    lattices = []
+
+    def record(basis, delta=Fraction(99, 100)):
+        lattices.append(basis)
+        return lll_reduce(basis, delta)
+
+    monkeypatch.setattr(lattice, "lll_reduce", record)
+    rng = random.Random(3)
+    generic = CTX.from_coords(rng.randrange(5 ** 40), rng.randrange(5 ** 40))
+    for x in (generic, sqrtD_padic(CTX, 12)):
+        for d in range(1, 5):
+            algdep_padic(x, d, 30)
+    assert len(lattices) == 8
+    for basis in lattices:
+        assert assert_matches_reference(basis)
