@@ -19,8 +19,8 @@ from math import gcd, prod
 from .modforms import QSeries
 from .padic import (DualScalar, PadicContext, PadicScalar, iwasawa_log)
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
-                        TotallyPositiveElement, embed_quadnum,
-                        enumerate_trace, factor_alpha, splitting_type)
+                        TotallyPositiveElement, check_inert, embed_quadnum,
+                        enumerate_trace, factor_alpha)
 
 
 class LogCache:
@@ -174,8 +174,7 @@ def diag_restrict_derivative(chi: tuple, group: NarrowClassGroup, p: int,
                              logs: LogCache | None = None) -> QSeries:
     """q-series of the diagonal restriction derivative up to q^{n_max};
     constant term left unknown."""
-    if splitting_type(group.D, p) != "inert":
-        raise ValueError(f"p = {p} is not inert in Q(sqrt({group.D}))")
+    check_inert(group.D, p)
     engine = engine or IdealDivisorEngine(group, p)
     logs = logs or LogCache(ctx)
     coeffs = [None] + [diag_coefficient(n, chi, engine, ctx, logs)

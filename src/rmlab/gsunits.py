@@ -27,7 +27,7 @@ from .modforms import QSeries, FitResult, basis_for_level, fit_to_basis
 from .padic import (PadicContext, PadicScalar, _vp, iwasawa_log, padic_exp,
                     teichmuller)
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, RMPoint,
-                        next_prime, partial_zeta_zero, splitting_type)
+                        check_inert, next_prime, partial_zeta_zero)
 
 
 # --------------------------------------------------------------------------
@@ -84,8 +84,7 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
     narrow class group has no odd quadratic character (equivalently, with a
     unit of norm -1) give the zero series."""
     D = tau.disc
-    if splitting_type(D, p) != "inert":
-        raise ValueError(f"p = {p} is not inert in Q(sqrt({D}))")
+    check_inert(D, p)
     group = group or NarrowClassGroup(D)
     odd = group.odd_characters()
     if not odd:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, sqrt
+from math import exp, gcd, inf, log
 
 from .padic import PadicScalar
 
@@ -210,8 +210,12 @@ def algdep_padic(x: PadicScalar, degree: int, budget: int,
 
     reduced = lll_reduce(rows, delta)
     order = sorted(reduced, key=lambda r: _dot(r, r))
-    norms = [sqrt(_dot(r, r)) for r in order]
-    margin = norms[1] / norms[0] if norms[0] else float("inf")
+    n0, n1 = _dot(order[0], order[0]), _dot(order[1], order[1])
+    # log takes integers of any size; past the float range the ratio is inf
+    try:
+        margin = exp((log(n1) - log(n0)) / 2) if n0 else inf
+    except OverflowError:
+        margin = inf
 
     for row in order:
         c = row[:d1]

@@ -643,6 +643,11 @@ def splitting_type(D: int, q: int) -> str:
     return "split" if pow(D % q, (q - 1) // 2, q) == 1 else "inert"
 
 
+def check_inert(D: int, p: int):
+    if splitting_type(D, p) != "inert":
+        raise ValueError(f"p = {p} is not inert in Q(sqrt({D}))")
+
+
 def prime_ideal(D: int, q: int, which: int = 0) -> IdealF:
     """A prime above q; `which` in {0, 1} picks the root for split q."""
     typ = splitting_type(D, q)

@@ -4,13 +4,15 @@ multiplicative Poisson transform evaluating J_DR at an RM point.
 The measure is realized through branch logarithms of c-modified Siegel units
 
     _cg_{a,b} = g_{a,b}^{c^2} / g_{ca,cb},
-    g_{a,b}(q) = -q^{B2(a)/2} prod_{n>=0} (1 - q^{n+a} e^{2 pi i b})
-                              prod_{n>0}  (1 - q^{n-a} e^{-2 pi i b}),
+    g_{a,b} = -q^{B2(a)/2} e^{pi i b(a-1)}
+              * prod_{n>=0} (1 - q^{n+a} e^{2 pi i b})
+              * prod_{n>0}  (1 - q^{n-a} e^{-2 pi i b}),
 
-whose periods under SL2(Z) are exact integers: for each generator the period
-is computed numerically (float accuracy ~1e-9, asserted below 1e-4 of an
-integer) and arbitrary group elements are assembled exactly through the
-cocycle law  mu(g h) = mu(h)|g^{-1} + mu(g).
+whose periods under SL2(Z) are integers.  The period of each generator T^q,
+S and -I on each ball is evaluated in closed form from the transformation
+laws of Siegel functions (Kubert-Lang, Modular Units, Ch. 2), in integer
+arithmetic, and arbitrary group elements are assembled exactly through the
+cocycle law  mu(g h) = mu(h)|g^{-1} + mu(g).  No float enters the measure.
 
 The realized measure is s(c) = (c^2 - 1)/24 times the normalized mu_DR whose
 value on p Z_p x Z_p^* is phi_DR; the scale is carried on the BallMeasure and
@@ -22,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, pi
-
-import numpy as np
+from functools import lru_cache
+from math import gcd
 
 from .padic import PadicContext, PadicScalar, iwasawa_log, padic_exp
 from .quadfield import RMPoint, automorph, sqrtD_padic
@@ -78,7 +79,7 @@ def phi_DR(gamma, p: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# ball space and Siegel-unit branch logs
+# ball space and exact generator periods
 # --------------------------------------------------------------------------
 
 def default_c(p: int) -> int:
@@ -96,60 +97,24 @@ class BallSpace:
     def __init__(self, p: int, level: int):
         self.p, self.level, self.den = p, level, p ** level
         den = self.den
-        a, b = np.divmod(np.arange(den * den, dtype=np.int64), den)
-        prim = (a % p != 0) | (b % p != 0)
-        self.a, self.b = a[prim], b[prim]
-        self.pos = np.full(den * den, -1, dtype=np.int64)
-        self.pos[self.a * den + self.b] = np.arange(len(self.a))
+        self.a = [a for a in range(den) for b in range(den) if a % p or b % p]
+        self.b = [b for a in range(den) for b in range(den) if a % p or b % p]
+        self.pos = [-1] * (den * den)
+        for i, (a, b) in enumerate(zip(self.a, self.b)):
+            self.pos[a * den + b] = i
 
     @property
     def size(self) -> int:
         return len(self.a)
 
-    def transformed(self, gamma):
-        """(a', b') = (a, b) * gamma mod p^level, componentwise arrays."""
-        (g00, g01), (g10, g11) = gamma
-        den = self.den
-        return ((self.a * g00 + self.b * g10) % den,
-                (self.a * g01 + self.b * g11) % den)
-
-    def perm(self, gamma):
+    def perm(self, gamma) -> list:
         """Index permutation v -> v * gamma mod p^level."""
-        a2, b2 = self.transformed(gamma)
-        out = self.pos[a2 * self.den + b2]
-        assert (out >= 0).all()
+        (g00, g01), (g10, g11) = gamma
+        den, pos = self.den, self.pos
+        out = [pos[(a * g00 + b * g10) % den * den + (a * g01 + b * g11) % den]
+               for a, b in zip(self.a, self.b)]
+        assert min(out) >= 0
         return out
-
-
-def _glog(alpha, beta, z: complex):
-    """Branch log of the Siegel function
-    g_{alpha,beta} = -q^{B2(alpha)/2} e^{pi i beta(alpha-1)}
-                     prod (1 - q^{n+alpha} e^{2 pi i beta})
-                     prod (1 - q^{n+1-alpha} e^{-2 pi i beta})
-    up to the global constant log(-1), which cancels in every period
-    difference.  alpha must lie in [0, 1); beta may be any lift — the series
-    is periodic in beta and the linear constant realizes the shift rule
-    g_{alpha, beta+1} = -e^{pi i alpha} g_{alpha, beta}."""
-    w = (alpha * alpha - alpha + 1.0 / 6.0) / 2.0
-    tot = 2j * pi * w * z + 1j * pi * beta * (alpha - 1.0)
-    nterms = int(44.0 / (2 * pi * z.imag)) + 3
-    for n in range(nterms):
-        tot += np.log1p(-np.exp(2j * pi * ((n + alpha) * z + beta)))
-        tot += np.log1p(-np.exp(2j * pi * ((n + 1 - alpha) * z - beta)))
-    return tot
-
-
-def _c_siegel_log(space: BallSpace, ia, ib, z: complex, c: int):
-    """Branch log of _cg = g_{v}^{c^2} / g_{c v} at index v = (ia, ib)/p^m,
-    evaluated at the lift c*(reduced v): the alpha-reduction of c*ia is
-    compensated by the shift rule g_{alpha+1, beta} = -e^{-pi i beta}
-    g_{alpha, beta}, making the value an exact class function."""
-    den = space.den
-    out = c * c * _glog(ia / den, ib / den, z)
-    qa, ra = np.divmod(c * ia, den)
-    cb = c * ib / den
-    out -= _glog(ra / den, cb, z) + qa * 1j * pi * (1.0 - cb)
-    return out
 
 
 @dataclass
@@ -158,49 +123,32 @@ class BallMeasure:
     times the normalized mu_DR."""
 
     space: BallSpace
-    values: np.ndarray
+    values: list
     scale: int
 
     def total(self) -> int:
-        return int(self.values.sum())
+        return sum(self.values)
 
     def mass_pZxZpx(self) -> int:
         """Mass of p Z_p x Z_p^* (centers with p | a; then p cannot
         divide b)."""
-        return int(self.values[self.space.a % self.space.p == 0].sum())
+        p = self.space.p
+        return sum(v for a, v in zip(self.space.a, self.values) if a % p == 0)
 
     def value_at(self, a: int, b: int) -> int:
         den = self.space.den
         idx = self.space.pos[(a % den) * den + (b % den)]
         if idx < 0:
             raise ValueError("center is not primitive")
-        return int(self.values[idx])
+        return self.values[idx]
 
     def acted(self, gamma) -> "BallMeasure":
         """mu|gamma: (mu|gamma)(B_v) = mu(B_{v gamma^{-1}})."""
         (a, b), (c, d) = gamma
         inv = ((d, -b), (-c, a))
-        return BallMeasure(self.space, self.values[self.space.perm(inv)],
+        return BallMeasure(self.space,
+                           [self.values[i] for i in self.space.perm(inv)],
                            self.scale)
-
-
-def _numeric_measure(space: BallSpace, gamma, ginv_z, z: complex,
-                     c: int) -> np.ndarray:
-    """mu_DR(gamma)(B_v) = (1/2 pi i)(log _cg_v(z)
-    - log _cg_{v gamma}(gamma^{-1} z)), rounded to exact integers; the
-    orientation is pinned by mu_DR(gamma)(p Z_p x Z_p^*) = phi_DR(gamma)."""
-    a2, b2 = space.transformed(gamma)
-    vals = _c_siegel_log(space, space.a, space.b, z, c)
-    vals -= _c_siegel_log(space, a2, b2, ginv_z, c)
-    ints = np.round(vals.imag / (2 * pi))
-    err = np.abs(vals / (2j * pi) - ints)
-    assert err.max() < 1e-4, f"period not integral (err {err.max():.2e})"
-    return ints.astype(np.int64)
-
-
-def _mobius(gamma, z: complex) -> complex:
-    (a, b), (c, d) = gamma
-    return (a * z + b) / (c * z + d)
 
 
 _S = ((0, -1), (1, 0))
@@ -237,26 +185,69 @@ def _word_matrix(factor):
     return _NEG_I
 
 
-_BASE_CACHE: dict = {}
+# Let l(a, b; z) be the branch log of g_{a,b} (module docstring) without its
+# constant log(-1), for a in [0, 1) and b any lift:
+#     l(a, b; z) = pi i B2(a) z + pi i b (a - 1) + sum of log1p(-...).
+# The smoothed log at v = (a, b) is, with <x> = x - floor(x),
+#     L(v; z) = c^2 l(a, b; z) - l(<ca>, cb; z) - floor(ca) pi i (1 - cb);
+# its last term compensates the reduction of ca by g_{a+1,b} = -e^{-pi i b}
+# g_{a,b}.  The period of a generator gamma on the ball of v is
+#     mu_DR(gamma)(B_v) = (L(v; z) - L(v gamma; gamma^{-1} z)) / 2 pi i.
+# Every log1p term is analytic on H, so the period does not depend on z, and
+# four identities evaluate it exactly:
+#   shift: l(a, b + j; z) = l(a, b; z) + j pi i (a - 1), for j in Z;
+#   T^q:   l(a, b; z - q) = l(a, b - q a; z) - pi i q/6, because the log1p
+#          terms agree term by term;
+#   S:     l(a, b; z) - l(b, <-a>; -1/z) = 2 pi i (-1/4 - [a != 0](b - 1)/2)
+#          for a, b in [0, 1) not both 0: the Siegel S-law (Kubert-Lang,
+#          Modular Units, Ch. 2) with branch integer 0;
+#   -I:    l(1 - a, -b; z) = l(a, b; z) + pi i b for a != 0, and
+#          l(0, -b; z) = l(0, b; z) + pi i for b in (0, 1).
+# Shifted to lifts in [0, 1), both sides of a period read c^2 l(v) - l(<cv>)
+# at z plus rational multiples of pi i, and the l terms cancel.  For
+# v = (x, y)/n with n = p^m and x, y in [0, n), what is left is the integer
+# identity
+#     12 n^2 mu_DR(gamma)(B_v) = K(v gamma) - K(v) + c^2 E(v) - E(<cv>),
+#     K(x, y) = 6 n (floor(cy/n) ((cx mod n) - n) + floor(cx/n) (n - cy)),
+# where K collects the shift and compensation terms and E the generator's law:
+#   T^q: E(x, y) = n^2 q + 6 n (x - n) floor((y + q x)/n),
+#   S:   E(x, y) = -3 n^2 - 6 n [x != 0] (y - n),
+#   -I:  E(x, y) = -6 n [x != 0] (y - [y != 0] x).
+
+@lru_cache(maxsize=None)
+def _factor_measure(space: BallSpace, factor, c: int) -> tuple:
+    """Exact period of the generator `factor` on every ball of `space`."""
+    n = space.den
+    if factor[0] == "T":
+        q = factor[1]
+
+        def E(x, y):
+            return n * n * q + 6 * n * (x - n) * ((y + q * x) // n)
+    elif factor[0] == "S":
+        def E(x, y):
+            return -3 * n * n - (6 * n * (y - n) if x else 0)
+    else:
+        def E(x, y):
+            return -6 * n * (y - (x if y else 0)) if x else 0
+
+    def K(x, y):
+        qx, rx = divmod(c * x, n)
+        return 6 * n * (c * y // n * (rx - n) + qx * (n - c * y))
+
+    (g00, g01), (g10, g11) = _word_matrix(factor)
+    out = []
+    for x, y in zip(space.a, space.b):
+        num = (K((x * g00 + y * g10) % n, (x * g01 + y * g11) % n) - K(x, y)
+               + c * c * E(x, y) - E(c * x % n, c * y % n))
+        val, rem = divmod(num, 12 * n * n)
+        assert rem == 0, "period not integral"
+        out.append(val)
+    return tuple(out)
 
 
-def _factor_measure(space: BallSpace, factor, c: int) -> np.ndarray:
-    key = (space.p, space.level, c, factor)
-    if key not in _BASE_CACHE:
-        m = _word_matrix(factor)
-        minv = ((m[1][1], -m[0][1]), (-m[1][0], m[0][0]))
-        z = 0.13 + 1.07j
-        _BASE_CACHE[key] = _numeric_measure(space, m, _mobius(minv, z), z, c)
-    return _BASE_CACHE[key]
-
-
-_SPACE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def ball_space(p: int, level: int) -> BallSpace:
-    if (p, level) not in _SPACE_CACHE:
-        _SPACE_CACHE[(p, level)] = BallSpace(p, level)
-    return _SPACE_CACHE[(p, level)]
+    return BallSpace(p, level)
 
 
 def mu_DR(gamma, p: int, level: int, c: int | None = None) -> BallMeasure:
@@ -268,12 +259,12 @@ def mu_DR(gamma, p: int, level: int, c: int | None = None) -> BallMeasure:
         raise ValueError("c must be prime to 6p")
     space = ball_space(p, level)
     den = space.den
-    acc = np.zeros(space.size, dtype=np.int64)
+    acc = [0] * space.size
     g_acc = ((1, 0), (0, 1))
     for factor in sl2_word(gamma):
         vals = _factor_measure(space, factor, c)
         # (mu(f)|g_acc^{-1})(B_v) = mu(f)(B_{v g_acc})
-        acc = acc + vals[space.perm(g_acc)]
+        acc = [x + vals[i] for x, i in zip(acc, space.perm(g_acc))]
         f = _word_matrix(factor)
         g_acc = tuple(
             tuple((sum(g_acc[i][k] * f[k][j] for k in range(2))) % den
@@ -324,8 +315,7 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
         return ((x[0] * y[0] + r * x[1] * y[1]) % m,
                 (x[0] * y[1] + x[1] * y[0]) % m)
 
-    a_arr, b_arr, v_arr = space.a, space.b, mu.values
-    for x, y, e in zip(a_arr.tolist(), b_arr.tolist(), v_arr.tolist()):
+    for x, y, e in zip(space.a, space.b, mu.values):
         if e == 0:
             continue
         # x * (2A tau) + y * 2A = (2Ay - Bx) + x sqrt(D)

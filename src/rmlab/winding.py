@@ -21,9 +21,9 @@ from math import gcd, isqrt
 
 from .padic import PadicContext, PadicScalar, _vp, iwasawa_log
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
-                        RMPoint, _ext_gcd, automorph, embed_quadnum,
-                        enumerate_trace, is_primitive, reduce_cycle,
-                        reduce_form, splitting_type)
+                        RMPoint, _ext_gcd, automorph, check_inert,
+                        embed_quadnum, enumerate_trace, is_primitive,
+                        reduce_cycle, reduce_form)
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class WeightedRMPoint:
 
 
 def _check_instance(D: int, n: int, p: int):
-    if splitting_type(D, p) != "inert":
-        raise ValueError(f"p = {p} is not inert in Q(sqrt({D}))")
+    check_inert(D, p)
     if gcd(n, p) != 1:
         raise ValueError("n must be coprime to p")
 

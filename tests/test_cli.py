@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rmlab
 from rmlab.cli import (EXIT_CRITERION, EXIT_INVALID, EXIT_OK,
                        main, read_toml_subset)
 from rmlab.gsunits import generating_series
@@ -24,6 +28,26 @@ def test_schema_and_envelope(capsys):
     assert rep["command"] == "phi-dr"
     assert rep["exit_code"] == 0
     assert rep["phi_DR"] == 8 == phi_DR(((1, 1), (0, 1)), 5)
+
+
+def _top_level_modules_after(stmt):
+    """Top-level names outside the standard library in sys.modules after
+    running `stmt` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rmlab.__file__)))
+    code = (stmt + "; import sys; print(*{m.split('.')[0] for m in "
+            "sys.modules} - set(sys.stdlib_module_names))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    return {m for m in out.stdout.split() if not m.startswith("__")}
+
+
+def test_cli_needs_no_third_party_package_but_sympy():
+    # sympy is the one declared dependency: importing the CLI may load
+    # rmlab and whatever sympy itself loads, nothing else
+    extra = (_top_level_modules_after("import rmlab.cli")
+             - _top_level_modules_after("import sympy"))
+    assert extra == {"rmlab"}
 
 
 def test_winding_matches_library(capsys):

@@ -254,6 +254,14 @@ def test_algdep_margin_grows_with_budget():
     assert m2 > m1
 
 
+def test_algdep_margin_past_float_range():
+    # the residue rows are weighted by 7^190, so their squared lengths lie
+    # far beyond the float range; the margin must not convert them
+    res = algdep_padic(PadicContext(7, 200).from_int(3), 1, 190)
+    assert res.coefficients == (-3, 1)
+    assert res.margin > 7 ** 5
+
+
 def test_lll_matches_reference_on_algdep_lattices(monkeypatch):
     lattices = []
 

@@ -7,9 +7,9 @@ import pytest
 from rmlab.padic import PadicContext
 from rmlab.quadfield import (IdealF, IdealDivisorEngine, NarrowClassGroup,
                              QuadNum, RMPoint, all_reduced_forms, apply_sl2,
-                             automorph, compose_forms, cycle_matrix,
-                             embed_quadnum, enumerate_trace, factor_alpha,
-                             form_disc, has_norm_minus_one,
+                             automorph, check_inert, compose_forms,
+                             cycle_matrix, embed_quadnum, enumerate_trace,
+                             factor_alpha, form_disc, has_norm_minus_one,
                              is_fundamental_discriminant,
                              minus_cf_cycle, partial_zeta_zero,
                              pell_fundamental, prime_ideal, principal_form,
@@ -283,6 +283,25 @@ def test_prime_ideals():
                 assert P.mult(Q) == principal_ideal(D, QuadNum(D, q, 0))
             if typ == "ramified":
                 assert P.mult(P) == principal_ideal(D, QuadNum(D, q, 0))
+
+
+def test_check_inert_is_the_callers_guard():
+    from rmlab.eisenstein import diag_restrict_derivative
+    from rmlab.gsunits import generating_series
+    from rmlab.winding import log_Tn_Jw
+    check_inert(12, 5)
+    group = NarrowClassGroup(12)
+    tau = group.rm_representative(group.identity)
+    ctx = PadicContext(11, 8)
+    chi = group.odd_characters()[0]
+    for p in (11, 3):                       # split, ramified
+        msg = rf"^p = {p} is not inert in Q\(sqrt\(12\)\)$"
+        for call in (lambda: check_inert(12, p),
+                     lambda: generating_series(tau, p, 4, ctx),
+                     lambda: diag_restrict_derivative(chi, group, p, 4, ctx),
+                     lambda: log_Tn_Jw(tau, 1, p, ctx)):
+            with pytest.raises(ValueError, match=msg):
+                call()
 
 
 def test_factor_alpha_reconstructs_ideal():

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -5,9 +6,10 @@ import pytest
 
 from rmlab.padic import PadicContext, iwasawa_log
 from rmlab.quadfield import NarrowClassGroup
-from rmlab.siegelmeasure import (ball_space, dedekind_sum, default_c,
-                                 measure_scale, mu_DR, phi_DR, poisson_JDR,
-                                 rademacher_phi, sl2_word)
+from rmlab.siegelmeasure import (_factor_measure, _word_matrix, ball_space,
+                                 dedekind_sum, default_c, measure_scale,
+                                 mu_DR, phi_DR, poisson_JDR, rademacher_phi,
+                                 sl2_word)
 
 
 def _matmul(x, y):
@@ -136,6 +138,61 @@ def test_sl2_word_reconstructs_matrix():
 # the measure
 # --------------------------------------------------------------------------
 
+def _glog(alpha, beta, z):
+    """Branch log of the Siegel function
+    g_{alpha,beta} = -q^{B2(alpha)/2} e^{pi i beta(alpha-1)}
+                     prod (1 - q^{n+alpha} e^{2 pi i beta})
+                     prod (1 - q^{n+1-alpha} e^{-2 pi i beta})
+    up to the constant log(-1), summed in floats; alpha in [0, 1), beta any
+    lift."""
+    w = (alpha * alpha - alpha + 1 / 6) / 2
+    tot = 2j * cmath.pi * w * z + 1j * cmath.pi * beta * (alpha - 1)
+    for n in range(int(44 / (2 * cmath.pi * z.imag)) + 3):
+        for e in ((n + alpha) * z + beta, (n + 1 - alpha) * z - beta):
+            tot += cmath.log(1 - cmath.exp(2j * cmath.pi * e))
+    return tot
+
+
+def _c_glog(x, y, den, z, c):
+    """Log of g_v^{c^2} / g_{cv} at v = (x, y)/den, with the reduction of cx
+    compensated by g_{alpha+1,beta} = -e^{-pi i beta} g_{alpha,beta}."""
+    qa, ra = divmod(c * x, den)
+    cb = c * y / den
+    return (c * c * _glog(x / den, y / den, z) - _glog(ra / den, cb, z)
+            - qa * 1j * cmath.pi * (1 - cb))
+
+
+def _float_periods(space, gamma, c):
+    """Periods (1/2 pi i)(log _cg_v(z) - log _cg_{v gamma}(gamma^{-1} z)) at
+    a sample point, rounded to integers after checking they are within 1e-4
+    of one."""
+    (a, b), (cc, d) = gamma
+    den = space.den
+    z = 0.13 + 1.07j
+    ginv_z = (d * z - b) / (-cc * z + a)
+    out = []
+    for x, y in zip(space.a, space.b):
+        x2, y2 = (x * a + y * cc) % den, (x * b + y * d) % den
+        val = (_c_glog(x, y, den, z, c)
+               - _c_glog(x2, y2, den, ginv_z, c)) / (2j * cmath.pi)
+        k = round(val.real)
+        assert abs(val - k) < 1e-4, f"period not integral at {(x, y)}"
+        out.append(k)
+    return out
+
+
+@pytest.mark.parametrize("p, c", [(5, 7), (7, 5), (5, 11)])
+def test_exact_periods_match_float_siegel_logs(p, c):
+    # the closed-form integer periods equal the rounded complex-float
+    # Siegel-unit logs on every ball, for each kind of generator
+    factors = [("S",), ("-I",)] + [("T", q) for q in (1, -1, 3, -7)]
+    for level in (1, 2):
+        space = ball_space(p, level)
+        for factor in factors:
+            assert list(_factor_measure(space, factor, c)) == \
+                _float_periods(space, _word_matrix(factor), c), factor
+
+
 def test_measure_totals_and_level_mass():
     rng = random.Random(5)
     for _ in range(6):
@@ -171,8 +228,8 @@ def test_measure_cocycle_law():
         m12 = mu_DR(_matmul(g1, g2), 5, 2)
         m1 = mu_DR(g1, 5, 2)
         m2 = mu_DR(g2, 5, 2)
-        rhs = m2.acted(_inv(g1)).values + m1.values
-        assert (m12.values == rhs).all()
+        rhs = [x + y for x, y in zip(m2.acted(_inv(g1)).values, m1.values)]
+        assert m12.values == rhs
 
 
 def test_measure_refinement_additivity():
@@ -186,7 +243,7 @@ def test_measure_refinement_additivity():
         m1 = mu_DR(g, 5, 1)
         m2 = mu_DR(g, 5, 2)
         sp1 = ball_space(5, 1)
-        for a, b in zip(sp1.a.tolist(), sp1.b.tolist()):
+        for a, b in zip(sp1.a, sp1.b):
             children = sum(
                 m2.value_at(a + 5 * i, b + 5 * j)
                 for i in range(5) for j in range(5))
