@@ -6,17 +6,20 @@ Every command emits a single JSON report (schema "rmlab/1") to stdout or
 
 Configuration comes from flags, optionally defaulted by a TOML file
 (--config); flags always win.  Stabilized series coefficients are cached as
-JSON lines keyed by (disc, p, n, code version, precision, depth).
+JSON lines keyed by (disc, p, n, code version, kernel revision, precision,
+depth).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import __version__
+from .eisenstein import KERNEL_REVISION
 from .gsunits import (generating_series, recognize, unit_from_constant_term,
                       valuation_predictions)
 from .lattice import algdep_padic
@@ -90,7 +93,8 @@ def cache_path(cache_dir: str) -> str:
 def cache_load(cache_dir: str | None, D: int, p: int, prec: int,
                depth: int) -> dict:
     """n -> cached value (as JSON) for the instance; lines that do not
-    parse, such as a torn last append, are skipped and so recomputed."""
+    parse, such as a torn last append, and entries of another version or
+    kernel revision (or none) are skipped and so recomputed."""
     found = {}
     if not cache_dir:
         return found
@@ -104,8 +108,8 @@ def cache_load(cache_dir: str | None, D: int, p: int, prec: int,
             except ValueError:
                 continue
             if (entry["disc"], entry["p"], entry["version"],
-                    entry["prec"], entry["depth"]) == \
-                    (D, p, __version__, prec, depth):
+                    entry.get("kernel"), entry["prec"], entry["depth"]) == \
+                    (D, p, __version__, KERNEL_REVISION, prec, depth):
                 found[entry["n"]] = entry["value"]
     return found
 
@@ -116,8 +120,9 @@ def cache_append(cache_dir: str | None, D: int, p: int, prec: int,
         return
     os.makedirs(cache_dir, exist_ok=True)
     text = "".join(json.dumps({
-        "disc": D, "p": p, "n": n, "version": __version__, "prec": prec,
-        "depth": depth, "value": value}) + "\n"
+        "disc": D, "p": p, "n": n, "version": __version__,
+        "kernel": KERNEL_REVISION, "prec": prec, "depth": depth,
+        "value": value}) + "\n"
         for n, value in sorted(items.items()))
     with open(cache_path(cache_dir), "ab+") as fh:
         size = fh.seek(0, os.SEEK_END)
@@ -310,7 +315,8 @@ def cmd_algdep(args) -> tuple:
         "value": x.to_json(),
         "polynomial": poly,
         "height": res.height,
-        "margin": res.margin,
+        # JSON has no infinity: a margin past the float range is null
+        "margin": res.margin if math.isfinite(res.margin) else None,
         "found": res.found,
     }
     return report, EXIT_OK if res.found else EXIT_CRITERION
@@ -380,7 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--series", help="JSON file (default: stdin)")
     alg = sub.add_parser("algdep", parents=[common],
                          help="integer polynomial vanishing at a p-adic "
-                              "value")
+                              "value",
+                         description="Integer polynomial vanishing at a "
+                                     "p-adic value.  The report's margin, "
+                                     "the ratio of the two shortest reduced "
+                                     "rows, is null when it passes the "
+                                     "float range (JSON has no infinity).")
     alg.add_argument("--value", required=True, help="scalar as u0,u1,val")
     alg.add_argument("--degree", type=int, default=4)
     alg.add_argument("--budget", type=int, default=20)

@@ -2,33 +2,50 @@
 real quadratic field, their diagonal restrictions, and ordinary projection.
 
 Every coefficient is a psi-weighted sum over the p-coprime ideal divisors I of
-(nu)*(different), of 1 and of log Nm I.  One kernel, `divisor_sums`, evaluates
-both by the product formula over the prime factorization, without listing
-divisors; each family coefficient is a closed form in its two sums.  The
-ordinary projection of the diagonal restriction derivative is the limit of
-its coefficients at indices n * p^m, extrapolated by iterated Shanks steps
+(nu)*(different), of 1 and of log Nm I.  For one nu, `divisor_sums`
+evaluates both by the product formula over the prime factorization, without
+listing divisors; each family coefficient is a closed form in its two sums.
+The diagonal restriction coefficient `diag_coefficient` sums the same
+product formula over a whole trace level in one integer pass: the norms of
+the level are factored together by a sieve (`quadfield.sieve_trace`), the
+psi-weighted log terms are collected as an integer exponent per rational
+prime, and one p-adic log is taken per coefficient.  Because the nu of trace
+n p divisible by p are p times those of trace n, a level builds on the one
+below it when the caller's `LogCache` holds it.  The ordinary projection of
+the diagonal restriction derivative is the limit of its coefficients at
+indices n * p^m, extrapolated by iterated Shanks steps
 (`accelerated_ordinary_projection`); plain stabilization at n * p^{2m}
 (`ordinary_projection`) is kept as a check.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import gcd, prod
 
 from .modforms import QSeries
 from .padic import (DualScalar, PadicContext, PadicScalar, iwasawa_log)
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
-                        TotallyPositiveElement, check_inert, embed_quadnum,
-                        enumerate_trace, factor_alpha)
+                        TotallyPositiveElement, _split_exponent,
+                        _sqrtD_coords, check_inert, embed_quadnum,
+                        factor_alpha, progression_start, sieve_trace,
+                        splitting_type)
+
+# revision of the coefficient kernel: bumped by every change that can move a
+# coefficient's digits below its certified precision or its slack, so that
+# the CLI's coefficient cache, which is keyed by it, recomputes
+KERNEL_REVISION = 2
 
 
 class LogCache:
-    """Memoized Iwasawa logs of rational integers in a fixed context."""
+    """Memoized Iwasawa logs of rational integers in a fixed context, and
+    the `diag_coefficient` value of each trace level computed with it."""
 
     def __init__(self, ctx: PadicContext):
         self.ctx = ctx
         self._cache = {}
+        self.levels = {}         # (D, p, psi, n) -> diag_coefficient value
 
     def log_int(self, n: int) -> PadicScalar:
         if n not in self._cache:
@@ -46,9 +63,15 @@ def _local_factors(alpha: QuadNum, chi: tuple,
         if P.a == engine.p:
             continue
         x = chi[engine.prime_class(P)]
-        out.append((sum(x ** k for k in range(e + 1)),
-                    sum(k * x ** k for k in range(1, e + 1)), P.norm, x ** e))
+        out.append(_geometric(x, e) + (P.norm, x ** e))
     return out
+
+
+def _geometric(x: int, e: int) -> tuple:
+    """(A, C) = (sum_{k <= e} x^k, sum_{k <= e} k x^k) for x = +-1."""
+    if x == 1:
+        return e + 1, e * (e + 1) // 2
+    return (1, e // 2) if e % 2 == 0 else (0, -(e + 1) // 2)
 
 
 def divisor_sums(alpha: QuadNum, chi: tuple, engine: IdealDivisorEngine,
@@ -148,6 +171,86 @@ def dual_coeff_Fplus(nu: TotallyPositiveElement, chi: tuple,
     return DualScalar(ctx.from_int(mass), b)
 
 
+def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
+                ctx: PadicContext, primitive: bool) -> PadicScalar:
+    """The p-adic unit whose Iwasawa log is the trace-n sum of
+    `diag_coefficient`, over the p-primitive alpha only (p not dividing s)
+    when `primitive`.
+
+    One integer pass: the norms are factored by `sieve_trace`; each record
+    q^e of an element gets its local (A, C) (see `_local_factors`), folded
+    over the primes above q, and C times the product of the element's other
+    A is added to an integer exponent E_q.  The unit is
+    prod q^{E_q} / prod alpha_0^{mass}."""
+    D, p, M = engine.D, engine.p, ctx.modulus
+    svals, owner, primes, exps = sieve_trace(n, D, p if primitive else 0)
+    size = len(svals)
+    chis = {}
+    rec_a, rec_c = array("q"), array("q")
+    zeros = [0] * size           # count of the element's vanishing A
+    mass = [1] * size            # product of the element's non-zero A
+    if primitive:                # the p | s left out carry no mass either
+        first = progression_start(svals, 0, p)
+        zeros[first::p] = [1] * len(range(first, size, p))
+    for i, q, e in zip(owner, primes, exps):
+        if q == p:               # (p) divides no p-coprime divisor
+            rec_a.append(1)
+            rec_c.append(0)
+            continue
+        x = chis.get(q)
+        if x is None:
+            x = chis[q] = chi[engine.class_over(q, (svals[i] - n * D) // 2,
+                                                n)]
+        if e == 1 or D % q == 0:             # one prime P, Nm P = q
+            A, C = _geometric(x, e)
+        elif splitting_type(D, q) == "inert":    # P = (q), Nm P = q^2
+            A, C = _geometric(1, e // 2)
+            C *= 2
+        elif n % q:              # q not dividing alpha: one of the two primes
+            A, C = _geometric(x, e)
+        else:
+            v1 = _split_exponent(D, q, e, (svals[i] - n * D) // 2, n)
+            A1, C1 = _geometric(x, v1)
+            A2, C2 = _geometric(x, e - v1)
+            A, C = A1 * A2, A2 * C1 + A1 * C2
+        rec_a.append(A)
+        rec_c.append(C)
+        if A:
+            mass[i] *= A
+        else:
+            zeros[i] += 1
+    expo = {}
+    for i, q, A, C in zip(owner, primes, rec_a, rec_c):
+        if C:
+            z = zeros[i]
+            cof = (0 if z else mass[i] // A) if A else \
+                (mass[i] if z == 1 else 0)
+            if cof:
+                expo[q] = expo.get(q, 0) + C * cof
+    num = 1
+    for q, E in expo.items():
+        if E:
+            num = num * pow(q, E, M) % M
+    unit = ctx.from_int(num)
+    if 0 in zeros:
+        # alpha_0^mass, alpha_0 = (s + n sqrt(D))/2 / p^k, in Z_{p^2}
+        a0, a1 = _sqrtD_coords(p, ctx.prec, D)
+        half = pow(2, -1, M)
+        masses = ctx.one()
+        for i, s in enumerate(svals):
+            if zeros[i]:
+                continue
+            m = n
+            while s % p == 0 and m % p == 0:
+                s //= p
+                m //= p
+            alpha0 = ctx.from_coords((s + m * a0) * half % M,
+                                     m * a1 * half % M)
+            masses = masses * alpha0 ** mass[i]
+        unit = unit / masses
+    return unit
+
+
 def diag_coefficient(n: int, chi: tuple, engine: IdealDivisorEngine,
                      ctx: PadicContext,
                      logs: LogCache | None = None) -> PadicScalar:
@@ -155,17 +258,22 @@ def diag_coefficient(n: int, chi: tuple, engine: IdealDivisorEngine,
     -sum over Tr(nu)=n, p-coprime I | (nu_0)*different, of
     psi(I) log_p(nu_0 sqrt(D) / Nm(I)), that is
     sum over nu of log_sum - mass * log_p(alpha_0) from `divisor_sums`, with
-    alpha_0 = nu_0 sqrt(D).  The log of alpha_0 is skipped when the mass
-    vanishes, as it does for every nu when psi is odd."""
-    logs = logs or LogCache(ctx)
-    total = ctx.zero()
-    for elt in enumerate_trace(n, engine.D):
-        alpha0 = elt.deprived(engine.p).alpha
-        mass, log_sum, _ = divisor_sums(alpha0, chi, engine, logs)
-        total = total + log_sum
-        if mass:
-            total = total - iwasawa_log(embed_quadnum(alpha0, ctx)) * mass
-    return total
+    alpha_0 = nu_0 sqrt(D), taken as one log of `_level_unit`.
+
+    The nu of trace n with p | nu are p times those of trace n/p and add the
+    same, so a_n = a_{n/p} + (the p-primitive sum): with `logs` given, each
+    level's value is kept in it per (D, p, psi, n), and a level whose
+    a_{n/p} is kept there sums only its p-primitive nu."""
+    check_inert(engine.D, engine.p)
+    levels = logs.levels if logs is not None else {}
+    key = (engine.D, engine.p, chi, n)
+    if key not in levels:
+        below = levels.get(key[:3] + (n // engine.p,)) \
+            if n % engine.p == 0 else None
+        value = iwasawa_log(_level_unit(n, chi, engine, ctx,
+                                        below is not None))
+        levels[key] = value if below is None else below + value
+    return levels[key]
 
 
 def diag_restrict_derivative(chi: tuple, group: NarrowClassGroup, p: int,

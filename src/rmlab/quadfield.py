@@ -2,13 +2,15 @@
 
 Indefinite form reduction and cycles, narrow class group with Dirichlet
 composition, Pell/automorph machinery, exact elements a + b*sqrt(D), ideal
-arithmetic in Hermite normal form, totally-positive trace enumeration, and
-partial zeta values at s = 0 (reduced-cycle formula, with a Shintani cone sum
-as the independent oracle).
+arithmetic in Hermite normal form, totally-positive trace enumeration with a
+sieve that factors the norms of a whole trace level, and partial zeta values
+at s = 0 (reduced-cycle formula, with a Shintani cone sum as the independent
+oracle).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -665,6 +667,39 @@ def prime_ideal(D: int, q: int, which: int = 0) -> IdealF:
     return IdealF(D, q, (-t) % q, 1)
 
 
+def _split_exponent(D: int, q: int, e: int, u: int, v: int) -> int:
+    """Exponent of P1 = (q, omega - t1) in (u + v*omega) for a split q with
+    q^e exactly dividing the norm, t1 the Hensel root mod q; the conjugate
+    prime's exponent is e minus it."""
+    T = _hensel_root(D, q, e + 1)
+    x = (u + v * T) % q ** (e + 1)
+    v1 = 0
+    while v1 < e and x % q == 0:
+        v1 += 1
+        x //= q
+    return v1
+
+
+def prime_pairs(D: int, q: int, e: int, u: int, v: int) -> list:
+    """(P, e_P) for the primes P over q dividing (u + v*omega), where q^e
+    exactly divides its norm: one pair for inert or ramified q, one per
+    dividing conjugate for split q."""
+    typ = splitting_type(D, q)
+    if typ == "inert":
+        assert e % 2 == 0
+        return [(IdealF(D, q, 0, q), e // 2)]
+    if typ == "ramified":
+        return [(prime_ideal(D, q), e)]
+    v1 = _split_exponent(D, q, e, u, v)
+    t1 = _hensel_root(D, q, 1)
+    out = []
+    if v1:
+        out.append((IdealF(D, q, -t1, 1), v1))
+    if e - v1:
+        out.append((IdealF(D, q, t1 - D, 1), e - v1))
+    return out
+
+
 def factor_alpha(D: int, alpha: QuadNum):
     """Factor the principal ideal (alpha) into primes.
 
@@ -677,28 +712,8 @@ def factor_alpha(D: int, alpha: QuadNum):
     u, v = co
     N = abs(alpha.norm())
     assert N.denominator == 1
-    out = []
-    for q, e in sorted(factorint(int(N)).items()):
-        typ = splitting_type(D, q)
-        if typ == "inert":
-            assert e % 2 == 0
-            out.append((IdealF(D, q, 0, q), e // 2))
-        elif typ == "ramified":
-            out.append((prime_ideal(D, q), e))
-        else:
-            # v1 = exponent of (q, omega - t1), t1 = T mod q
-            T = _hensel_root(D, q, e + 1)
-            x = (u + v * T) % q ** (e + 1)
-            v1 = 0
-            while v1 < e and x % q == 0:
-                v1 += 1
-                x //= q
-            t1 = T % q
-            if v1:
-                out.append((IdealF(D, q, -t1, 1), v1))
-            if e - v1:
-                out.append((IdealF(D, q, t1 - D, 1), e - v1))
-    return out
+    return [pair for q, e in sorted(factorint(int(N)).items())
+            for pair in prime_pairs(D, q, e, u, v)]
 
 
 @dataclass
@@ -730,11 +745,26 @@ class IdealDivisorEngine:
         self.D = group.D
         self.p = p
         self._pclass = {}
+        self._qclass = {}
 
     def prime_class(self, P: IdealF) -> int:
         if P not in self._pclass:
             self._pclass[P] = self.group.narrow_class_of_ideal(P)
         return self._pclass[P]
+
+    def class_over(self, q: int, u: int, v: int) -> int:
+        """Narrow class of a prime over the rational prime q, where q divides
+        Nm(u + v*omega); cached by q.  The two primes over a split q have
+        inverse classes (their product (q) is narrowly principal), so a
+        quadratic character takes one value on both."""
+        if q not in self._qclass:
+            if self.D % q == 0 or v % q == 0:
+                P = prime_ideal(self.D, q)
+            else:
+                # omega = -u/v mod a prime over q that divides u + v*omega
+                P = IdealF(self.D, q, u * pow(v, -1, q) % q, 1)
+            self._qclass[q] = self.group.narrow_class_of_ideal(P)
+        return self._qclass[q]
 
     def divisors(self, alpha: QuadNum):
         """All divisors I | (alpha) with p coprime to I."""
@@ -792,21 +822,94 @@ class TotallyPositiveElement:
                                       self.s // p ** k)
 
 
-def enumerate_trace(n: int, D: int):
-    """All totally positive nu in the inverse different with Tr(nu) = n."""
-    check_fundamental(D)
+def trace_range(n: int, D: int) -> range:
+    """The s of the totally positive nu = (s + n sqrt(D)) / (2 sqrt(D)) of
+    trace n: s = nD (mod 2) and s^2 < n^2 D (never equal, D not a square)."""
     if n <= 0:
-        return []
-    out = []
+        return range(0)
     smax = isqrt(n * n * D)
     if smax * smax == n * n * D:
         smax -= 1
     start = -smax
     if (start - n * D) % 2:
         start += 1
-    for s in range(start, smax + 1, 2):
-        out.append(TotallyPositiveElement(D, n, s))
-    return out
+    return range(start, smax + 1, 2)
+
+
+def enumerate_trace(n: int, D: int):
+    """All totally positive nu in the inverse different with Tr(nu) = n."""
+    check_fundamental(D)
+    return [TotallyPositiveElement(D, n, s) for s in trace_range(n, D)]
+
+
+def _odd_primes_upto(m: int) -> list:
+    if m < 3:
+        return []
+    sieve = bytearray([1]) * (m + 1)
+    for i in range(3, isqrt(m) + 1, 2):
+        if sieve[i]:
+            sieve[i * i::2 * i] = bytes(len(range(i * i, m + 1, 2 * i)))
+    return [q for q in range(3, m + 1, 2) if sieve[q]]
+
+
+def progression_start(svals: range, r: int, q: int) -> int:
+    """Index in svals (a range of step 2) of the first s = r (mod q), q odd."""
+    return (r - svals.start) * ((q + 1) // 2) % q
+
+
+def sieve_trace(n: int, D: int, skip: int = 0) -> tuple:
+    """Factor the norms (n^2 D - s^2)/4 of all alpha = (s + n sqrt(D))/2,
+    s in `trace_range(n, D)`, at once.
+
+    Returns (svals, owner, primes, exps), the last three parallel flat
+    sequences of records: primes[k]^exps[k] exactly divides the norm of the
+    element s = svals[owner[k]].  Each element's records ascend in q.  2 is
+    stripped by trailing zeros; an odd q up to the square root of the
+    largest norm divides exactly the s = +-n sqrt(D) (mod q), or s = 0
+    (mod q) when q divides nD; what is left above 1 is one prime.  Elements
+    whose s is divisible by `skip` (if given) are left without records."""
+    svals = trace_range(n, D)
+    size = len(svals)
+    nnD = n * n * D
+    rem = [(nnD - s * s) >> 2 for s in svals]
+    if skip:
+        first = progression_start(svals, 0, skip)
+        rem[first::skip] = [1] * len(range(first, size, skip))
+    owner, primes, exps = array("q"), [], array("q")
+    for i, x in enumerate(rem):
+        if not x & 1:
+            e = (x & -x).bit_length() - 1
+            rem[i] = x >> e
+            owner.append(i)
+            primes.append(2)
+            exps.append(e)
+    for q in _odd_primes_upto(isqrt(max(rem, default=0))):
+        if n * D % q == 0:
+            roots = (0,)
+        elif splitting_type(D, q) == "split":
+            r = n * (2 * _hensel_root(D, q, 1) - D) % q     # n sqrt(D) mod q
+            roots = (r, q - r)
+        else:
+            continue
+        for r in roots:
+            for i in range(progression_start(svals, r, q), size, q):
+                x = rem[i]
+                if x % q:
+                    continue                                # a skipped s
+                e = 0
+                while x % q == 0:
+                    x //= q
+                    e += 1
+                rem[i] = x
+                owner.append(i)
+                primes.append(q)
+                exps.append(e)
+    for i, x in enumerate(rem):
+        if x > 1:
+            owner.append(i)
+            primes.append(x)
+            exps.append(1)
+    return svals, owner, primes, exps
 
 
 # --------------------------------------------------------------------------

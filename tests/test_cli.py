@@ -8,6 +8,7 @@ import pytest
 import rmlab
 from rmlab.cli import (EXIT_CRITERION, EXIT_INVALID, EXIT_OK,
                        main, read_toml_subset)
+from rmlab.eisenstein import KERNEL_REVISION
 from rmlab.gsunits import generating_series
 from rmlab.padic import PadicContext, PadicScalar
 from rmlab.quadfield import NarrowClassGroup
@@ -160,6 +161,22 @@ def test_algdep_command(capsys):
     assert rep["polynomial"] == [-7, 1]
 
 
+def test_algdep_infinite_margin_is_null(capsys):
+    # the two shortest rows' length ratio passes the float range; JSON has
+    # no token for infinity, so the report says null
+    code = main(["--p", "7", "--prec", "400", "algdep", "--value", "3,0,0",
+                 "--degree", "1", "--budget", "380"])
+    out = capsys.readouterr().out
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    rep = json.loads(out, parse_constant=reject)
+    assert code == EXIT_OK
+    assert rep["polynomial"] == [-3, 1]
+    assert rep["margin"] is None
+
+
 def test_config_defaults_and_flag_priority(capsys, tmp_path):
     conf = tmp_path / "conf.toml"
     conf.write_text("# instance\ndisc = 8\np = 5\nprec = 8\nnmax = 3\n")
@@ -234,3 +251,31 @@ def test_threads_flag(capsys):
     assert code == EXIT_OK
     assert rep["coefficients"] == {str(n): (-res.series.coeffs[n]).to_json()
                                    for n in range(1, 7)}
+
+
+def test_cache_of_another_kernel_revision_is_recomputed(capsys, tmp_path):
+    argv = ["--disc", "12", "--p", "5", "--prec", "12", "--nmax", "4",
+            "--depth", "2", "--cache-dir", str(tmp_path), "gtau"]
+    code, cold = run(capsys, argv)
+    assert code == EXIT_OK
+    cache = tmp_path / "coefficients.jsonl"
+    entries = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert all(e["kernel"] == KERNEL_REVISION for e in entries)
+    # entries written before the kernel revision joined the key, and of an
+    # older revision, each holding a wrong value that must not be read
+    wrong = entries[0]["value"]
+    stale = []
+    for e in entries:
+        old = {k: v for k, v in e.items() if k != "kernel"}
+        stale.append(dict(old, value=wrong if e["n"] != 1 else
+                          entries[1]["value"]))
+        stale.append(dict(old, kernel=KERNEL_REVISION - 1, value=wrong))
+    cache.write_text("".join(json.dumps(e) + "\n" for e in stale))
+    code, rep = run(capsys, argv)
+    assert code == EXIT_OK
+    assert rep["coefficients"] == cold["coefficients"]
+    assert sorted(rep["stabilized_at"]) == ["1", "2", "3", "4"]
+    fresh = [json.loads(line) for line in cache.read_text().splitlines()]
+    assert fresh[:len(stale)] == stale
+    assert [(e["n"], e["kernel"], e["value"]) for e in fresh[len(stale):]] \
+        == [(e["n"], KERNEL_REVISION, e["value"]) for e in entries]

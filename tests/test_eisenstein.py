@@ -3,9 +3,10 @@ import random
 import pytest
 
 from rmlab.eisenstein import (LogCache, antiparallel_coeff, diag_coefficient,
-                              diag_restrict_derivative, dual_coeff_Fplus,
-                              eis_combination_coeff, eis_family_coeff,
-                              ordinary_projection, sigma_psi)
+                              diag_restrict_derivative, divisor_sums,
+                              dual_coeff_Fplus, eis_combination_coeff,
+                              eis_family_coeff, ordinary_projection,
+                              sigma_psi)
 from rmlab.padic import PadicContext, iwasawa_log
 from rmlab.quadfield import (IdealDivisorEngine, NarrowClassGroup,
                              TotallyPositiveElement, embed_quadnum,
@@ -153,6 +154,61 @@ def test_diag_series_vanishes_for_norm_minus_one_field():
     for n in range(1, 7):
         val = diag_coefficient(n, trivial_chi, eng5, ctx7, logs7)
         assert val.is_zero or val.v >= 9
+
+
+def diag_oracle(n, chi, engine, ctx, logs):
+    # the per-element sum: divisor_sums of each alpha_0, one log each
+    total = ctx.zero()
+    for nu in enumerate_trace(n, engine.D):
+        alpha0 = nu.deprived(engine.p).alpha
+        mass, log_sum, _ = divisor_sums(alpha0, chi, engine, logs)
+        total = total + log_sum
+        if mass:
+            total = total - iwasawa_log(embed_quadnum(alpha0, ctx)) * mass
+    return total
+
+
+# (33, 7): 2 splits; (13, 5): no odd character, 13 ramified
+@pytest.mark.parametrize("disc, p", KERNEL_FIELDS + [(33, 7), (13, 5)])
+def test_diag_coefficient_matches_divisor_sum_oracle(disc, p):
+    group = NarrowClassGroup(disc)
+    engine = IdealDivisorEngine(group, p)
+    ctx = PadicContext(p, 20)
+    logs = LogCache(ctx)
+    for chi in group.characters:
+        for n in (1, 2, 3, 4, 6, 12, p, 2 * p, p * p):
+            oracle = diag_oracle(n, chi, engine, ctx, logs)
+            assert diag_coefficient(n, chi, engine, ctx).equals(oracle)
+            assert diag_coefficient(n, chi, engine, ctx, logs).equals(oracle)
+
+
+@pytest.mark.parametrize("disc, p", [(12, 5), (33, 7), (60, 13)])
+def test_telescoped_level_equals_fresh_level(disc, p):
+    group = NarrowClassGroup(disc)
+    engine = IdealDivisorEngine(group, p)
+    ctx = PadicContext(p, 24)
+    for chi in group.characters:
+        logs = LogCache(ctx)
+        for n in (1, 2):
+            for m in range(4 if p < 13 else 3):
+                shared = diag_coefficient(n * p ** m, chi, engine, ctx, logs)
+                fresh = diag_coefficient(n * p ** m, chi, engine, ctx)
+                assert shared.equals(fresh)
+    # a kept a_n is what a_{np} builds on: a planted value moves it
+    logs = LogCache(ctx)
+    chi = group.characters[-1]
+    below = diag_coefficient(1, chi, engine, ctx, logs)
+    logs.levels[(disc, p, chi, 1)] = below + ctx.one()
+    telescoped = diag_coefficient(p, chi, engine, ctx, logs)
+    assert telescoped.equals(diag_coefficient(p, chi, engine, ctx)
+                             + ctx.one())
+
+
+def test_diag_coefficient_rejects_split_p():
+    g21 = NarrowClassGroup(21)
+    with pytest.raises(ValueError, match="not inert"):
+        diag_coefficient(1, g21.characters[0], IdealDivisorEngine(g21, 5),
+                         PadicContext(5, 8))
 
 
 def test_sqrtD_normalization_immaterial():

@@ -12,10 +12,10 @@ from rmlab.quadfield import (IdealF, IdealDivisorEngine, NarrowClassGroup,
                              factor_alpha, form_disc, has_norm_minus_one,
                              is_fundamental_discriminant,
                              minus_cf_cycle, partial_zeta_zero,
-                             pell_fundamental, prime_ideal, principal_form,
-                             principal_ideal, reduce_form,
-                             rho_step, shintani_zeta_zero, splitting_type,
-                             sqrtD_padic)
+                             pell_fundamental, prime_ideal, prime_pairs,
+                             principal_form, principal_ideal, reduce_form,
+                             rho_step, shintani_zeta_zero, sieve_trace,
+                             splitting_type, sqrtD_padic, trace_range)
 
 DISCS = [5, 8, 12, 13, 21, 24, 28, 33, 40, 44, 56, 57, 60, 61]
 
@@ -317,6 +317,34 @@ def test_factor_alpha_reconstructs_ideal():
                     I = I.mult(P)
             assert I == principal_ideal(D, x)
             assert nm == abs(x.norm())
+
+
+# (D, n): 2 splits in Q(sqrt(33)); 2, 3 and 5 ramify in Q(sqrt(60)) and 2, 3
+# in Q(sqrt(12)); 5 is inert and divides n in (33, 10), (12, 35), and 13 in
+# (60, 26); 7^2 | 98 and 5^2 | 25, 50 with 7 and 5 inert
+SIEVE_LEVELS = [(33, 1), (33, 6), (33, 10), (33, 98), (12, 1), (12, 25),
+                (12, 35), (12, 50), (60, 4), (60, 26), (60, 30)]
+
+
+@pytest.mark.parametrize("D, n", SIEVE_LEVELS)
+def test_level_sieve_matches_factor_alpha(D, n):
+    svals, owner, primes, exps = sieve_trace(n, D)
+    assert svals == trace_range(n, D)
+    assert [e.s for e in enumerate_trace(n, D)] == list(svals)
+    records = [[] for _ in svals]
+    for i, q, e in zip(owner, primes, exps):
+        records[i].append((q, e))
+    for s, recs in zip(svals, records):
+        alpha = QuadNum(D, Fraction(s, 2), Fraction(n, 2))
+        u, v = (s - n * D) // 2, n                  # alpha = u + v*omega
+        assert [q for q, _ in recs] == sorted({q for q, _ in recs})
+        assert [pair for q, e in recs for pair in prime_pairs(D, q, e, u, v)] \
+            == factor_alpha(D, alpha)
+    # a skipped s keeps no record, and the others keep theirs
+    for skip in (5, 7):
+        kept = list(zip(*sieve_trace(n, D, skip)[1:]))
+        assert kept == [r for r in zip(owner, primes, exps)
+                        if svals[r[0]] % skip]
 
 
 def test_narrow_class_of_principal_ideals():
