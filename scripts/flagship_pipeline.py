@@ -8,8 +8,8 @@ Gross-Stark unit by p-adic lattice reduction.
 
     python3 scripts/flagship_pipeline.py [--nmax 10] [--prec 24] [--depth 3]
 
-With the defaults this runs in under a minute; --nmax 30 --prec 32 --depth 4
-reproduces the full-precision run (a few minutes).
+With the defaults this runs in about 0.2 s; --nmax 30 --prec 32 --depth 4
+reproduces the full-precision run in about 5 s (one Intel Xeon core).
 """
 
 import argparse

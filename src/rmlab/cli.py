@@ -67,7 +67,7 @@ def read_toml_subset(path: str) -> dict:
 # explicit flag is distinguishable from a --config value
 DEFAULTS = {
     "disc": 12, "p": 5, "form": None, "prec": 32, "nmax": 30,
-    "depth": 4, "out": None, "cache_dir": None, "threads": 1,
+    "depth": 4, "out": None, "cache_dir": None,
 }
 
 
@@ -86,31 +86,51 @@ def apply_config(args: argparse.Namespace):
 # coefficient cache
 # --------------------------------------------------------------------------
 
+CACHE_KEY = ("disc", "p", "version", "kernel", "prec", "depth")
+
+
 def cache_path(cache_dir: str) -> str:
     return os.path.join(cache_dir, "coefficients.jsonl")
 
 
+def scalar_of(ctx: PadicContext, obj) -> PadicScalar:
+    """The scalar that the JSON `obj` encodes; ValueError unless it is a
+    p-adic scalar object of `ctx`."""
+    try:
+        x = PadicScalar.from_json(obj)
+    except (TypeError, KeyError, IndexError) as exc:
+        raise ValueError(f"not a p-adic scalar object: {obj!r}") from exc
+    if x.ctx != ctx:
+        raise ValueError(f"a scalar of p = {x.ctx.p}, N = {x.ctx.prec}, "
+                         f"not of p = {ctx.p}, N = {ctx.prec}")
+    return x
+
+
 def cache_load(cache_dir: str | None, D: int, p: int, prec: int,
                depth: int) -> dict:
-    """n -> cached value (as JSON) for the instance; lines that do not
-    parse, such as a torn last append, and entries of another version or
-    kernel revision (or none) are skipped and so recomputed."""
+    """n -> cached value for the instance.  A line that is not an entry of
+    the instance's key (one that does not parse, such as a torn last
+    append, or of another version or kernel revision, or none), or whose
+    value is not a scalar of PadicContext(p, prec), is skipped and its
+    coefficient so recomputed."""
     found = {}
     if not cache_dir:
         return found
     path = cache_path(cache_dir)
     if not os.path.exists(path):
         return found
+    ctx = PadicContext(p, prec)
+    key = (D, p, __version__, KERNEL_REVISION, prec, depth)
     with open(path) as fh:
         for line in fh:
             try:
                 entry = json.loads(line)
+                if (isinstance(entry, dict)
+                        and isinstance(entry.get("n"), int)
+                        and tuple(map(entry.get, CACHE_KEY)) == key):
+                    found[entry["n"]] = scalar_of(ctx, entry.get("value"))
             except ValueError:
                 continue
-            if (entry["disc"], entry["p"], entry["version"],
-                    entry.get("kernel"), entry["prec"], entry["depth"]) == \
-                    (D, p, __version__, KERNEL_REVISION, prec, depth):
-                found[entry["n"]] = entry["value"]
     return found
 
 
@@ -168,11 +188,9 @@ def stabilized_coefficients(args, tau: RMPoint, group: NarrowClassGroup,
     """generating_series for the instance over the coefficient cache:
     cached values are reused and freshly computed ones appended."""
     D, p, prec, depth = args.disc, args.p, args.prec, args.depth
-    cached = cache_load(args.cache_dir, D, p, prec, depth)
-    res = generating_series(
-        tau, p, args.nmax, ctx, m_max=depth, group=group,
-        known={n: PadicScalar.from_json(v) for n, v in cached.items()},
-        workers=args.threads)
+    res = generating_series(tau, p, args.nmax, ctx, m_max=depth, group=group,
+                            known=cache_load(args.cache_dir, D, p, prec,
+                                             depth))
     cache_append(args.cache_dir, D, p, prec, depth,
                  {n: res.stabilized[n].to_json() for n in res.certificates})
     return res
@@ -294,10 +312,9 @@ def cmd_fit(args) -> tuple:
         if c is None:
             continue
         try:
-            coeffs[n] = PadicScalar.from_json(c)
-        except (TypeError, KeyError, IndexError) as exc:
-            raise ValueError(f"coefficient {n} is not a p-adic scalar "
-                             f"object: {c!r}") from exc
+            coeffs[n] = scalar_of(ctx, c)
+        except ValueError as exc:
+            raise ValueError(f"coefficient {n} is invalid: {exc}") from exc
     series = QSeries(tuple(coeffs), args.p)
     fit = fit_to_basis(series, basis_for_level(args.p, series.n_max), ctx)
     return {"fit": fit_report(fit)}, EXIT_OK
@@ -351,9 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", dest="cache_dir",
                         help="coefficient cache directory")
     common.add_argument("--threads", type=int,
-                        help="worker processes for the coefficients; the "
-                             "indices are split into one share per worker "
-                             "(default 1)")
+                        help="accepted for compatibility and ignored: the "
+                             "coefficients are computed in one process")
 
     parser = argparse.ArgumentParser(
         prog="rmlab",

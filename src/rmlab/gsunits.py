@@ -11,12 +11,9 @@ auxiliary primes.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
-from multiprocessing import get_context
 
 from sympy import Poly, Symbol, factorint
 
@@ -51,28 +48,10 @@ def _series_sign(group: NarrowClassGroup, chi: tuple, tau: RMPoint) -> int:
     return -chi[group.class_of_rm_point(tau)]
 
 
-def _project(group: NarrowClassGroup, p: int, indices, ctx: PadicContext,
-             m_max: int) -> dict:
-    """n0 -> (value, AccelerationCertificate) of the Shanks-accelerated
-    ordinary projection, before tau's sign, for each n0 in indices.  One
-    divisor engine and log cache serve the whole share; module-level so
-    that a process pool can run it."""
-    chi = group.odd_characters()[0]
-    engine = IdealDivisorEngine(group, p)
-    logs = LogCache(ctx)
-
-    def producer(k):
-        return diag_coefficient(k, chi, engine, ctx, logs)
-
-    return {n0: accelerated_ordinary_projection(producer, n0, p, m_max, ctx)
-            for n0 in indices}
-
-
 def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
                       m_max: int = 4,
                       group: NarrowClassGroup | None = None,
-                      known: dict | None = None,
-                      workers: int = 1) -> GSeriesResult:
+                      known: dict | None = None) -> GSeriesResult:
     """G_tau up to q^{n_max}: coefficients a_n = log_p(T_n J_w[tau]) as the
     Shanks-accelerated ordinary projection of the diagonal restriction
     derivative, fitted exactly to the basis of M_2(Gamma_0(p)).
@@ -80,7 +59,7 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
     Coefficients at p | n reuse the stabilized value at n / p^{v_p(n)}: the
     ordinary limit lies in the U_p = 1 eigenspace.  Values in `known`
     (n0 -> value before tau's sign, as in `stabilized`) are not recomputed;
-    the rest are split into one interleaved share per worker.  Fields whose
+    one divisor engine and log cache serve the rest.  Fields whose
     narrow class group has no odd quadratic character (equivalently, with a
     unit of norm -1) give the zero series."""
     D = tau.disc
@@ -96,21 +75,19 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
     known = known or {}
     indices = [n0 for n0 in range(1, n_max + 1) if n0 % p]
     missing = [n0 for n0 in indices if n0 not in known]
-    shares = [missing[i::workers] for i in range(min(workers, len(missing)))]
-    if len(shares) > 1:
-        fresh = {}
-        # spawned workers start from a fresh import, not a copy of the caller
-        with ProcessPoolExecutor(max_workers=len(shares),
-                                 mp_context=get_context("spawn")) as pool:
-            for part in pool.map(_project, repeat(group), repeat(p), shares,
-                                 repeat(ctx), repeat(m_max)):
-                fresh.update(part)
-    else:
-        fresh = _project(group, p, missing, ctx, m_max)
+    chi = odd[0]
+    engine = IdealDivisorEngine(group, p)
+    logs = LogCache(ctx)
+
+    def producer(k):
+        return diag_coefficient(k, chi, engine, ctx, logs)
+
+    fresh = {n0: accelerated_ordinary_projection(producer, n0, p, m_max, ctx)
+             for n0 in missing}
     stabilized = {n0: known[n0] if n0 in known else fresh[n0][0]
                   for n0 in indices}
     certs = {n0: fresh[n0][1] for n0 in missing}
-    sign = _series_sign(group, odd[0], tau)
+    sign = _series_sign(group, chi, tau)
     coeffs = [None] * (n_max + 1)
     for n in range(1, n_max + 1):
         n0 = n // p ** _vp(n, p)

@@ -305,13 +305,26 @@ class PadicScalar:
 
     @staticmethod
     def from_json(obj: dict) -> "PadicScalar":
+        """Inverse of to_json.  ValueError unless p, N and slack are
+        integers, and v is None or an integer with a unit part of two lists
+        of N base-p digits, not both divisible by p."""
+        v, slack = obj["v"], obj.get("slack", 0)
+        if not all(isinstance(x, int) for x in (obj["p"], obj["N"], slack)):
+            raise ValueError(f"p, N and slack must be integers: {obj!r}")
         ctx = PadicContext(obj["p"], obj["N"])
-        if obj["v"] is None:
+        if v is None:
             return ctx.zero()
-        p = obj["p"]
-        u0 = sum(d * p ** i for i, d in enumerate(obj["unit"][0]))
-        u1 = sum(d * p ** i for i, d in enumerate(obj["unit"][1]))
-        return PadicScalar(ctx, obj["v"], u0, u1, obj.get("slack", 0))
+        p, unit = ctx.p, obj["unit"]
+        if not isinstance(v, int) or len(unit) != 2 or any(
+                len(ds) != ctx.prec
+                or not all(isinstance(d, int) and 0 <= d < p for d in ds)
+                for ds in unit):
+            raise ValueError(f"not a scalar with p = {p}, N = {ctx.prec}: "
+                             f"v = {v!r}, unit = {unit!r}")
+        u0, u1 = (sum(d * p ** i for i, d in enumerate(ds)) for ds in unit)
+        if u0 % p == 0 and u1 % p == 0:
+            raise ValueError("non-normalized unit part")
+        return PadicScalar(ctx, v, u0, u1, slack)
 
 
 # -- transcendental maps ----------------------------------------------------

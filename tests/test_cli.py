@@ -117,11 +117,28 @@ def test_jdr(capsys):
     assert value.v == 0  # principal unit representative
 
 
-@pytest.mark.parametrize("source", ["list", "gtau", "neither", "malformed"])
+def _zero_unit(x: PadicScalar) -> dict:
+    """x's JSON with every unit digit set to 0."""
+    obj = x.to_json()
+    obj["unit"] = [[0] * obj["N"], [0] * obj["N"]]
+    return obj
+
+
+BAD_COEFFICIENT = {
+    # coefficient 2 under --p 5 --prec 10
+    "other-prime": PadicContext(7, 10).from_int(3).to_json(),
+    "other-prec": PadicContext(5, 12).from_int(3).to_json(),
+    "zero-unit": _zero_unit(PadicContext(5, 10).from_int(3)),
+}
+
+
+@pytest.mark.parametrize("source", ["list", "gtau", "neither", "malformed"]
+                         + list(BAD_COEFFICIENT))
 def test_fit_from_file(capsys, tmp_path, source):
     # a coefficient list, a gtau report (coefficients keyed by n, no a_0),
-    # and two invalid inputs: a file that is neither, and a list with an
-    # entry that is not a scalar object
+    # and invalid inputs: a file that is neither, a list with an entry that
+    # is not a scalar object, and lists with one scalar of another prime or
+    # precision, or with an all-zero unit part
     from rmlab.modforms import e2p_series
     ctx = PadicContext(5, 10)
     series = e2p_series(5, 8).scale(3)
@@ -135,7 +152,9 @@ def test_fit_from_file(capsys, tmp_path, source):
             == EXIT_OK
     else:
         coeffs = {"list": listed, "neither": listed[1],
-                  "malformed": [None, "x"]}[source]
+                  "malformed": [None, "x"],
+                  **{bad: listed[:2] + [c] + listed[3:]
+                     for bad, c in BAD_COEFFICIENT.items()}}[source]
         path.write_text(json.dumps({"coefficients": coeffs}))
     code, rep = run(capsys, ["--p", "5", "--prec", prec,
                              "fit", "--series", str(path)])
@@ -143,6 +162,8 @@ def test_fit_from_file(capsys, tmp_path, source):
         assert code == EXIT_INVALID and "error" in rep
     elif source == "malformed":
         assert code == EXIT_INVALID and "coefficient 1 " in rep["error"]
+    elif source in BAD_COEFFICIENT:
+        assert code == EXIT_INVALID and "coefficient 2 " in rep["error"]
     elif source == "gtau":
         assert code == EXIT_OK
         assert rep["fit"] == json.loads(path.read_text())["fit"]
@@ -230,24 +251,53 @@ def test_corrupt_cache_line_is_recomputed(capsys, tmp_path):
     assert sorted(e["n"] for e in entries) == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("bad", ["list", "empty", "zero-unit", "other-prec"])
+def test_cache_line_that_is_not_an_entry_is_recomputed(capsys, tmp_path,
+                                                       bad):
+    # a line that parses but is not an entry, or an entry of the instance's
+    # key whose value is not a scalar of its context, is a miss
+    argv = ["--disc", "12", "--p", "5", "--prec", "12", "--nmax", "4",
+            "--depth", "2", "--cache-dir", str(tmp_path), "gtau"]
+    code, cold = run(capsys, argv)
+    assert code == EXIT_OK
+    cache = tmp_path / "coefficients.jsonl"
+    entries = [json.loads(line) for line in cache.read_text().splitlines()]
+    last = entries[-1]
+    value = PadicScalar.from_json(last["value"])
+    line = {"list": [1, 2], "empty": {},
+            "zero-unit": dict(last, value=_zero_unit(value)),
+            "other-prec": dict(last, value=PadicContext(5, 10).from_int(
+                3).to_json())}[bad]
+    cache.write_text("".join(json.dumps(e) + "\n" for e in entries[:-1])
+                     + json.dumps(line) + "\n")
+    code, rep = run(capsys, argv)
+    assert code == EXIT_OK
+    assert rep["coefficients"] == cold["coefficients"]
+    assert rep["fit"] == cold["fit"]
+    # the damaged entry is recomputed and appended; the other three are read
+    assert list(rep["stabilized_at"]) == [str(last["n"])]
+    assert json.loads(cache.read_text().splitlines()[-1]) == last
+
+
 def test_threads_flag(capsys):
+    # --threads is accepted for compatibility and changes nothing
     base = ["--disc", "12", "--p", "5", "--prec", "10", "--nmax", "6",
             "--depth", "2"]
-    reports = [run(capsys, base + ["--threads", t, "gtau"])
-               for t in ("1", "2")]
+    reports = [run(capsys, base + flag + ["gtau"])
+               for flag in ([], ["--threads", "2"])]
     assert [code for code, _ in reports] == [EXIT_OK, EXIT_OK]
-    serial, pooled = (rep["coefficients"] for _, rep in reports)
-    assert pooled == serial
+    plain, threaded = (rep for _, rep in reports)
+    assert threaded == plain
     group = NarrowClassGroup(12)
     ctx = PadicContext(5, 10)
     res = generating_series(group.rm_representative(group.identity), 5, 6,
                             ctx, m_max=2, group=group)
-    assert serial == {str(n): res.series.coeffs[n].to_json()
-                      for n in range(1, 7)}
+    assert plain["coefficients"] == {str(n): res.series.coeffs[n].to_json()
+                                     for n in range(1, 7)}
     # the other narrow class: the same values with the opposite sign
     other = group.representative(1 - group.identity)
     form = "--form=" + ",".join(map(str, other))   # may start with "-"
-    code, rep = run(capsys, base + ["--threads", "2", form, "gtau"])
+    code, rep = run(capsys, base + [form, "gtau"])
     assert code == EXIT_OK
     assert rep["coefficients"] == {str(n): (-res.series.coeffs[n]).to_json()
                                    for n in range(1, 7)}

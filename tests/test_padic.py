@@ -222,3 +222,20 @@ def test_json_roundtrip():
         assert y.equals(x) and y.v == x.v
     z = PadicScalar.from_json(CTX.zero().to_json())
     assert z.is_zero
+
+
+@pytest.mark.parametrize("damage", ["short", "digit-p", "negative-digit",
+                                    "zero-unit", "float-v", "float-p"])
+def test_json_invalid_scalar(damage):
+    obj = CTX.from_coords(7, 3, 1).to_json()
+    u0, u1 = obj["unit"]
+    obj.update({
+        "short": {"unit": [u0[:-1], u1]},
+        "digit-p": {"unit": [u0, u1[:-1] + [5]]},
+        "negative-digit": {"unit": [[-1] + u0[1:], u1]},
+        "zero-unit": {"unit": [[0] * 20, [0] * 20]},
+        "float-v": {"v": 1.0},
+        "float-p": {"p": 5.0},
+    }[damage])
+    with pytest.raises(ValueError):
+        PadicScalar.from_json(obj)
