@@ -73,13 +73,17 @@ DEFAULTS = {
 
 def apply_config(args: argparse.Namespace):
     """Resolve the global flags: explicit flag, then --config, then the
-    built-in default."""
+    built-in default.  ValueError for a value of another type than its
+    default's (a string where the default is None)."""
     config = getattr(args, "config", None)
     conf = read_toml_subset(config) if config else {}
     for dest, default in DEFAULTS.items():
         if getattr(args, dest, None) is None:
             setattr(args, dest, conf.get(dest.replace("_", "-"),
                                          conf.get(dest, default)))
+        value, kind = getattr(args, dest), type(default or "")
+        if value is not None and type(value) is not kind:
+            raise ValueError(f"{dest} must be {kind.__name__}: {value!r}")
 
 
 # --------------------------------------------------------------------------
@@ -126,7 +130,7 @@ def cache_load(cache_dir: str | None, D: int, p: int, prec: int,
             try:
                 entry = json.loads(line)
                 if (isinstance(entry, dict)
-                        and isinstance(entry.get("n"), int)
+                        and type(entry.get("n")) is int
                         and tuple(map(entry.get, CACHE_KEY)) == key):
                     found[entry["n"]] = scalar_of(ctx, entry.get("value"))
             except ValueError:

@@ -29,8 +29,8 @@ from .padic import (DualScalar, PadicContext, PadicScalar, iwasawa_log)
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
                         TotallyPositiveElement, _split_exponent,
                         _sqrtD_coords, check_inert, embed_quadnum,
-                        factor_alpha, progression_start, sieve_trace,
-                        splitting_type)
+                        factor_alpha, genus_value, progression_start,
+                        sieve_trace, splitting_type)
 
 # revision of the coefficient kernel: bumped by every change that can move a
 # coefficient's digits below its certified precision or its slack, so that
@@ -57,12 +57,15 @@ def _local_factors(alpha: QuadNum, chi: tuple,
                    engine: IdealDivisorEngine) -> list:
     """(A, C, Nm P, psi(P)^e) for each P^e exactly dividing (alpha) with P
     coprime to p, where A = sum_{k <= e} psi(P)^k and
-    C = sum_{k <= e} k psi(P)^k."""
+    C = sum_{k <= e} k psi(P)^k.  psi is the genus character
+    `group.genus[chi]`, read at the rational prime q = P.a under P; the
+    prime over an inert q is (q), narrowly principal, so psi(P) = 1."""
+    d = engine.group.genus[chi]
     out = []
     for P, e in factor_alpha(engine.D, alpha):
         if P.a == engine.p:
             continue
-        x = chi[engine.prime_class(P)]
+        x = genus_value(engine.D, d, P.a) if P.c == 1 else 1
         out.append(_geometric(x, e) + (P.norm, x ** e))
     return out
 
@@ -183,6 +186,7 @@ def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
     A is added to an integer exponent E_q.  The unit is
     prod q^{E_q} / prod alpha_0^{mass}."""
     D, p, M = engine.D, engine.p, ctx.modulus
+    d = engine.group.genus[chi]
     svals, owner, primes, exps = sieve_trace(n, D, p if primitive else 0)
     size = len(svals)
     chis = {}
@@ -199,8 +203,7 @@ def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
             continue
         x = chis.get(q)
         if x is None:
-            x = chis[q] = chi[engine.class_over(q, (svals[i] - n * D) // 2,
-                                                n)]
+            x = chis[q] = genus_value(D, d, q)
         if e == 1 or D % q == 0:             # one prime P, Nm P = q
             A, C = _geometric(x, e)
         elif splitting_type(D, q) == "inert":    # P = (q), Nm P = q^2

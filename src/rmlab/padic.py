@@ -306,16 +306,19 @@ class PadicScalar:
     @staticmethod
     def from_json(obj: dict) -> "PadicScalar":
         """Inverse of to_json.  ValueError unless p, N and slack are
-        integers, and v is None or an integer with a unit part of two lists
-        of N base-p digits, not both divisible by p."""
+        integers (not booleans), slack is not negative, and v is None or an
+        integer with a unit part of two lists of N base-p digits, not both
+        divisible by p."""
         v, slack = obj["v"], obj.get("slack", 0)
-        if not all(isinstance(x, int) for x in (obj["p"], obj["N"], slack)):
-            raise ValueError(f"p, N and slack must be integers: {obj!r}")
+        if not all(type(x) is int for x in (obj["p"], obj["N"], slack)) \
+                or slack < 0:
+            raise ValueError(f"p, N and slack must be integers, slack not "
+                             f"negative: {obj!r}")
         ctx = PadicContext(obj["p"], obj["N"])
         if v is None:
             return ctx.zero()
         p, unit = ctx.p, obj["unit"]
-        if not isinstance(v, int) or len(unit) != 2 or any(
+        if type(v) is not int or len(unit) != 2 or any(
                 len(ds) != ctx.prec
                 or not all(isinstance(d, int) and 0 <= d < p for d in ds)
                 for ds in unit):

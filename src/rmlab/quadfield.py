@@ -1,11 +1,12 @@
 """Real quadratic fields via binary quadratic forms.
 
-Indefinite form reduction and cycles, narrow class group with Dirichlet
-composition, Pell/automorph machinery, exact elements a + b*sqrt(D), ideal
-arithmetic in Hermite normal form, totally-positive trace enumeration with a
-sieve that factors the norms of a whole trace level, and partial zeta values
-at s = 0 (reduced-cycle formula, with a Shintani cone sum as the independent
-oracle).
+Indefinite form reduction and cycles, the narrow class group with Dirichlet
+composition in closed form and its genus characters psi(P) = (d / Nm P),
+D = d * (D/d), read at rational primes (`genus_value`), Pell/automorph
+machinery, exact elements a + b*sqrt(D), ideal arithmetic in Hermite normal
+form, totally-positive trace enumeration with a sieve that factors the norms
+of a whole trace level, and partial zeta values at s = 0 (reduced-cycle
+formula, with a Shintani cone sum as the independent oracle).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from sympy import factorint
+from sympy import divisors, factorint
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from .padic import PadicContext, PadicScalar, _vp
@@ -268,42 +269,21 @@ def _ext_gcd(a: int, b: int):
 
 
 def compose_forms(f1: Form, f2: Form) -> Form:
-    """Dirichlet composition after uniting; valid for any sign pattern of
-    primitive forms of equal non-square discriminant."""
+    """Dirichlet composition of primitive forms of one non-square
+    discriminant D, any signs (H. Cohen, A Course in Computational Algebraic
+    Number Theory, Ch. 5): with e = gcd(a1, a2, (b1 + b2)/2) = x a1 + y a2
+    + z (b1 + b2)/2, the product is (a3, B, (B^2 - D)/(4 a3)) with
+    a3 = a1 a2 / e^2 and B = (x a1 b2 + y a2 b1 + z (b1 b2 + D)/2) / e,
+    taken mod 2|a3|."""
     D = form_disc(f1)
     assert form_disc(f2) == D
     a1, b1, _ = f1
-    # find a primitive representation of f2 coprime to a1
-    A2, B2, C2 = f2
-    for bound in range(1, 40):
-        found = None
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if gcd(x, y) != 1:
-                    continue
-                val = A2 * x * x + B2 * x * y + C2 * y * y
-                if val != 0 and gcd(a1, val) == 1:
-                    found = (x, y, val)
-                    break
-            if found:
-                break
-        if found:
-            break
-    else:
-        raise ArithmeticError("no coprime representation found")
-    x, y, a2 = found
-    g, v, u = _ext_gcd(x, y)   # x*v + y*u = 1... fix signs below
-    assert g == 1
-    # complete (x, y) to an SL2 matrix [[x, -u], [y, v]] with x*v + u*y = 1
-    M = ((x, -u), (y, v))
-    assert x * v - y * (-u) == 1
-    g2 = apply_sl2(f2, M)
-    assert g2[0] == a2
-    b2 = g2[1]
-    # CRT: B = b1 mod 2a1, B = b2 mod 2a2  (b1, b2 both = D mod 2)
-    k = ((b2 - b1) // 2 * pow(a1, -1, abs(a2))) % abs(a2)
-    B = b1 + 2 * a1 * k
-    a3 = a1 * a2
+    a2, b2, _ = f2
+    g, u, v = _ext_gcd(a1, a2)
+    e, w, z = _ext_gcd(g, (b1 + b2) // 2)
+    a3 = a1 * a2 // (e * e)
+    B = (w * (u * a1 * b2 + v * a2 * b1) + z * (b1 * b2 + D) // 2) // e \
+        % (2 * abs(a3))
     assert (B * B - D) % (4 * a3) == 0
     return (a3, B, (B * B - D) // (4 * a3))
 
@@ -443,9 +423,23 @@ class RMPoint:
 # narrow class group
 # --------------------------------------------------------------------------
 
+def genus_value(D: int, d: int, q: int) -> int:
+    """The genus character of D = d * (D/d) on a prime of norm q (q split
+    or ramified): the Kronecker symbol (d'/q), where d' is whichever of d
+    and D/d is prime to q.  For q = 2, d' = 1 (mod 4) and (d'/2) is read
+    from d' mod 8."""
+    if d % q == 0:
+        d = D // d
+    if q == 2:
+        return 1 if d % 8 == 1 else -1
+    return 1 if pow(d % q, (q - 1) // 2, q) == 1 else -1
+
+
 class NarrowClassGroup:
     """Cl+(D): cycles of reduced forms under proper equivalence, composition
-    by Dirichlet composition of representatives."""
+    by Dirichlet composition of representatives.  Its quadratic characters
+    are the genus characters: `genus` maps each to a d | D, and its value on
+    a prime of norm q is `genus_value(D, d, q)`."""
 
     def __init__(self, D: int):
         check_fundamental(D)
@@ -469,7 +463,15 @@ class NarrowClassGroup:
                              if self.table[i][j] == self.identity)
                         for i in range(self.h)]
         self.different_class = self._class_of_different()
-        self.characters = self._quadratic_characters()
+        self.prime_of_class = self._first_primes()
+        # d runs over the products of the prime discriminants of D, the d
+        # with d and D/d both discriminants; the two give one character,
+        # kept under the smaller |d|
+        self.genus = {tuple(genus_value(D, d, P.norm)
+                            for P in self.prime_of_class): d
+                      for m in reversed(divisors(D)) for d in (m, -m)
+                      if d % 4 < 2 and D // d % 4 < 2}
+        self.characters = sorted(self.genus, reverse=True)
 
     # -- lookups ------------------------------------------------------------
 
@@ -498,19 +500,20 @@ class NarrowClassGroup:
     def narrow_class_of_ideal(self, I: "IdealF") -> int:
         return self.class_of_form(I.oriented_form())
 
-    # -- characters ----------------------------------------------------------
+    def _first_primes(self) -> list:
+        """Per class, the first prime of degree one in it, by ascending
+        rational prime q (and the root order of `prime_ideal` for split q)."""
+        degree_one = {"inert": 0, "ramified": 1, "split": 2}  # primes over q
+        found = {}
+        q = 2
+        while len(found) < self.h:
+            for which in range(degree_one[splitting_type(self.D, q)]):
+                P = prime_ideal(self.D, q, which)
+                found.setdefault(self.narrow_class_of_ideal(P), P)
+            q = next_prime(q)
+        return [found[i] for i in range(self.h)]
 
-    def _quadratic_characters(self):
-        """All homomorphisms Cl+(D) -> {±1}, brute force (h is desk-scale)."""
-        from itertools import product
-        chars = []
-        for signs in product((1, -1), repeat=self.h):
-            if signs[self.identity] != 1:
-                continue
-            if all(signs[self.table[i][j]] == signs[i] * signs[j]
-                   for i in range(self.h) for j in range(self.h)):
-                chars.append(tuple(signs))
-        return chars
+    # -- characters ----------------------------------------------------------
 
     def odd_characters(self):
         """Quadratic characters with psi(class of (sqrt(D))) = -1."""
@@ -734,37 +737,23 @@ class DivisorIdeal:
 
 
 class IdealDivisorEngine:
-    """Enumerates p-coprime divisors of principal ideals with norms, narrow
-    classes and character data; caches the narrow class of each prime P of
-    a `factor_alpha` pair (P, e), keyed by P.  The explicit enumeration
-    serves the ideal-pair route in `winding` and the tests;
-    `eisenstein.divisor_sums` needs only the per-prime classes."""
+    """Enumerates the p-coprime divisors of principal ideals with their
+    norms and narrow classes, caching the narrow class of each prime P of a
+    `factor_alpha` pair (P, e), keyed by P.  The enumeration serves the
+    ideal-pair route in `winding` and the tests; the divisor sums of
+    `eisenstein` need no class, as they evaluate psi at rational primes with
+    `genus_value`."""
 
     def __init__(self, group: NarrowClassGroup, p: int):
         self.group = group
         self.D = group.D
         self.p = p
         self._pclass = {}
-        self._qclass = {}
 
     def prime_class(self, P: IdealF) -> int:
         if P not in self._pclass:
             self._pclass[P] = self.group.narrow_class_of_ideal(P)
         return self._pclass[P]
-
-    def class_over(self, q: int, u: int, v: int) -> int:
-        """Narrow class of a prime over the rational prime q, where q divides
-        Nm(u + v*omega); cached by q.  The two primes over a split q have
-        inverse classes (their product (q) is narrowly principal), so a
-        quadratic character takes one value on both."""
-        if q not in self._qclass:
-            if self.D % q == 0 or v % q == 0:
-                P = prime_ideal(self.D, q)
-            else:
-                # omega = -u/v mod a prime over q that divides u + v*omega
-                P = IdealF(self.D, q, u * pow(v, -1, q) % q, 1)
-            self._qclass[q] = self.group.narrow_class_of_ideal(P)
-        return self._qclass[q]
 
     def divisors(self, alpha: QuadNum):
         """All divisors I | (alpha) with p coprime to I."""
@@ -985,21 +974,7 @@ def shintani_zeta_zero(group: NarrowClassGroup, class_idx: int) -> Fraction:
     """Independent oracle: Shintani cone decomposition with the exact
     two-dimensional cone value at s = 0 (Barnes double zeta)."""
     D = group.D
-    # integral ideal b in the inverse class
-    target = group.inverse[class_idx]
-    b_ideal = None
-    if target == group.identity:
-        b_ideal = IdealF(D, 1, 0, 1)
-    else:
-        q = 2
-        while b_ideal is None:
-            if splitting_type(D, q) != "inert":
-                for which in (0, 1):
-                    P = prime_ideal(D, q, which)
-                    if group.narrow_class_of_ideal(P) == target:
-                        b_ideal = P
-                        break
-            q = next_prime(q)
+    b_ideal = group.prime_of_class[group.inverse[class_idx]]
     t, u = pell_fundamental(D)
     eps = QuadNum(D, Fraction(t, 2), Fraction(u, 2))  # totally positive
     beta1, beta2 = b_ideal.basis()

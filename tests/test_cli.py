@@ -129,6 +129,8 @@ BAD_COEFFICIENT = {
     "other-prime": PadicContext(7, 10).from_int(3).to_json(),
     "other-prec": PadicContext(5, 12).from_int(3).to_json(),
     "zero-unit": _zero_unit(PadicContext(5, 10).from_int(3)),
+    "negative-slack": dict(PadicContext(5, 10).from_int(3).to_json(),
+                           slack=-3),
 }
 
 
@@ -138,7 +140,7 @@ def test_fit_from_file(capsys, tmp_path, source):
     # a coefficient list, a gtau report (coefficients keyed by n, no a_0),
     # and invalid inputs: a file that is neither, a list with an entry that
     # is not a scalar object, and lists with one scalar of another prime or
-    # precision, or with an all-zero unit part
+    # precision, with an all-zero unit part, or with a negative slack
     from rmlab.modforms import e2p_series
     ctx = PadicContext(5, 10)
     series = e2p_series(5, 8).scale(3)
@@ -209,6 +211,16 @@ def test_config_defaults_and_flag_priority(capsys, tmp_path):
     assert code == EXIT_OK and rep["disc"] == 12
 
 
+@pytest.mark.parametrize("line", ['prec = "x"', "nmax = abc",
+                                  "cache-dir = 5"])
+def test_config_value_of_wrong_type_exits_2(capsys, tmp_path, line):
+    conf = tmp_path / "conf.toml"
+    conf.write_text(f"disc = 8\np = 5\n{line}\n")
+    code, rep = run(capsys, ["--config", str(conf), "gtau"])
+    assert code == EXIT_INVALID
+    assert " must be " in rep["error"]
+
+
 def test_read_toml_subset(tmp_path):
     path = tmp_path / "c.toml"
     path.write_text('[run]\nname = "x"\nn = 3  # comment\n')
@@ -251,11 +263,14 @@ def test_corrupt_cache_line_is_recomputed(capsys, tmp_path):
     assert sorted(e["n"] for e in entries) == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("bad", ["list", "empty", "zero-unit", "other-prec"])
+@pytest.mark.parametrize("bad", ["list", "empty", "zero-unit", "other-prec",
+                                 "bool-n", "negative-slack", "bool-slack"])
 def test_cache_line_that_is_not_an_entry_is_recomputed(capsys, tmp_path,
                                                        bad):
-    # a line that parses but is not an entry, or an entry of the instance's
-    # key whose value is not a scalar of its context, is a miss
+    # a line that parses but is not an entry (an "n" of true would stand for
+    # a_1), or an entry of the instance's key whose value is not a scalar of
+    # its context (a negative slack would claim more digits than computed),
+    # is a miss
     argv = ["--disc", "12", "--p", "5", "--prec", "12", "--nmax", "4",
             "--depth", "2", "--cache-dir", str(tmp_path), "gtau"]
     code, cold = run(capsys, argv)
@@ -267,7 +282,11 @@ def test_cache_line_that_is_not_an_entry_is_recomputed(capsys, tmp_path,
     line = {"list": [1, 2], "empty": {},
             "zero-unit": dict(last, value=_zero_unit(value)),
             "other-prec": dict(last, value=PadicContext(5, 10).from_int(
-                3).to_json())}[bad]
+                3).to_json()),
+            "bool-n": dict(last, n=True),
+            "negative-slack": dict(last, value=dict(last["value"], slack=-3)),
+            "bool-slack": dict(last, value=dict(last["value"], slack=True)),
+            }[bad]
     cache.write_text("".join(json.dumps(e) + "\n" for e in entries[:-1])
                      + json.dumps(line) + "\n")
     code, rep = run(capsys, argv)

@@ -204,6 +204,29 @@ def test_telescoped_level_equals_fresh_level(disc, p):
                              + ctx.one())
 
 
+@pytest.mark.parametrize("disc, p", [(12, 5), (60, 13)])
+def test_divisor_sums_reduce_no_form(disc, p, monkeypatch):
+    # psi is read at rational primes as a Kronecker symbol: once the group
+    # is built, no divisor sum asks for the narrow class of an ideal
+    group = NarrowClassGroup(disc)
+    engine = IdealDivisorEngine(group, p)
+    ctx = PadicContext(p, 12)
+
+    def refuse(self, I):
+        raise AssertionError(f"narrow class of {I} asked for")
+
+    monkeypatch.setattr(NarrowClassGroup, "narrow_class_of_ideal", refuse)
+    nus = [nu for n in (1, 2, p, 6) for nu in enumerate_trace(n, disc)]
+    for chi in group.characters:
+        logs = LogCache(ctx)
+        for n in (1, 2, 6, p, p * p):
+            diag_coefficient(n, chi, engine, ctx)
+            diag_coefficient(n, chi, engine, ctx, logs)
+        for nu in nus:
+            sigma_psi(nu, chi, engine)
+            eis_family_coeff("psi,1", nu, chi, engine, ctx, logs)
+
+
 def test_diag_coefficient_rejects_split_p():
     g21 = NarrowClassGroup(21)
     with pytest.raises(ValueError, match="not inert"):

@@ -225,7 +225,9 @@ def test_json_roundtrip():
 
 
 @pytest.mark.parametrize("damage", ["short", "digit-p", "negative-digit",
-                                    "zero-unit", "float-v", "float-p"])
+                                    "zero-unit", "float-v", "float-p",
+                                    "negative-slack", "bool-v",
+                                    "bool-slack"])
 def test_json_invalid_scalar(damage):
     obj = CTX.from_coords(7, 3, 1).to_json()
     u0, u1 = obj["unit"]
@@ -236,6 +238,9 @@ def test_json_invalid_scalar(damage):
         "zero-unit": {"unit": [[0] * 20, [0] * 20]},
         "float-v": {"v": 1.0},
         "float-p": {"p": 5.0},
+        "negative-slack": {"slack": -3},
+        "bool-v": {"v": True},
+        "bool-slack": {"slack": True},
     }[damage])
     with pytest.raises(ValueError):
         PadicScalar.from_json(obj)

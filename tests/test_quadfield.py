@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from itertools import product
+from math import gcd, isqrt
 
 import pytest
+from sympy import primerange
 
 from rmlab.padic import PadicContext
 from rmlab.quadfield import (IdealF, IdealDivisorEngine, NarrowClassGroup,
                              QuadNum, RMPoint, all_reduced_forms, apply_sl2,
                              automorph, check_inert, compose_forms,
                              cycle_matrix, embed_quadnum, enumerate_trace,
-                             factor_alpha, form_disc, has_norm_minus_one,
+                             factor_alpha, form_disc, genus_value,
+                             has_norm_minus_one,
                              is_fundamental_discriminant,
                              minus_cf_cycle, partial_zeta_zero,
                              pell_fundamental, prime_ideal, prime_pairs,
@@ -160,15 +163,54 @@ def test_has_norm_minus_one():
         assert has_norm_minus_one(D) == (D in expected_true), D
 
 
+def _compose_by_search(f1, f2):
+    # oracle: Dirichlet composition after moving f2 to a form whose first
+    # coefficient is prime to a1, found by searching small coprime (x, y)
+    D = form_disc(f1)
+    a1, b1, _ = f1
+    A2, B2, C2 = f2
+    x, y, a2 = next(
+        (x, y, val) for bound in range(1, 40)
+        for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)
+        if gcd(x, y) == 1
+        for val in (A2 * x * x + B2 * x * y + C2 * y * y,)
+        if val != 0 and gcd(a1, val) == 1)
+    if y == 0:                               # x = +-1
+        M = ((x, 0), (0, x))
+    else:                                    # x v + y u = 1
+        v = pow(x, -1, abs(y))
+        M = ((x, -(1 - x * v) // y), (y, v))
+    b2 = apply_sl2(f2, M)[1]
+    # B = b1 mod 2 a1, B = b2 mod 2 a2
+    k = ((b2 - b1) // 2 * pow(a1, -1, abs(a2))) % abs(a2)
+    B = b1 + 2 * a1 * k
+    return (a1 * a2, B, (B * B - D) // (4 * a1 * a2))
+
+
+def _characters_by_search(g):
+    # oracle: every sign pattern on the classes that is a homomorphism
+    return [signs for signs in product((1, -1), repeat=g.h)
+            if signs[g.identity] == 1
+            and all(signs[g.table[i][j]] == signs[i] * signs[j]
+                    for i in range(g.h) for j in range(g.h))]
+
+
+FUNDAMENTAL = [D for D in range(5, 300) if is_fundamental_discriminant(D)]
+
+
 def test_compose_forms_well_defined_on_classes():
+    # the closed form against the coprime search, class by class
     rng = random.Random(7)
-    for D in (12, 40, 60):
+    for D in FUNDAMENTAL:
         g = NarrowClassGroup(D)
-        for _ in range(10):
-            i, j = rng.randrange(g.h), rng.randrange(g.h)
-            f1 = apply_sl2(g.representative(i), rand_sl2(rng))
-            f2 = apply_sl2(g.representative(j), rand_sl2(rng))
-            assert g.class_of_form(compose_forms(f1, f2)) == g.compose(i, j)
+        for i in range(g.h):
+            for j in range(g.h):
+                f1 = apply_sl2(g.representative(i), rand_sl2(rng))
+                f2 = apply_sl2(g.representative(j), rand_sl2(rng))
+                f3 = compose_forms(f1, f2)
+                assert form_disc(f3) == D
+                assert g.class_of_form(f3) == g.compose(i, j) \
+                    == g.class_of_form(_compose_by_search(f1, f2))
 
 
 # --- narrow class group ------------------------------------------------------
@@ -210,6 +252,32 @@ def test_odd_character_counts():
             for i in range(g.h):
                 for j in range(g.h):
                     assert chi[g.compose(i, j)] == chi[i] * chi[j]
+
+
+GENUS_DISCS = DISCS + [105, 165]
+
+
+def test_characters_match_brute_force_search():
+    for D in GENUS_DISCS:
+        g = NarrowClassGroup(D)
+        assert g.characters == _characters_by_search(g)
+
+
+def test_genus_value_is_the_character_on_primes():
+    # q = 2 splits in Q(sqrt(33)), ramifies in Q(sqrt(12)), Q(sqrt(24)) and
+    # Q(sqrt(60)), and 8 divides 40 and 56
+    for D in GENUS_DISCS:
+        g = NarrowClassGroup(D)
+        for chi in g.characters:
+            d = g.genus[chi]
+            for q in primerange(2, 400):
+                typ = splitting_type(D, q)
+                if typ == "inert":
+                    continue
+                for which in (0, 1) if typ == "split" else (0,):
+                    P = prime_ideal(D, q, which)
+                    assert genus_value(D, d, q) \
+                        == chi[g.narrow_class_of_ideal(P)], (D, d, q)
 
 
 # --- RM points ----------------------------------------------------------------
