@@ -5,7 +5,9 @@ The generating series' constant term a_0 is log_p(u_tau); independently, the
 Poisson transform of the Dedekind-Rademacher measure against the automorph
 of tau computes J_DR[tau] = u_tau^12 as a Riemann product over level-M balls.
 This script prints the valuation of iwasawa_log(J_DR) - 12 a_0 as the level
-grows: it should equal the level exactly, one p-adic digit per level.
+grows: it should equal the level exactly, one p-adic digit per level.  Level
+M has about p^(2M) balls, each visited once, one row of p^M balls at a time,
+so time grows by p^2 per level while memory stays small.
 
     python3 scripts/poisson_convergence.py [--disc 12] [--p 5] [--levels 4]
 """

@@ -24,7 +24,8 @@ from .modforms import QSeries, FitResult, basis_for_level, fit_to_basis
 from .padic import (PadicContext, PadicScalar, _vp, iwasawa_log, padic_exp,
                     teichmuller)
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, RMPoint,
-                        check_inert, next_prime, partial_zeta_zero)
+                        check_inert, has_norm_minus_one, next_prime,
+                        partial_zeta_zero)
 
 
 # --------------------------------------------------------------------------
@@ -59,14 +60,14 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
     Coefficients at p | n reuse the stabilized value at n / p^{v_p(n)}: the
     ordinary limit lies in the U_p = 1 eigenspace.  Values in `known`
     (n0 -> value before tau's sign, as in `stabilized`) are not recomputed;
-    one divisor engine and log cache serve the rest.  Fields whose
-    narrow class group has no odd quadratic character (equivalently, with a
-    unit of norm -1) give the zero series."""
+    one divisor engine and log cache serve the rest.  Fields with a unit of
+    norm -1, where (sqrt(D)) is narrowly principal and no character is odd,
+    give the zero series; other fields need an odd quadratic character, so
+    narrow class number 2 (ValueError otherwise)."""
     D = tau.disc
     check_inert(D, p)
     group = group or NarrowClassGroup(D)
-    odd = group.odd_characters()
-    if not odd:
+    if has_norm_minus_one(D):
         zero = QSeries((None,) + (ctx.zero(),) * n_max, p)
         fit = fit_to_basis(zero, basis_for_level(p, n_max), ctx)
         return GSeriesResult(zero, {}, fit, fit.a0, True, {})
@@ -75,7 +76,7 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
     known = known or {}
     indices = [n0 for n0 in range(1, n_max + 1) if n0 % p]
     missing = [n0 for n0 in indices if n0 not in known]
-    chi = odd[0]
+    chi = group.odd_characters()[0]
     engine = IdealDivisorEngine(group, p)
     logs = LogCache(ctx)
 

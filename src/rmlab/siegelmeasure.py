@@ -9,10 +9,13 @@ The measure is realized through branch logarithms of c-modified Siegel units
               * prod_{n>0}  (1 - q^{n-a} e^{-2 pi i b}),
 
 whose periods under SL2(Z) are integers.  The period of each generator T^q,
-S and -I on each ball is evaluated in closed form from the transformation
-laws of Siegel functions (Kubert-Lang, Modular Units, Ch. 2), in integer
-arithmetic, and arbitrary group elements are assembled exactly through the
-cocycle law  mu(g h) = mu(h)|g^{-1} + mu(g).  No float enters the measure.
+S and -I on each ball has a closed form from the transformation laws of
+Siegel functions (Kubert-Lang, Modular Units, Ch. 2).  Summed over a word
+for gamma by the cocycle law  mu(g h) = mu(h)|g^{-1} + mu(g), these closed
+forms telescope into one integer identity for mu_DR(gamma) on each ball,
+evaluated along the orbit of the ball's center under the word, one row of
+balls at a time.  No float enters the measure, and the Poisson product
+consumes the rows as they come.
 
 The realized measure is s(c) = (c^2 - 1)/24 times the normalized mu_DR whose
 value on p Z_p x Z_p^* is phi_DR; the scale is carried on the BallMeasure and
@@ -103,19 +106,6 @@ class BallSpace:
         for i, (a, b) in enumerate(zip(self.a, self.b)):
             self.pos[a * den + b] = i
 
-    @property
-    def size(self) -> int:
-        return len(self.a)
-
-    def perm(self, gamma) -> list:
-        """Index permutation v -> v * gamma mod p^level."""
-        (g00, g01), (g10, g11) = gamma
-        den, pos = self.den, self.pos
-        out = [pos[(a * g00 + b * g10) % den * den + (a * g01 + b * g11) % den]
-               for a, b in zip(self.a, self.b)]
-        assert min(out) >= 0
-        return out
-
 
 @dataclass
 class BallMeasure:
@@ -142,18 +132,6 @@ class BallMeasure:
             raise ValueError("center is not primitive")
         return self.values[idx]
 
-    def acted(self, gamma) -> "BallMeasure":
-        """mu|gamma: (mu|gamma)(B_v) = mu(B_{v gamma^{-1}})."""
-        (a, b), (c, d) = gamma
-        inv = ((d, -b), (-c, a))
-        return BallMeasure(self.space,
-                           [self.values[i] for i in self.space.perm(inv)],
-                           self.scale)
-
-
-_S = ((0, -1), (1, 0))
-_NEG_I = ((-1, 0), (0, -1))
-
 
 def sl2_word(gamma):
     """Factor gamma in SL2(Z) as a left-to-right product of T^q, S and -I."""
@@ -177,24 +155,16 @@ def sl2_word(gamma):
     return word
 
 
-def _word_matrix(factor):
-    if factor[0] == "T":
-        return ((1, factor[1]), (0, 1))
-    if factor[0] == "S":
-        return _S
-    return _NEG_I
-
-
 # Let l(a, b; z) be the branch log of g_{a,b} (module docstring) without its
 # constant log(-1), for a in [0, 1) and b any lift:
 #     l(a, b; z) = pi i B2(a) z + pi i b (a - 1) + sum of log1p(-...).
 # The smoothed log at v = (a, b) is, with <x> = x - floor(x),
 #     L(v; z) = c^2 l(a, b; z) - l(<ca>, cb; z) - floor(ca) pi i (1 - cb);
 # its last term compensates the reduction of ca by g_{a+1,b} = -e^{-pi i b}
-# g_{a,b}.  The period of a generator gamma on the ball of v is
+# g_{a,b}.  The period of gamma on the ball of v is
 #     mu_DR(gamma)(B_v) = (L(v; z) - L(v gamma; gamma^{-1} z)) / 2 pi i.
 # Every log1p term is analytic on H, so the period does not depend on z, and
-# four identities evaluate it exactly:
+# four identities evaluate it exactly on the generators:
 #   shift: l(a, b + j; z) = l(a, b; z) + j pi i (a - 1), for j in Z;
 #   T^q:   l(a, b; z - q) = l(a, b - q a; z) - pi i q/6, because the log1p
 #          terms agree term by term;
@@ -203,46 +173,83 @@ def _word_matrix(factor):
 #          Modular Units, Ch. 2) with branch integer 0;
 #   -I:    l(1 - a, -b; z) = l(a, b; z) + pi i b for a != 0, and
 #          l(0, -b; z) = l(0, b; z) + pi i for b in (0, 1).
-# Shifted to lifts in [0, 1), both sides of a period read c^2 l(v) - l(<cv>)
-# at z plus rational multiples of pi i, and the l terms cancel.  For
-# v = (x, y)/n with n = p^m and x, y in [0, n), what is left is the integer
-# identity
-#     12 n^2 mu_DR(gamma)(B_v) = K(v gamma) - K(v) + c^2 E(v) - E(<cv>),
+# Shifted to lifts in [0, 1), both sides of a generator's period read
+# c^2 l(v) - l(<cv>) at z plus rational multiples of pi i, and the l terms
+# cancel.  For v = (x, y)/n with n = p^m and x, y in [0, n), what is left is
+# an integer K(v f) - K(v) + c^2 E_f(v) - E_f(<cv>), with
 #     K(x, y) = 6 n (floor(cy/n) ((cx mod n) - n) + floor(cx/n) (n - cy)),
-# where K collects the shift and compensation terms and E the generator's law:
+# where K collects the shift and compensation terms and E_f the generator's
+# law:
 #   T^q: E(x, y) = n^2 q + 6 n (x - n) floor((y + q x)/n),
 #   S:   E(x, y) = -3 n^2 - 6 n [x != 0] (y - n),
 #   -I:  E(x, y) = -6 n [x != 0] (y - [y != 0] x).
+# For gamma = f_1 ... f_r (sl2_word), the cocycle law
+# mu(g h)(B_v) = mu(h)(B_{v g}) + mu(g)(B_v) sums the generator periods along
+# the orbit w_0 = v, w_k = w_{k-1} f_k mod n, and the K terms telescope:
+#     12 n^2 mu_DR(gamma)(B_v) = K(v gamma) - K(v)
+#         + sum_k [c^2 E_{f_k}(w_{k-1}) - E_{f_k}(<c w_{k-1}>)].
+# c is a unit mod n, so x and cx (y and cy) vanish together.  The n^2 terms
+# of the E's add up to (c^2 - 1) n^2 (sum of the T exponents q - 3 #S) on
+# every ball; all other terms are multiples of 6 n.
 
-@lru_cache(maxsize=None)
-def _factor_measure(space: BallSpace, factor, c: int) -> tuple:
-    """Exact period of the generator `factor` on every ball of `space`."""
-    n = space.den
-    if factor[0] == "T":
-        q = factor[1]
+def _mu_rows(gamma, p: int, level: int, c: int):
+    """Yield (a, bs, values) for a = 0 .. p^level - 1: the values of
+    mu_DR(gamma) on the balls with primitive centers (a, b), b in bs
+    ascending, by the telescoped identity above.  Rows come in BallSpace
+    order; each holds O(p^level) integers."""
+    n = p ** level
+    c2 = c * c
+    word = sl2_word(gamma)
+    const = (c2 - 1) * n * n * sum(
+        f[1] if f[0] == "T" else -3 if f[0] == "S" else 0 for f in word)
+    six_n, den = 6 * n, 12 * n * n
+    all_b = list(range(n))
+    unit_b = [b for b in all_b if b % p]
+    for a in range(n):
+        bs = all_b if a % p else unit_b
+        # w = (X, Y) and <c w> = (CX, CY) run through the word together;
+        # acc collects the non-constant terms divided by 6 n, from -K(v) on
+        qa, ca = divmod(c * a, n)
+        X, Y = [a] * len(bs), bs
+        CX, CY = [ca] * len(bs), [c * b % n for b in bs]
+        acc = [qa * (c * b - n) - c * b // n * (ca - n) for b in bs]
+        for f in word:
+            if f[0] == "T":
+                q = f[1]
+                t = [y + q * x for x, y in zip(X, Y)]
+                ct = [cy + q * cx for cx, cy in zip(CX, CY)]
+                acc = [s + c2 * (x - n) * (u // n) - (cx - n) * (v // n)
+                       for s, x, cx, u, v in zip(acc, X, CX, t, ct)]
+                Y = [u % n for u in t]
+                CY = [v % n for v in ct]
+            elif f[0] == "S":
+                acc = [s - c2 * (y - n) + cy - n if x else s
+                       for s, x, y, cy in zip(acc, X, Y, CY)]
+                X, Y = Y, [-x % n for x in X]
+                CX, CY = CY, [-cx % n for cx in CX]
+            else:
+                acc = [s - c2 * (y - x) + cy - cx if x and y else s
+                       for s, x, y, cx, cy in zip(acc, X, Y, CX, CY)]
+                X, Y = [-x % n for x in X], [-y % n for y in Y]
+                CX, CY = [-cx % n for cx in CX], [-cy % n for cy in CY]
+        # + K(v gamma)
+        nums = [const + six_n * (s + c * y // n * (cx - n)
+                                 + c * x // n * (n - c * y))
+                for s, x, y, cx in zip(acc, X, Y, CX)]
+        values = [u // den for u in nums]
+        assert all(u % den == 0 for u in nums), "period not integral"
+        yield a, bs, values
 
-        def E(x, y):
-            return n * n * q + 6 * n * (x - n) * ((y + q * x) // n)
-    elif factor[0] == "S":
-        def E(x, y):
-            return -3 * n * n - (6 * n * (y - n) if x else 0)
-    else:
-        def E(x, y):
-            return -6 * n * (y - (x if y else 0)) if x else 0
 
-    def K(x, y):
-        qx, rx = divmod(c * x, n)
-        return 6 * n * (c * y // n * (rx - n) + qx * (n - c * y))
-
-    (g00, g01), (g10, g11) = _word_matrix(factor)
-    out = []
-    for x, y in zip(space.a, space.b):
-        num = (K((x * g00 + y * g10) % n, (x * g01 + y * g11) % n) - K(x, y)
-               + c * c * E(x, y) - E(c * x % n, c * y % n))
-        val, rem = divmod(num, 12 * n * n)
-        assert rem == 0, "period not integral"
-        out.append(val)
-    return tuple(out)
+def _checked_c(p: int, level: int, c: int | None) -> int:
+    """The Siegel-unit modifier c (default_c(p) if None), after checking it
+    and the level."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    c = default_c(p) if c is None else c
+    if gcd(c, 6 * p) != 1:
+        raise ValueError("c must be prime to 6p")
+    return c
 
 
 @lru_cache(maxsize=None)
@@ -252,24 +259,10 @@ def ball_space(p: int, level: int) -> BallSpace:
 
 def mu_DR(gamma, p: int, level: int, c: int | None = None) -> BallMeasure:
     """The Dedekind-Rademacher measure of gamma in SL2(Z) on level-`level`
-    balls, assembled exactly from generator periods via the cocycle law
-    mu(g h) = mu(h)|g^{-1} + mu(g)."""
-    c = default_c(p) if c is None else c
-    if gcd(c, 6 * p) != 1:
-        raise ValueError("c must be prime to 6p")
-    space = ball_space(p, level)
-    den = space.den
-    acc = [0] * space.size
-    g_acc = ((1, 0), (0, 1))
-    for factor in sl2_word(gamma):
-        vals = _factor_measure(space, factor, c)
-        # (mu(f)|g_acc^{-1})(B_v) = mu(f)(B_{v g_acc})
-        acc = [x + vals[i] for x, i in zip(acc, space.perm(g_acc))]
-        f = _word_matrix(factor)
-        g_acc = tuple(
-            tuple((sum(g_acc[i][k] * f[k][j] for k in range(2))) % den
-                  for j in range(2)) for i in range(2))
-    return BallMeasure(space, acc, measure_scale(c))
+    balls, exactly, by the telescoped period identity."""
+    c = _checked_c(p, level, c)
+    values = [v for _, _, row in _mu_rows(gamma, p, level, c) for v in row]
+    return BallMeasure(ball_space(p, level), values, measure_scale(c))
 
 
 # --------------------------------------------------------------------------
@@ -283,6 +276,8 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
     gamma_tau the automorph of tau.  Total mass zero makes the product
     invariant under scaling of the sample points, so the integral is taken
     against coordinates of 2A tau = -B + sqrt(D), keeping samples integral.
+    The measure is streamed row by row, and the samples are multiplied into
+    one accumulator per value of mu, each raised to its exponent once.
 
     The raw product against the c-realized measure of the inverse automorph
     is J_DR[tau]^{(c^2-1)/12} up to p^Z and torsion; the returned value is
@@ -291,7 +286,7 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
     generating series.  Accuracy in the log grows by one p-adic digit per
     level."""
     p = ctx.p
-    c = default_c(p) if c is None else c
+    c = _checked_c(p, level, c)
     exponent = 2 * measure_scale(c)
     if exponent % p == 0:
         raise ValueError("(c^2 - 1)/12 must be prime to p")
@@ -302,24 +297,28 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
     if A % p == 0:
         raise ValueError("sample normalization needs p coprime to A")
     (ga, gb), (gc, gd) = automorph(tau.form)
-    mu = mu_DR(((gd, -gb), (-gc, ga)), p, level, c)
-    space = mu.space
     sq = sqrtD_padic(ctx, D)
     s0 = (sq.u0 * p ** sq.v) % ctx.modulus if not sq.is_zero else 0
     s1 = (sq.u1 * p ** sq.v) % ctx.modulus if not sq.is_zero else 0
     m, r = ctx.modulus, ctx.r
-    num = (1, 0)
-    den_acc = (1, 0)
 
     def mul(x, y):
         return ((x[0] * y[0] + r * x[1] * y[1]) % m,
                 (x[0] * y[1] + x[1] * y[0]) % m)
 
-    for x, y, e in zip(space.a, space.b, mu.values):
-        if e == 0:
-            continue
-        # x * (2A tau) + y * 2A = (2Ay - Bx) + x sqrt(D)
-        base = ((2 * A * y - B * x + x * s0) % m, (x * s1) % m)
+    groups = {}
+    for x, ys, values in _mu_rows(((gd, -gb), (-gc, ga)), p, level, c):
+        # x * (2A tau) + y * 2A = (2Ay + x (s0 - B)) + x s1 w, w^2 = r;
+        # the w coordinate is constant along a row
+        u, w = x * (s0 - B) % m, x * s1 % m
+        rw = r * w % m
+        for y, e in zip(ys, values):
+            if e:
+                b0 = (2 * A * y + u) % m
+                a0, a1 = groups.get(e, (1, 0))
+                groups[e] = ((a0 * b0 + a1 * rw) % m, (a0 * w + a1 * b0) % m)
+    num = den_acc = (1, 0)
+    for e, base in groups.items():
         acc = (1, 0)
         k = abs(e)
         while k:

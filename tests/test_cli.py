@@ -100,6 +100,16 @@ def test_gtau_trivial_field(capsys):
     assert all(z.is_zero for z in zeros)
 
 
+@pytest.mark.parametrize("disc, p", [(136, 7), (205, 11)])
+def test_gtau_without_odd_genus_character_exits_2(capsys, disc, p):
+    # Cl+ is cyclic of order 4 and no unit has norm -1: the odd characters
+    # are quartic, so the series is not zero and is not supported
+    code, rep = run(capsys, ["--disc", str(disc), "--p", str(p), "--prec",
+                             "12", "--nmax", "4", "--depth", "2", "gtau"])
+    assert code == EXIT_INVALID
+    assert rep["error"] == "only narrow class number 1 or 2 supported"
+
+
 def test_verify_threshold_and_exit_3(capsys):
     base = ["--disc", "12", "--p", "5", "--prec", "12", "--nmax", "4",
             "--depth", "2"]
@@ -115,6 +125,14 @@ def test_jdr(capsys):
     assert code == EXIT_OK
     value = PadicScalar.from_json(rep["JDR"])
     assert value.v == 0  # principal unit representative
+
+
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_jdr_rejects_level_below_1(capsys, level):
+    code, rep = run(capsys, ["--disc", "12", "--p", "5", "--prec", "10",
+                             "jdr", "--level", level])
+    assert code == EXIT_INVALID
+    assert rep["error"] == "level must be >= 1"
 
 
 def _zero_unit(x: PadicScalar) -> dict:

@@ -1,12 +1,14 @@
 import cmath
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from rmlab.padic import PadicContext, iwasawa_log
-from rmlab.quadfield import NarrowClassGroup
-from rmlab.siegelmeasure import (_factor_measure, _word_matrix, ball_space,
+from rmlab import siegelmeasure
+from rmlab.padic import PadicContext, iwasawa_log, padic_exp
+from rmlab.quadfield import NarrowClassGroup, automorph, sqrtD_padic
+from rmlab.siegelmeasure import (BallMeasure, BallSpace, ball_space,
                                  dedekind_sum, default_c, measure_scale,
                                  mu_DR, phi_DR, poisson_JDR, rademacher_phi,
                                  sl2_word)
@@ -135,6 +137,165 @@ def test_sl2_word_reconstructs_matrix():
 
 
 # --------------------------------------------------------------------------
+# oracle: the measure assembled from generator periods by the cocycle law
+# --------------------------------------------------------------------------
+
+def _word_matrix(factor):
+    if factor[0] == "T":
+        return ((1, factor[1]), (0, 1))
+    if factor[0] == "S":
+        return ((0, -1), (1, 0))
+    return ((-1, 0), (0, -1))
+
+
+def _perm(space, gamma):
+    """Index permutation v -> v * gamma mod p^level of the balls of
+    `space`."""
+    (g00, g01), (g10, g11) = gamma
+    den, pos = space.den, space.pos
+    out = [pos[(a * g00 + b * g10) % den * den + (a * g01 + b * g11) % den]
+           for a, b in zip(space.a, space.b)]
+    assert min(out) >= 0
+    return out
+
+
+def _acted(mu, gamma):
+    """mu|gamma: (mu|gamma)(B_v) = mu(B_{v gamma^{-1}})."""
+    return BallMeasure(mu.space,
+                       [mu.values[i] for i in _perm(mu.space, _inv(gamma))],
+                       mu.scale)
+
+
+@lru_cache(maxsize=None)
+def _factor_measure(space, factor, c):
+    """Exact period of the generator `factor` on every ball of `space`:
+    (K(v f) - K(v) + c^2 E_f(v) - E_f(<cv>)) / 12 n^2, with K and E_f as in
+    the comment above siegelmeasure._mu_rows."""
+    n = space.den
+    if factor[0] == "T":
+        q = factor[1]
+
+        def E(x, y):
+            return n * n * q + 6 * n * (x - n) * ((y + q * x) // n)
+    elif factor[0] == "S":
+        def E(x, y):
+            return -3 * n * n - (6 * n * (y - n) if x else 0)
+    else:
+        def E(x, y):
+            return -6 * n * (y - (x if y else 0)) if x else 0
+
+    def K(x, y):
+        qx, rx = divmod(c * x, n)
+        return 6 * n * (c * y // n * (rx - n) + qx * (n - c * y))
+
+    (g00, g01), (g10, g11) = _word_matrix(factor)
+    out = []
+    for x, y in zip(space.a, space.b):
+        num = (K((x * g00 + y * g10) % n, (x * g01 + y * g11) % n) - K(x, y)
+               + c * c * E(x, y) - E(c * x % n, c * y % n))
+        val, rem = divmod(num, 12 * n * n)
+        assert rem == 0, "period not integral"
+        out.append(val)
+    return tuple(out)
+
+
+def _assembled_mu(gamma, p, level, c=None):
+    """mu_DR(gamma) assembled from the generator periods of sl2_word(gamma)
+    by the cocycle law mu(g h) = mu(h)|g^{-1} + mu(g)."""
+    c = default_c(p) if c is None else c
+    space = ball_space(p, level)
+    den = space.den
+    acc = [0] * len(space.a)
+    g_acc = ((1, 0), (0, 1))
+    for factor in sl2_word(gamma):
+        vals = _factor_measure(space, factor, c)
+        # (mu(f)|g_acc^{-1})(B_v) = mu(f)(B_{v g_acc})
+        acc = [x + vals[i] for x, i in zip(acc, _perm(space, g_acc))]
+        f = _word_matrix(factor)
+        g_acc = tuple(
+            tuple((sum(g_acc[i][k] * f[k][j] for k in range(2))) % den
+                  for j in range(2)) for i in range(2))
+    return BallMeasure(space, acc, measure_scale(c))
+
+
+def _per_ball_poisson(tau, level, ctx, c=None):
+    """poisson_JDR by square-and-multiply of every ball's sample point to
+    its exponent in the assembled measure."""
+    p = ctx.p
+    c = default_c(p) if c is None else c
+    A, B, _ = tau.form
+    (ga, gb), (gc, gd) = automorph(tau.form)
+    mu = _assembled_mu(((gd, -gb), (-gc, ga)), p, level, c)
+    sq = sqrtD_padic(ctx, tau.disc)
+    m, r = ctx.modulus, ctx.r
+    s0, s1 = sq.u0 * p ** sq.v % m, sq.u1 * p ** sq.v % m
+    num = den_acc = (1, 0)
+
+    def mul(x, y):
+        return ((x[0] * y[0] + r * x[1] * y[1]) % m,
+                (x[0] * y[1] + x[1] * y[0]) % m)
+
+    for x, y, e in zip(mu.space.a, mu.space.b, mu.values):
+        base = ((2 * A * y - B * x + x * s0) % m, (x * s1) % m)
+        acc = (1, 0)
+        k = abs(e)
+        while k:
+            if k & 1:
+                acc = mul(acc, base)
+            base = mul(base, base)
+            k >>= 1
+        if e > 0:
+            num = mul(num, acc)
+        else:
+            den_acc = mul(den_acc, acc)
+    J = ctx.from_coords(*num) / ctx.from_coords(*den_acc)
+    return padic_exp(iwasawa_log(J) / ctx.from_int(2 * measure_scale(c)))
+
+
+@pytest.mark.parametrize("p, c_other", [(5, 11), (7, 11), (11, 13)])
+def test_mu_DR_matches_assembled_oracle(p, c_other):
+    # the telescoped identity gives the word assembly's value on every ball
+    rng = random.Random(100 + p)
+    for level in (1, 2, 3) if p == 5 else (1, 2):
+        for c in (None, c_other):
+            # alternately from SL2(Z) and Gamma_0(p)
+            for i in range(4 if level < 3 else 2):
+                g = random_gamma0(rng, (1, p)[i % 2])
+                assert mu_DR(g, p, level, c).values == \
+                    _assembled_mu(g, p, level, c).values, (g, level, c)
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_poisson_matches_per_ball_oracle(level):
+    ctx = PadicContext(5, 16)
+    group = NarrowClassGroup(12)
+    tau = group.rm_representative(group.identity)
+    assert poisson_JDR(tau, level, ctx).to_json() == \
+        _per_ball_poisson(tau, level, ctx).to_json()
+
+
+def test_poisson_builds_no_ball_space(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ball space built")
+    monkeypatch.setattr(siegelmeasure, "ball_space", refuse)
+    monkeypatch.setattr(BallSpace, "__init__", refuse)
+    ctx = PadicContext(5, 10)
+    group = NarrowClassGroup(12)
+    poisson_JDR(group.rm_representative(group.identity), 2, ctx)
+
+
+def test_level_must_be_positive():
+    ctx = PadicContext(5, 10)
+    group = NarrowClassGroup(12)
+    tau = group.rm_representative(group.identity)
+    for level in (0, -1):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            mu_DR(((1, 1), (0, 1)), 5, level)
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            poisson_JDR(tau, level, ctx)
+
+
+# --------------------------------------------------------------------------
 # the measure
 # --------------------------------------------------------------------------
 
@@ -228,7 +389,7 @@ def test_measure_cocycle_law():
         m12 = mu_DR(_matmul(g1, g2), 5, 2)
         m1 = mu_DR(g1, 5, 2)
         m2 = mu_DR(g2, 5, 2)
-        rhs = [x + y for x, y in zip(m2.acted(_inv(g1)).values, m1.values)]
+        rhs = [x + y for x, y in zip(_acted(m2, _inv(g1)).values, m1.values)]
         assert m12.values == rhs
 
 
