@@ -28,9 +28,9 @@ from .modforms import QSeries
 from .padic import (DualScalar, PadicContext, PadicScalar, iwasawa_log)
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
                         TotallyPositiveElement, _split_exponent,
-                        _sqrtD_coords, check_inert, embed_quadnum,
-                        factor_alpha, genus_value, progression_start,
-                        sieve_trace, splitting_type)
+                        check_inert, embed_quadnum, factor_alpha,
+                        genus_value, progression_start, sieve_trace,
+                        splitting_type, sqrtD_padic)
 
 # revision of the coefficient kernel: bumped by every change that can move a
 # coefficient's digits below its certified precision or its slack, so that
@@ -237,7 +237,7 @@ def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
     unit = ctx.from_int(num)
     if 0 in zeros:
         # alpha_0^mass, alpha_0 = (s + n sqrt(D))/2 / p^k, in Z_{p^2}
-        a0, a1 = _sqrtD_coords(p, ctx.prec, D)
+        sq = sqrtD_padic(ctx, D)        # a unit, since p is inert
         half = pow(2, -1, M)
         masses = ctx.one()
         for i, s in enumerate(svals):
@@ -247,8 +247,8 @@ def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
             while s % p == 0 and m % p == 0:
                 s //= p
                 m //= p
-            alpha0 = ctx.from_coords((s + m * a0) * half % M,
-                                     m * a1 * half % M)
+            alpha0 = ctx.from_coords((s + m * sq.u0) * half % M,
+                                     m * sq.u1 * half % M)
             masses = masses * alpha0 ** mass[i]
         unit = unit / masses
     return unit

@@ -13,18 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
-
-from sympy import Poly, Symbol, factorint
 
 from .eisenstein import (LogCache, diag_coefficient,
                          accelerated_ordinary_projection)
 from .lattice import AlgdepResult, algdep_padic
 from .modforms import QSeries, FitResult, basis_for_level, fit_to_basis
 from .padic import (PadicContext, PadicScalar, _vp, iwasawa_log, padic_exp,
-                    teichmuller)
+                    sqrt_rational, teichmuller)
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, RMPoint,
-                        check_inert, has_norm_minus_one, next_prime,
+                        check_inert, factor, has_norm_minus_one, next_prime,
                         partial_zeta_zero)
 
 
@@ -116,7 +115,7 @@ def _teichmuller_generator(ctx: PadicContext) -> PadicScalar:
     """A Teichmuller representative generating the full (p^2 - 1)-torsion."""
     p = ctx.p
     order = p * p - 1
-    primes = list(factorint(order))
+    primes = list(factor(order))
     for c in range(p):
         g = teichmuller(ctx.omega() + ctx.from_int(c))
         if all(not (g ** (order // ell)).equals(ctx.one())
@@ -208,12 +207,25 @@ def is_reciprocal_up_to_p_power(coeffs, p: int) -> bool:
     return all(l == lam * c for l, c in zip(lhs, coeffs))
 
 
+def _splits_mod(coeffs, q: int) -> bool:
+    """True if the polynomial (low to high, leading coefficient prime to q)
+    is a product of linear factors mod q: dividing out its roots r in F_q,
+    each as often as it recurs, uses up the whole degree."""
+    f, r = [c % q for c in coeffs], 0
+    while len(f) > 1 and r < q:
+        # synthetic division by x - r: quotient from the top, then f(r)
+        *quo, rem = accumulate(reversed(f), lambda a, c: (a * r + c) % q)
+        if rem:
+            r += 1
+        else:
+            f = quo[::-1]
+    return len(f) == 1
+
+
 def splitting_fraction(coeffs, residues, modulus: int,
                        num_primes: int = 50, start: int = 2) -> float:
     """Fraction of the first `num_primes` primes q = residues (mod modulus)
     modulo which the polynomial factors completely into linear pieces."""
-    x = Symbol("x")
-    poly = sum(c * x ** i for i, c in enumerate(coeffs))
     lead = coeffs[-1]
     hits = tried = 0
     q = start
@@ -222,9 +234,7 @@ def splitting_fraction(coeffs, residues, modulus: int,
         if q % modulus not in residues or lead % q == 0:
             continue
         tried += 1
-        factors = Poly(poly, x, modulus=q).factor_list()[1]
-        if all(f.degree() <= 1 for f, _ in factors):
-            hits += 1
+        hits += _splits_mod(coeffs, q)
     return hits / num_primes
 
 
@@ -303,33 +313,11 @@ def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,
 # L-invariants from the recognized unit
 # --------------------------------------------------------------------------
 
-def _sqrt_rational(ctx: PadicContext, q: Fraction) -> PadicScalar:
-    """Square root of a nonzero rational in Q_{p^2} (valuation must be
-    even; a nonresidue unit part picks up the omega direction)."""
-    q = Fraction(q)
-    if q == 0:
-        return ctx.zero()
-    p = ctx.p
-    vnum, vden = _vp(q.numerator, p), _vp(q.denominator, p)
-    num, den = q.numerator // p ** vnum, q.denominator // p ** vden
-    v = vnum - vden
-    if v % 2:
-        raise ValueError("odd valuation: square root leaves the field")
-    unit = num * pow(den, -1, ctx.modulus) % ctx.modulus
-    if pow(unit % p, (p - 1) // 2, p) == 1:
-        out = ctx.from_int(ctx.sqrt_zp(unit))
-    else:
-        # divide by the nonresidue r = omega^2, take sqrt, restore omega
-        unit = unit * pow(ctx.r, -1, ctx.modulus) % ctx.modulus
-        out = ctx.omega() * ctx.from_int(ctx.sqrt_zp(unit))
-    return out * ctx.from_rational(Fraction(p) ** (v // 2))
-
-
 def quadratic_roots(coeffs, ctx: PadicContext) -> tuple:
     """Both roots in Q_{p^2} of an integer quadratic c0 + c1 x + c2 x^2."""
     c0, c1, c2 = coeffs
     disc = Fraction(c1 * c1 - 4 * c0 * c2)
-    sq = _sqrt_rational(ctx, disc)
+    sq = sqrt_rational(ctx, disc)
     inv2a = ctx.from_rational(Fraction(1, 2 * c2))
     b = ctx.from_int(-c1)
     return ((b + sq) * inv2a, (b - sq) * inv2a)

@@ -5,14 +5,16 @@ non-residue r mod p.  The unit part is tracked modulo p^N; division by p is a
 valuation shift and loses nothing, so the only precision loss comes from
 cancellation in addition (tracked per element as `slack`) and a flat charge on
 each log/exp call.
+
+It also holds the package's number-theory core: `_vp`, `legendre`, `sqrt_mod`
+(Tonelli-Shanks, least root; Cohen, GTM 138, Alg. 1.5.1), `is_prime`
+(Miller-Rabin, bases 2..41) and `sqrt_rational`, the one root in Q_{p^2}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy import isprime
 
 
 def _vp(n: int, p: int) -> int:
@@ -25,6 +27,60 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a | p) for an odd prime p, by Euler's criterion."""
+    e = pow(a, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e
+
+
+def _odd_part(n: int) -> tuple:
+    """(s, d) with n = 2^s * d and d odd, for n > 0."""
+    s = (n & -n).bit_length() - 1
+    return s, n >> s
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """The least square root of a modulo the prime p (Tonelli-Shanks)."""
+    a %= p
+    if a == 0 or p == 2:
+        return a
+    if legendre(a, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    s, q = _odd_part(p - 1)
+    t, x = pow(a, q, p), pow(a, (q + 1) // 2, p)
+    if t != 1:
+        c = pow(next(z for z in range(2, p) if legendre(z, p) == -1), q, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, x = t * c % p, x * b % p
+    return min(x, p - x)
+
+
+# Miller-Rabin with these 13 bases is exact below psi_13, the least strong
+# pseudoprime to all of them (Sorenson-Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n < psi_13; ValueError above it."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided below {_MR_LIMIT} only")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s, d = _odd_part(n - 1)
+    for b in _MR_BASES:
+        # b is a witness unless b^d = 1 or some b^(2^k d) = -1, k < s
+        x = pow(b, d, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << k, n) for k in range(s)):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class PadicContext:
     """Parameters (p, N) plus the derived non-residue r defining Q_{p^2}."""
@@ -33,14 +89,14 @@ class PadicContext:
     prec: int
 
     def __post_init__(self):
-        if self.p < 5 or not isprime(self.p):
+        if self.p < 5 or not is_prime(self.p):
             raise ValueError(f"p must be a prime >= 5, got {self.p}")
         if self.prec < 1:
             raise ValueError("precision must be >= 1")
         # derived once: every arithmetic operation reads them
         p = self.p
         object.__setattr__(self, "_r", next(
-            r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1))
+            r for r in range(2, p) if legendre(r, p) == -1))
         object.__setattr__(self, "_modulus", p ** self.prec)
 
     @property
@@ -87,16 +143,12 @@ class PadicContext:
                            (a1 // pk) % self.modulus)
 
     def sqrt_zp(self, a: int) -> int:
-        """A square root of a in Z_p (unit a, (a|p) = 1), as int mod p^N."""
+        """The square root of a in Z_p (unit a, (a|p) = 1) lifting the least
+        root mod p, as int mod p^N."""
         p, N = self.p, self.prec
-        if a % p == 0 or pow(a % p, (p - 1) // 2, p) != 1:
+        if legendre(a, p) != 1:
             raise ValueError("not a unit square in Z_p")
-        # Tonelli–Shanks is overkill mod p; p = 4k+3 shortcut else search
-        if p % 4 == 3:
-            x = pow(a % p, (p + 1) // 4, p)
-        else:
-            x = next(x for x in range(1, p) if x * x % p == a % p)
-        k, pk = 1, p
+        x, k = sqrt_mod(a, p), 1
         while k < N:  # Hensel with modulus doubling
             k = min(2 * k, N)
             pk = p ** k
@@ -404,6 +456,29 @@ def teichmuller(x: PadicScalar) -> PadicScalar:
             return nxt
         z = nxt
     return z
+
+
+def sqrt_rational(ctx: PadicContext, q) -> PadicScalar:
+    """Square root of a rational in Q_{p^2} (valuation must be even; a
+    nonresidue unit part picks up the omega direction).  The unit part is
+    the lift `sqrt_zp` of the least root mod p."""
+    q = Fraction(q)
+    if q == 0:
+        return ctx.zero()
+    p = ctx.p
+    vnum, vden = _vp(q.numerator, p), _vp(q.denominator, p)
+    num, den = q.numerator // p ** vnum, q.denominator // p ** vden
+    v = vnum - vden
+    if v % 2:
+        raise ValueError("odd valuation: square root leaves the field")
+    unit = num * pow(den, -1, ctx.modulus) % ctx.modulus
+    if legendre(unit, p) == 1:
+        out = ctx.from_int(ctx.sqrt_zp(unit))
+    else:
+        # divide by the nonresidue r = omega^2, take sqrt, restore omega
+        unit = unit * pow(ctx.r, -1, ctx.modulus) % ctx.modulus
+        out = ctx.omega() * ctx.from_int(ctx.sqrt_zp(unit))
+    return out * ctx.from_rational(Fraction(p) ** (v // 2))
 
 
 # -- dual numbers ------------------------------------------------------------

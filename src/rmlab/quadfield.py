@@ -7,6 +7,9 @@ machinery, exact elements a + b*sqrt(D), ideal arithmetic in Hermite normal
 form, totally-positive trace enumeration with a sieve that factors the norms
 of a whole trace level, and partial zeta values at s = 0 (reduced-cycle
 formula, with a Shintani cone sum as the independent oracle).
+
+`factor` (trial division) and `next_prime` serve the integers met outside the
+sieve: discriminants and norms of small elements.
 """
 
 from __future__ import annotations
@@ -15,26 +18,43 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt
 
-from sympy import divisors, factorint
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
-from .padic import PadicContext, PadicScalar, _vp
+from .padic import (PadicContext, PadicScalar, _vp, is_prime, legendre,
+                    sqrt_mod, sqrt_rational)
 
 
 # --------------------------------------------------------------------------
-# discriminants and exact field elements
+# integers, discriminants and exact field elements
 # --------------------------------------------------------------------------
+
+def factor(n: int) -> dict:
+    """Prime factorization {q: e} of n >= 1, by trial division."""
+    out, q = {}, 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def next_prime(q: int) -> int:
+    """The least prime above q."""
+    return next(n for n in count(q + 1) if is_prime(n))
+
 
 def is_fundamental_discriminant(D: int) -> bool:
     if D <= 0 or isqrt(D) ** 2 == D:
         return False
     if D % 4 == 1:
-        return all(e == 1 for e in factorint(D).values())
+        return all(e == 1 for e in factor(D).values())
     if D % 4 == 0:
         m = D // 4
-        return m % 4 in (2, 3) and all(e == 1 for e in factorint(m).values())
+        return m % 4 in (2, 3) and all(e == 1 for e in factor(m).values())
     return False
 
 
@@ -432,7 +452,7 @@ def genus_value(D: int, d: int, q: int) -> int:
         d = D // d
     if q == 2:
         return 1 if d % 8 == 1 else -1
-    return 1 if pow(d % q, (q - 1) // 2, q) == 1 else -1
+    return legendre(d, q)
 
 
 class NarrowClassGroup:
@@ -469,8 +489,8 @@ class NarrowClassGroup:
         # kept under the smaller |d|
         self.genus = {tuple(genus_value(D, d, P.norm)
                             for P in self.prime_of_class): d
-                      for m in reversed(divisors(D)) for d in (m, -m)
-                      if d % 4 < 2 and D // d % 4 < 2}
+                      for m in range(D, 0, -1) if D % m == 0
+                      for d in (m, -m) if d % 4 < 2 and D // d % 4 < 2}
         self.characters = sorted(self.genus, reverse=True)
 
     # -- lookups ------------------------------------------------------------
@@ -645,7 +665,7 @@ def splitting_type(D: int, q: int) -> str:
         return "ramified"
     if q == 2:
         return "split" if D % 8 == 1 else "inert"
-    return "split" if pow(D % q, (q - 1) // 2, q) == 1 else "inert"
+    return "split" if legendre(D, q) == 1 else "inert"
 
 
 def check_inert(D: int, p: int):
@@ -715,7 +735,7 @@ def factor_alpha(D: int, alpha: QuadNum):
     u, v = co
     N = abs(alpha.norm())
     assert N.denominator == 1
-    return [pair for q, e in sorted(factorint(int(N)).items())
+    return [pair for q, e in sorted(factor(int(N)).items())
             for pair in prime_pairs(D, q, e, u, v)]
 
 
@@ -906,25 +926,9 @@ def sieve_trace(n: int, D: int, skip: int = 0) -> tuple:
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _sqrtD_coords(p: int, N: int, D: int):
-    ctx = PadicContext(p, N)
-    if D % p == 0:
-        raise ValueError("p ramified in Q(sqrt(D)): unsupported embedding")
-    M = ctx.modulus
-    if pow(D % p, (p - 1) // 2, p) == 1:
-        s = ctx.sqrt_zp(D % M)
-        if s % p > p // 2:
-            s = (-s) % M
-        return (s, 0)
-    b = ctx.sqrt_zp(D * pow(ctx.r, -1, M) % M)
-    if b % p > p // 2:
-        b = (-b) % M
-    return (0, b)
-
-
 def sqrtD_padic(ctx: PadicContext, D: int) -> PadicScalar:
-    a0, a1 = _sqrtD_coords(ctx.p, ctx.prec, D)
-    return ctx.from_coords(a0, a1)
+    """sqrt(D) in Q_{p^2}: `sqrt_rational`, once per (ctx, D)."""
+    return sqrt_rational(ctx, D)
 
 
 def embed_quadnum(x: QuadNum, ctx: PadicContext) -> PadicScalar:
@@ -1037,8 +1041,3 @@ def shintani_zeta_zero(group: NarrowClassGroup, class_idx: int) -> Fraction:
             total += (_B1(x1) * _B1(x2)
                       + Fraction(t, 4) * (_B2(x1) + _B2(x2)))
     return total - Fraction(1, 2)
-
-
-def next_prime(q: int) -> int:
-    from sympy import nextprime
-    return nextprime(q)

@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import gcd
 
 from .padic import PadicContext, PadicScalar, iwasawa_log, padic_exp
-from .quadfield import RMPoint, automorph, sqrtD_padic
+from .quadfield import RMPoint, automorph, check_inert, sqrtD_padic
 
 
 # --------------------------------------------------------------------------
@@ -291,15 +291,13 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
     if exponent % p == 0:
         raise ValueError("(c^2 - 1)/12 must be prime to p")
     D = tau.disc
-    if D % p == 0:
-        raise ValueError("discriminant must be prime to p")
+    check_inert(D, p)
     A, B, _ = tau.form
     if A % p == 0:
         raise ValueError("sample normalization needs p coprime to A")
     (ga, gb), (gc, gd) = automorph(tau.form)
-    sq = sqrtD_padic(ctx, D)
-    s0 = (sq.u0 * p ** sq.v) % ctx.modulus if not sq.is_zero else 0
-    s1 = (sq.u1 * p ** sq.v) % ctx.modulus if not sq.is_zero else 0
+    sq = sqrtD_padic(ctx, D)            # a unit, since p is inert
+    s0, s1 = sq.u0, sq.u1
     m, r = ctx.modulus, ctx.r
 
     def mul(x, y):

@@ -51,6 +51,11 @@ def test_cli_needs_no_third_party_package_but_sympy():
     assert extra == {"rmlab"}
 
 
+def test_cli_loads_no_third_party_package():
+    assert (_top_level_modules_after("import rmlab.cli")
+            - _top_level_modules_after("pass")) == {"rmlab"}
+
+
 def test_winding_matches_library(capsys):
     code, rep = run(capsys, ["--disc", "12", "--p", "5", "--prec", "10",
                              "winding", "--n", "2"])
@@ -66,6 +71,14 @@ def test_invalid_instance_exits_2(capsys):
                              "--nmax", "3", "gtau"])
     assert code == EXIT_INVALID
     assert "inert" in rep["error"]
+
+
+def test_prime_beyond_proven_primality_range_exits_2(capsys):
+    # psi_13 is composite, yet a strong probable prime to every base 2..41
+    code, rep = run(capsys, ["--p", "3317044064679887385961981", "--prec",
+                             "8", "--nmax", "3", "gtau"])
+    assert code == EXIT_INVALID
+    assert "primality" in rep["error"]
 
 
 def test_nonfundamental_disc_exits_2(capsys):
@@ -125,6 +138,14 @@ def test_jdr(capsys):
     assert code == EXIT_OK
     value = PadicScalar.from_json(rep["JDR"])
     assert value.v == 0  # principal unit representative
+
+
+def test_jdr_refuses_split_prime(capsys):
+    # 8 = 1 (mod 7): p = 7 splits in Q(sqrt(2))
+    code, rep = run(capsys, ["--disc", "8", "--p", "7", "--prec", "10",
+                             "jdr", "--level", "2"])
+    assert code == EXIT_INVALID
+    assert "inert" in rep["error"]
 
 
 @pytest.mark.parametrize("level", ["0", "-1"])

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from rmlab.gsunits import (UnitCandidate, _sqrt_rational,
-                           _teichmuller_generator, generating_series,
-                           is_reciprocal_up_to_p_power,
+from rmlab.gsunits import (UnitCandidate, _teichmuller_generator,
+                           generating_series, is_reciprocal_up_to_p_power,
                            l_invariants_from_unit, newton_slopes,
                            quadratic_roots, recognize, splitting_fraction,
                            unit_from_constant_term, valuation_predictions)
 from rmlab.lattice import eval_poly
-from rmlab.padic import PadicContext, iwasawa_log, padic_exp
+from rmlab.padic import PadicContext, iwasawa_log, padic_exp, sqrt_rational
 from rmlab.quadfield import NarrowClassGroup
 
 
@@ -215,7 +214,7 @@ def test_sqrt_rational_roundtrip():
         while q.denominator % 5 ** (abs(v) + 1) == 0:
             break
         try:
-            s = _sqrt_rational(ctx, q)
+            s = sqrt_rational(ctx, q)
         except ValueError:
             continue
         done += 1
@@ -226,7 +225,7 @@ def test_sqrt_rational_roundtrip():
 def test_sqrt_rational_odd_valuation_rejected():
     ctx = PadicContext(5, 10)
     with pytest.raises(ValueError):
-        _sqrt_rational(ctx, Fraction(5))
+        sqrt_rational(ctx, Fraction(5))
 
 
 def test_quadratic_roots_satisfy_polynomial():

@@ -1,0 +1,151 @@
+"""The standard-library number-theory core against sympy as an oracle:
+primality, factorization, modular square roots and the split test of the
+recognition stage."""
+
+import random
+
+import pytest
+from sympy import Poly, factorint, isprime, primerange, symbols
+from sympy import sqrt_mod as sympy_sqrt_mod
+
+from rmlab.gsunits import _splits_mod
+from rmlab.padic import is_prime, legendre, sqrt_mod
+from rmlab.quadfield import factor, next_prime
+
+# least strong pseudoprimes to the first k prime bases (OEIS A014233)
+PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751,
+       5: 2152302898747, 6: 3474749660383, 7: 341550071728321,
+       8: 341550071728321, 9: 3825123056546413051,
+       10: 3825123056546413051, 11: 3825123056546413051,
+       12: 318665857834031151167461, 13: 3317044064679887385961981}
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _strong_probable_prime(n, b):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(b, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_is_prime_matches_sympy_below_2e5():
+    assert [n for n in range(200_000) if is_prime(n)] == \
+        [n for n in range(200_000) if isprime(n)]
+
+
+def test_is_prime_matches_sympy_on_random_large():
+    rng = random.Random(3)
+    for _ in range(3000):
+        n = rng.randrange(10 ** 24)
+        assert is_prime(n) == isprime(n), n
+    for n in (PSI[13] - 2, 10 ** 24 - 1):
+        assert is_prime(n) == isprime(n)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_strong_pseudoprimes_are_composite(k):
+    n = PSI[k]
+    assert all(_strong_probable_prime(n, b) for b in BASES[:k])
+    assert not isprime(n)
+    assert not is_prime(n)
+
+
+def test_psi12_needs_base_41():
+    # psi_12 passes every base up to 37: only 41 exposes it
+    assert all(_strong_probable_prime(PSI[12], b) for b in BASES[:12])
+    assert not _strong_probable_prime(PSI[12], 41)
+
+
+def test_is_prime_refuses_beyond_its_proven_range():
+    # psi_13 is composite but passes all 13 bases
+    assert all(_strong_probable_prime(PSI[13], b) for b in BASES)
+    for n in (PSI[13], PSI[13] + 2, 10 ** 30):
+        with pytest.raises(ValueError):
+            is_prime(n)
+
+
+def test_next_prime():
+    assert [next_prime(q) for q in (-3, 0, 1, 2, 3, 4, 13, 7919)] == \
+        [2, 2, 2, 3, 5, 5, 17, 7927]
+
+
+def test_factor_matches_factorint():
+    for n in range(1, 100_001):
+        assert factor(n) == factorint(n), n
+
+
+def test_legendre_values():
+    for p in (3, 5, 7, 13):
+        squares = {x * x % p for x in range(1, p)}
+        assert [legendre(a, p) for a in range(p)] == \
+            [0] + [1 if a in squares else -1 for a in range(1, p)]
+
+
+def test_sqrt_mod_is_sympys_least_root():
+    # every square mod every prime below 5000 against the least x with
+    # x^2 = a, and against sympy.sqrt_mod, whose root order _hensel_root
+    # was written for, on every square below 500 and on a sample above
+    # (all 774,403 sympy calls would take about 15 s)
+    rng = random.Random(7)
+    for p in primerange(2, 5000):
+        least = {}
+        for x in range(p // 2, -1, -1):
+            least[x * x % p] = x
+        for a, x in least.items():
+            assert sqrt_mod(a, p) == x, (a, p)
+        for a in (least if p < 500 else rng.sample(sorted(least), 8)):
+            assert sympy_sqrt_mod(a, p) == least[a], (a, p)
+        if p > 2:
+            a = next(a for a in range(p) if a not in least)
+            with pytest.raises(ValueError):
+                sqrt_mod(a, p)
+
+
+def _mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def _random_poly(rng, q):
+    """Integer coefficients (low to high) of degree <= 4 with leading
+    coefficient prime to q: half at random, half products of monic factors
+    of degree 1 or 2, each taken once or twice."""
+    while True:
+        if rng.random() < 0.5:
+            coeffs = [rng.randrange(-50, 51) for _ in range(rng.randint(1, 5))]
+        else:
+            coeffs = [rng.choice((1, 2, -3))]
+            while True:
+                f = [rng.randrange(q) for _ in range(rng.randint(1, 2))] + [1]
+                e = rng.randint(1, 2)
+                if len(coeffs) - 1 + e * (len(f) - 1) > 4:
+                    break
+                for _ in range(e):
+                    coeffs = _mul(coeffs, f)
+        if coeffs[-1] % q:
+            return coeffs
+
+
+def test_splits_mod_matches_factor_list():
+    x = symbols("x")
+    rng = random.Random(5)
+    primes = list(primerange(3, 200))
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        q = rng.choice(primes)
+        coeffs = _random_poly(rng, q)
+        poly = Poly(list(reversed(coeffs)), x, modulus=q)
+        expected = all(f.degree() <= 1 for f, _ in poly.factor_list()[1])
+        assert _splits_mod(coeffs, q) == expected, (coeffs, q)
+        seen[expected] += 1
+    assert min(seen.values()) >= 40

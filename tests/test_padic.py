@@ -30,6 +30,20 @@ def test_context_nonresidue():
     assert pow(CTX.r, (5 - 1) // 2, 5) == 4
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_sqrt_zp_lifts_the_least_root(p):
+    # the root convention that sqrtD_padic and the flagship logs rely on
+    ctx = PadicContext(p, 12)
+    rng = random.Random(p)
+    for x0 in range(1, p // 2 + 1):
+        a = (x0 * x0 + p * rng.randrange(ctx.modulus)) % ctx.modulus
+        x = ctx.sqrt_zp(a)
+        assert x % p == x0
+        assert (x * x - a) % ctx.modulus == 0
+    with pytest.raises(ValueError):
+        ctx.sqrt_zp(ctx.r)
+
+
 def test_context_rejects_small_p():
     with pytest.raises(ValueError):
         PadicContext(3, 10)
