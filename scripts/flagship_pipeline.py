@@ -60,7 +60,8 @@ def main():
           f"(twist {rec.twist})")
     print(f"newton polygon ok: {rec.newton_ok}, "
           f"reciprocal up to p-power: {rec.reciprocal_ok}, "
-          f"split fraction at q = 1 mod 12: {rec.split_fraction:.2f}")
+          f"split fraction at the primes split completely in the genus "
+          f"field: {rec.split_fraction:.2f}")
     if rec.recognized and len(rec.polynomial) == 3:
         L1, L2 = l_invariants_from_unit(rec.polynomial, ctx)
         print(f"\nL-invariants (both embeddings):")

@@ -2,35 +2,34 @@
 real quadratic field, their diagonal restrictions, and ordinary projection.
 
 Every coefficient is a psi-weighted sum over the p-coprime ideal divisors I of
-(nu)*(different), of 1 and of log Nm I.  For one nu, `divisor_sums`
-evaluates both by the product formula over the prime factorization, without
-listing divisors; each family coefficient is a closed form in its two sums.
-The diagonal restriction coefficient `diag_coefficient` sums the same
-product formula over a whole trace level in one integer pass: the norms of
-the level are factored together by a sieve (`quadfield.sieve_trace`), the
-psi-weighted log terms are collected as an integer exponent per rational
-prime, and one p-adic log is taken per coefficient.  Because the nu of trace
-n p divisible by p are p times those of trace n, a level builds on the one
-below it when the caller's `LogCache` holds it.  The ordinary projection of
-the diagonal restriction derivative is the limit of its coefficients at
-indices n * p^m, extrapolated by iterated Shanks steps
-(`accelerated_ordinary_projection`); plain stabilization at n * p^{2m}
-(`ordinary_projection`) is kept as a check.
+(nu)*(different), of 1 and of log Nm I.  One kernel, `_fold`, evaluates both
+by the product formula over the prime factorization of the norm, without
+listing divisors: on one nu in `divisor_sums`, where each family coefficient
+is a closed form in the two sums, and on a whole trace level in
+`diag_coefficient`, whose norms are factored together by a sieve
+(`quadfield.sieve_trace`); the psi-weighted log terms are collected as an
+integer exponent per rational prime, and one p-adic log is taken per
+coefficient.  Because the nu of trace n p divisible by p are p times those
+of trace n, every level with p | n is the level n/p plus its p-primitive
+nu.  The ordinary projection of the diagonal restriction derivative is the
+limit of its coefficients at indices n * p^m, extrapolated by iterated
+Shanks steps (`accelerated_ordinary_projection`); plain stabilization at
+n * p^{2m} (`ordinary_projection`) is kept as a check.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from .modforms import QSeries
-from .padic import (DualScalar, PadicContext, PadicScalar, iwasawa_log)
+from .padic import DualScalar, PadicContext, PadicScalar, _vp, iwasawa_log
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
                         TotallyPositiveElement, _split_exponent,
-                        check_inert, embed_quadnum, factor_alpha,
-                        genus_value, progression_start, sieve_trace,
-                        splitting_type, sqrtD_padic)
+                        check_inert, embed_quadnum, factor, genus_value,
+                        progression_start, sieve_trace, splitting_type,
+                        sqrtD_padic)
 
 # revision of the coefficient kernel: bumped by every change that can move a
 # coefficient's digits below its certified precision or its slack, so that
@@ -53,23 +52,6 @@ class LogCache:
         return self._cache[n]
 
 
-def _local_factors(alpha: QuadNum, chi: tuple,
-                   engine: IdealDivisorEngine) -> list:
-    """(A, C, Nm P, psi(P)^e) for each P^e exactly dividing (alpha) with P
-    coprime to p, where A = sum_{k <= e} psi(P)^k and
-    C = sum_{k <= e} k psi(P)^k.  psi is the genus character
-    `group.genus[chi]`, read at the rational prime q = P.a under P; the
-    prime over an inert q is (q), narrowly principal, so psi(P) = 1."""
-    d = engine.group.genus[chi]
-    out = []
-    for P, e in factor_alpha(engine.D, alpha):
-        if P.a == engine.p:
-            continue
-        x = genus_value(engine.D, d, P.a) if P.c == 1 else 1
-        out.append(_geometric(x, e) + (P.norm, x ** e))
-    return out
-
-
 def _geometric(x: int, e: int) -> tuple:
     """(A, C) = (sum_{k <= e} x^k, sum_{k <= e} k x^k) for x = +-1."""
     if x == 1:
@@ -77,32 +59,86 @@ def _geometric(x: int, e: int) -> tuple:
     return (1, e // 2) if e % 2 == 0 else (0, -(e + 1) // 2)
 
 
+def _fold(D: int, d: int, n: int, svals, owner, primes, exps) -> tuple:
+    """The product formula on records in the form of `sieve_trace`: q^e
+    exactly divides the norm of alpha_i = (svals[i] + n sqrt(D))/2 for
+    (i, q, e) in zip(owner, primes, exps); no record is of p.
+
+    A record gets the local (A, C) = (sum_{k <= e} psi(P)^k,
+    sum_{k <= e} k psi(P)^k) of the P^e over q dividing alpha_i, psi being
+    the genus character of d (`genus_value`): an inert q gives P = (q),
+    narrowly principal, with Nm P = q^2, so its C counts twice; the two
+    primes over a split q are folded into one record.  Returns (mass, expo):
+    per element the product of its A, and per q the exponent E_q, the sum
+    of C times the product of the element's other A, so that the elements'
+    psi-weighted sums of log Nm I add up to sum_q E_q log q."""
+    chis = {}
+    rec_a, rec_c = array("q"), array("q")
+    zeros = [0] * len(svals)     # count of the element's vanishing A
+    mass = [1] * len(svals)      # product of the element's non-zero A
+    for i, q, e in zip(owner, primes, exps):
+        x = chis.get(q)
+        if x is None:
+            x = chis[q] = genus_value(D, d, q)
+        if e == 1 or D % q == 0:             # one prime P, Nm P = q
+            A, C = _geometric(x, e)
+        elif splitting_type(D, q) == "inert":    # P = (q), Nm P = q^2
+            A, C = _geometric(1, e // 2)
+            C *= 2
+        elif n % q:              # q not dividing alpha: one of the two primes
+            A, C = _geometric(x, e)
+        else:
+            v1 = _split_exponent(D, q, e, (svals[i] - n * D) // 2, n)
+            A1, C1 = _geometric(x, v1)
+            A2, C2 = _geometric(x, e - v1)
+            A, C = A1 * A2, A2 * C1 + A1 * C2
+        rec_a.append(A)
+        rec_c.append(C)
+        if A:
+            mass[i] *= A
+        else:
+            zeros[i] += 1
+    expo = {}
+    for i, q, A, C in zip(owner, primes, rec_a, rec_c):
+        if C:
+            z = zeros[i]
+            cof = (0 if z else mass[i] // A) if A else \
+                (mass[i] if z == 1 else 0)
+            if cof:
+                expo[q] = expo.get(q, 0) + C * cof
+    return [0 if z else m for m, z in zip(mass, zeros)], expo
+
+
+def _fold_element(alpha: QuadNum, chi: tuple,
+                  engine: IdealDivisorEngine) -> tuple:
+    """`_fold` on the one element alpha: (mass, expo).  The record of p is
+    dropped: (p) divides no p-coprime divisor."""
+    u, v = alpha.coords_in_order()
+    local = factor(abs(int(alpha.norm())))
+    local.pop(engine.p, None)
+    mass, expo = _fold(engine.D, engine.group.genus[chi], v,
+                       [2 * u + v * engine.D], [0] * len(local),
+                       list(local), list(local.values()))
+    return mass[0], expo
+
+
 def divisor_sums(alpha: QuadNum, chi: tuple, engine: IdealDivisorEngine,
                  logs: LogCache) -> tuple:
-    """The divisor-sum kernel: (mass, log_sum, psi((alpha))) with
-    mass = sum psi(I) and log_sum = sum psi(I) log Nm I over the p-coprime
-    divisors I of (alpha).
-
-    Both factor over the primes P_i^{e_i} || (alpha): mass = prod_i A_i and
-    log_sum = sum_i (prod_{j != i} A_j) C_i log Nm P_i (see `_local_factors`),
-    so no divisor list is built, and no log is taken when two or more A_i
-    vanish.  psi((alpha)) = prod_i psi(P_i)^{e_i}: the prime over the inert p
-    is (p), narrowly principal, so it adds nothing."""
-    local = _local_factors(alpha, chi, engine)
-    masses = [A for A, _, _, _ in local]
+    """(mass, log_sum) with mass = sum psi(I) and
+    log_sum = sum psi(I) log Nm I over the p-coprime divisors I of (alpha),
+    by the product formula of `_fold`: no divisor list is built, and no log
+    is taken when two or more local A vanish."""
+    mass, expo = _fold_element(alpha, chi, engine)
     log_sum = logs.ctx.zero()
-    if masses.count(0) <= 1:
-        for i, (_, C, q, _) in enumerate(local):
-            cof = prod(masses[:i] + masses[i + 1:])
-            if C and cof:
-                log_sum = log_sum + logs.log_int(q) * (cof * C)
-    return prod(masses), log_sum, prod(s for _, _, _, s in local)
+    for q, E in expo.items():
+        log_sum = log_sum + logs.log_int(q) * E
+    return mass, log_sum
 
 
 def sigma_psi(nu: TotallyPositiveElement, chi: tuple,
               engine: IdealDivisorEngine) -> int:
     """Sum of psi(I) over p-coprime divisors I of (nu) * different."""
-    return prod(A for A, _, _, _ in _local_factors(nu.alpha, chi, engine))
+    return _fold_element(nu.alpha, chi, engine)[0]
 
 
 def eis_family_coeff(pair: str, nu: TotallyPositiveElement, chi: tuple,
@@ -114,9 +150,11 @@ def eis_family_coeff(pair: str, nu: TotallyPositiveElement, chi: tuple,
     if pair not in ("1,psi", "psi,1"):
         raise ValueError("unsupported character pair")
     logs = logs or LogCache(ctx)
-    mass, log_sum, psi_alpha = divisor_sums(nu.alpha, chi, engine, logs)
+    mass, log_sum = divisor_sums(nu.alpha, chi, engine, logs)
     if pair == "psi,1":
-        # psi(cofactor) = psi((alpha)) psi(I) for quadratic psi
+        # psi(cofactor) = psi((alpha)) psi(I) for quadratic psi, and
+        # (alpha) = (nu)(sqrt(D)), nu >> 0, is in the class of the different
+        psi_alpha = chi[engine.group.different_class]
         mass, log_sum = psi_alpha * mass, log_sum * psi_alpha
     return DualScalar(ctx.from_int(mass), log_sum)
 
@@ -134,7 +172,7 @@ def antiparallel_coeff(nu: TotallyPositiveElement, chi: tuple,
         raise ArithmeticError("degenerate total L-invariant")
     logs = logs or LogCache(ctx)
     nu0 = nu.deprived(engine.p)
-    mass, log_sum, _ = divisor_sums(nu0.alpha, chi, engine, logs)
+    mass, log_sum = divisor_sums(nu0.alpha, chi, engine, logs)
     r1 = L1 * Ltot.inverse()
     r2 = L2 * Ltot.inverse()
     # log Nm(cofactor) = log Nm(alpha_0) - log Nm I
@@ -167,7 +205,7 @@ def dual_coeff_Fplus(nu: TotallyPositiveElement, chi: tuple,
     sum over I | (nu_0)*different of psi(I)(1 - eps log(nu_0 / Nm I))."""
     logs = logs or LogCache(ctx)
     nu0 = nu.deprived(engine.p)
-    mass, log_sum, _ = divisor_sums(nu0.alpha, chi, engine, logs)
+    mass, log_sum = divisor_sums(nu0.alpha, chi, engine, logs)
     b = log_sum
     if mass:
         b = b - iwasawa_log(embed_quadnum(nu0.nu, ctx)) * mass
@@ -175,81 +213,36 @@ def dual_coeff_Fplus(nu: TotallyPositiveElement, chi: tuple,
 
 
 def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
-                ctx: PadicContext, primitive: bool) -> PadicScalar:
+                ctx: PadicContext) -> PadicScalar:
     """The p-adic unit whose Iwasawa log is the trace-n sum of
-    `diag_coefficient`, over the p-primitive alpha only (p not dividing s)
-    when `primitive`.
+    `diag_coefficient` over the p-primitive alpha, those with p not dividing
+    s when p | n (all of them otherwise).
 
-    One integer pass: the norms are factored by `sieve_trace`; each record
-    q^e of an element gets its local (A, C) (see `_local_factors`), folded
-    over the primes above q, and C times the product of the element's other
-    A is added to an integer exponent E_q.  The unit is
-    prod q^{E_q} / prod alpha_0^{mass}."""
+    One integer pass: the norms are factored by `sieve_trace` and folded by
+    `_fold`.  The unit is prod q^{E_q} / prod alpha^{mass}."""
     D, p, M = engine.D, engine.p, ctx.modulus
-    d = engine.group.genus[chi]
-    svals, owner, primes, exps = sieve_trace(n, D, p if primitive else 0)
-    size = len(svals)
-    chis = {}
-    rec_a, rec_c = array("q"), array("q")
-    zeros = [0] * size           # count of the element's vanishing A
-    mass = [1] * size            # product of the element's non-zero A
-    if primitive:                # the p | s left out carry no mass either
+    skip = 0 if n % p else p
+    svals, owner, primes, exps = sieve_trace(n, D, skip)
+    mass, expo = _fold(D, engine.group.genus[chi], n, svals, owner, primes,
+                       exps)
+    if skip:                     # the p | s left out carry no mass either
         first = progression_start(svals, 0, p)
-        zeros[first::p] = [1] * len(range(first, size, p))
-    for i, q, e in zip(owner, primes, exps):
-        if q == p:               # (p) divides no p-coprime divisor
-            rec_a.append(1)
-            rec_c.append(0)
-            continue
-        x = chis.get(q)
-        if x is None:
-            x = chis[q] = genus_value(D, d, q)
-        if e == 1 or D % q == 0:             # one prime P, Nm P = q
-            A, C = _geometric(x, e)
-        elif splitting_type(D, q) == "inert":    # P = (q), Nm P = q^2
-            A, C = _geometric(1, e // 2)
-            C *= 2
-        elif n % q:              # q not dividing alpha: one of the two primes
-            A, C = _geometric(x, e)
-        else:
-            v1 = _split_exponent(D, q, e, (svals[i] - n * D) // 2, n)
-            A1, C1 = _geometric(x, v1)
-            A2, C2 = _geometric(x, e - v1)
-            A, C = A1 * A2, A2 * C1 + A1 * C2
-        rec_a.append(A)
-        rec_c.append(C)
-        if A:
-            mass[i] *= A
-        else:
-            zeros[i] += 1
-    expo = {}
-    for i, q, A, C in zip(owner, primes, rec_a, rec_c):
-        if C:
-            z = zeros[i]
-            cof = (0 if z else mass[i] // A) if A else \
-                (mass[i] if z == 1 else 0)
-            if cof:
-                expo[q] = expo.get(q, 0) + C * cof
+        mass[first::p] = [0] * len(range(first, len(svals), p))
     num = 1
     for q, E in expo.items():
         if E:
             num = num * pow(q, E, M) % M
     unit = ctx.from_int(num)
-    if 0 in zeros:
-        # alpha_0^mass, alpha_0 = (s + n sqrt(D))/2 / p^k, in Z_{p^2}
+    if any(mass):
+        # alpha^mass, alpha = (s + n sqrt(D))/2, in Z_{p^2}
         sq = sqrtD_padic(ctx, D)        # a unit, since p is inert
         half = pow(2, -1, M)
         masses = ctx.one()
         for i, s in enumerate(svals):
-            if zeros[i]:
-                continue
-            m = n
-            while s % p == 0 and m % p == 0:
-                s //= p
-                m //= p
-            alpha0 = ctx.from_coords((s + m * sq.u0) * half % M,
-                                     m * sq.u1 * half % M)
-            masses = masses * alpha0 ** mass[i]
+            if mass[i]:
+                alpha = ctx.from_coords((s + n * sq.u0) * half % M,
+                                        n * sq.u1 * half % M)
+                masses = masses * alpha ** mass[i]
         unit = unit / masses
     return unit
 
@@ -264,19 +257,20 @@ def diag_coefficient(n: int, chi: tuple, engine: IdealDivisorEngine,
     alpha_0 = nu_0 sqrt(D), taken as one log of `_level_unit`.
 
     The nu of trace n with p | nu are p times those of trace n/p and add the
-    same, so a_n = a_{n/p} + (the p-primitive sum): with `logs` given, each
-    level's value is kept in it per (D, p, psi, n), and a level whose
-    a_{n/p} is kept there sums only its p-primitive nu."""
-    check_inert(engine.D, engine.p)
+    same, so for p | n, a_n = a_{n/p} + (the p-primitive sum): every level
+    telescopes onto the one below it.  Each level's value is kept per
+    (D, p, psi, n) in `logs`, or for this call only when none is given."""
+    D, p = engine.D, engine.p
+    check_inert(D, p)
     levels = logs.levels if logs is not None else {}
-    key = (engine.D, engine.p, chi, n)
-    if key not in levels:
-        below = levels.get(key[:3] + (n // engine.p,)) \
-            if n % engine.p == 0 else None
-        value = iwasawa_log(_level_unit(n, chi, engine, ctx,
-                                        below is not None))
-        levels[key] = value if below is None else below + value
-    return levels[key]
+    a = None                     # a_k, k = n / p^j for j descending to 0
+    for k in [n // p ** j for j in range(_vp(n, p), -1, -1)]:
+        key = (D, p, chi, k)
+        if key not in levels:
+            primitive = iwasawa_log(_level_unit(k, chi, engine, ctx))
+            levels[key] = primitive if a is None else a + primitive
+        a = levels[key]
+    return a
 
 
 def diag_restrict_derivative(chi: tuple, group: NarrowClassGroup, p: int,

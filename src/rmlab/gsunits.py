@@ -23,8 +23,8 @@ from .modforms import QSeries, FitResult, basis_for_level, fit_to_basis
 from .padic import (PadicContext, PadicScalar, _vp, iwasawa_log, padic_exp,
                     sqrt_rational, teichmuller)
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, RMPoint,
-                        check_inert, factor, has_norm_minus_one, next_prime,
-                        partial_zeta_zero)
+                        check_inert, factor, genus_value, has_norm_minus_one,
+                        next_prime, partial_zeta_zero, splitting_type)
 
 
 # --------------------------------------------------------------------------
@@ -222,19 +222,22 @@ def _splits_mod(coeffs, q: int) -> bool:
     return len(f) == 1
 
 
-def splitting_fraction(coeffs, residues, modulus: int,
-                       num_primes: int = 50, start: int = 2) -> float:
-    """Fraction of the first `num_primes` primes q = residues (mod modulus)
+def splitting_fraction(coeffs, group: NarrowClassGroup,
+                       num_primes: int = 50) -> float:
+    """Fraction of the first `num_primes` primes q split completely in the
+    genus field of `group` (q splits in F and every genus character is 1 at
+    q; for narrow class number 2 this is the narrow Hilbert class field)
     modulo which the polynomial factors completely into linear pieces."""
-    lead = coeffs[-1]
+    D, lead = group.D, coeffs[-1]
     hits = tried = 0
-    q = start
+    q = 2
     while tried < num_primes:
+        if (splitting_type(D, q) == "split" and lead % q
+                and all(genus_value(D, d, q) == 1
+                        for d in group.genus.values())):
+            tried += 1
+            hits += _splits_mod(coeffs, q)
         q = next_prime(q)
-        if q % modulus not in residues or lead % q == 0:
-            continue
-        tried += 1
-        hits += _splits_mod(coeffs, q)
     return hits / num_primes
 
 
@@ -257,14 +260,13 @@ class RecognitionResult:
 
 def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,
               ctx: PadicContext, degree: int = 4, budget: int = 20,
-              height_bound: int = 10 ** 6,
-              split_modulus: int = 12, split_residues=(1,),
               num_split_primes: int = 50) -> RecognitionResult:
     """Search the torsion twists in order for the first whose value
     satisfies an integer polynomial of bounded degree whose Newton polygon
     reproduces twelve times the partial-zeta multiset, and stop there.  Then
     validate it: the polynomial must be reciprocal up to a p-power, and it
-    must split completely modulo (most) primes in the given residue classes."""
+    must split completely modulo (most) primes split completely in the genus
+    field (`splitting_fraction`)."""
     p = ctx.p
     expected = sorted(12 * v for v in
                       valuation_predictions(group, tau_class).values())
@@ -278,7 +280,7 @@ def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,
         # keeps the lattice margin meaningful (padding the true degree
         # plants x * f(x) as an equally short vector)
         for d in range(1, degree + 1):
-            res = algdep_padic(value, d, budget, height_bound)
+            res = algdep_padic(value, d, budget)
             if not res.found:
                 continue
             coeffs = list(res.coefficients)
@@ -302,8 +304,7 @@ def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,
             # fails the polygon test, so keep ascending past it
             if newton_slopes(coeffs, p) == expected:
                 reciprocal = is_reciprocal_up_to_p_power(coeffs, p)
-                frac = splitting_fraction(coeffs, split_residues,
-                                          split_modulus, num_split_primes)
+                frac = splitting_fraction(coeffs, group, num_split_primes)
                 return RecognitionResult(coeffs, cand.twist, res, True,
                                          reciprocal, frac, matches)
     return RecognitionResult(None, None, None, False, False, 0.0, matches)

@@ -177,8 +177,7 @@ def _normalize(coeffs):
 
 
 def algdep_padic(x: PadicScalar, degree: int, budget: int,
-                 height_bound: int = 10 ** 6,
-                 delta: Fraction = Fraction(99, 100)) -> AlgdepResult:
+                 height_bound: int = 10 ** 6) -> AlgdepResult:
     """Smallest integer polynomial of degree <= `degree` vanishing at x
     modulo p^budget, found by LLL on the coefficient-congruence lattice.
 
@@ -208,7 +207,7 @@ def algdep_padic(x: PadicScalar, degree: int, budget: int,
     rows.append([0] * d1 + [m * W, 0])
     rows.append([0] * d1 + [0, m * W])
 
-    reduced = lll_reduce(rows, delta)
+    reduced = lll_reduce(rows)
     order = sorted(reduced, key=lambda r: _dot(r, r))
     n0, n1 = _dot(order[0], order[0]), _dot(order[1], order[1])
     # log takes integers of any size; past the float range the ratio is inf

@@ -111,7 +111,7 @@ class FitResult:
     a0: PadicScalar             # inferred constant term
     residuals: dict             # n -> residual valuation (None = exact zero)
     min_residual_valuation: int | None  # None when all residuals vanish
-    certified: bool
+    certified: bool             # every residual valuation >= prec - 5
     solve_indices: tuple = field(default=())
 
 
@@ -121,8 +121,7 @@ def _to_padic(x, ctx: PadicContext) -> PadicScalar:
     return ctx.from_rational(x)
 
 
-def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext,
-                 threshold: int | None = None) -> FitResult:
+def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext) -> FitResult:
     """Fit s (constant term unknown) to the basis q-expansions.
 
     Solves an exact square subsystem on the first len(basis) usable indices,
@@ -179,9 +178,7 @@ def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext,
     a0 = ctx.zero()
     for c, b in zip(coeffs, basis):
         a0 = a0 + c * _to_padic(b.coeffs[0], ctx)
-    if threshold is None:
-        threshold = ctx.prec - 5
-    certified = min_val is None or min_val >= threshold
+    certified = min_val is None or min_val >= ctx.prec - 5
     return FitResult(coeffs, a0, residuals, min_val, certified,
                      tuple(solve_idx))
 

@@ -116,7 +116,7 @@ def _matmul(M, N):
              M[1][0] * N[0][1] + M[1][1] * N[1][1]))
 
 
-def double_coset_reps(tau: RMPoint, n: int, height_bound: int = 10000):
+def double_coset_reps(tau: RMPoint, n: int):
     """Representatives of SL2(Z) \\ M2(Z)_n / Stab(tau), as HNF matrices."""
     f = tau.form
     g = automorph(f)
@@ -133,7 +133,7 @@ def double_coset_reps(tau: RMPoint, n: int, height_bound: int = 10000):
         steps = 0
         while frontier:
             steps += 1
-            if steps > height_bound:
+            if steps > 10000:
                 raise ArithmeticError("automorph orbit failed to close")
             cur = frontier.pop()
             for m in (g, ginv):
@@ -186,13 +186,12 @@ def _strip_p(w: QuadNum, p: int) -> QuadNum:
     return w * Fraction(1, p) ** vp if vp else w
 
 
-def rm_set_by_cosets(tau: RMPoint, n: int, p: int,
-                     height_bound: int = 10000) -> list:
+def rm_set_by_cosets(tau: RMPoint, n: int, p: int) -> list:
     """Oracle route: weighted RM points from the double-coset formula."""
     D = tau.disc
     _check_instance(D, n, p)
     out = []
-    for delta in double_coset_reps(tau, n, height_bound):
+    for delta in double_coset_reps(tau, n):
         (a, b), (_, d) = delta
         val = (tau.value() * a + QuadNum(D, b, 0)) * Fraction(1, d)
         pt = RMPoint.from_value(val)
@@ -204,10 +203,9 @@ def rm_set_by_cosets(tau: RMPoint, n: int, p: int,
 
 
 def log_Tn_Jw_by_cosets(tau: RMPoint, n: int, p: int,
-                        ctx: PadicContext,
-                        height_bound: int = 10000) -> PadicScalar:
+                        ctx: PadicContext) -> PadicScalar:
     total = ctx.zero()
-    for pt in rm_set_by_cosets(tau, n, p, height_bound):
+    for pt in rm_set_by_cosets(tau, n, p):
         term = iwasawa_log(embed_quadnum(pt.w, ctx))
         total = total + (term if pt.weight > 0 else -term)
     return total

@@ -9,7 +9,8 @@ from rmlab.gsunits import (UnitCandidate, _teichmuller_generator,
                            quadratic_roots, recognize, splitting_fraction,
                            unit_from_constant_term, valuation_predictions)
 from rmlab.lattice import eval_poly
-from rmlab.padic import PadicContext, iwasawa_log, padic_exp, sqrt_rational
+from rmlab.padic import (PadicContext, is_prime, iwasawa_log, padic_exp,
+                         sqrt_rational)
 from rmlab.quadfield import NarrowClassGroup
 
 
@@ -187,11 +188,23 @@ def test_reciprocal_up_to_p_power():
 
 
 def test_splitting_fraction():
-    # x^2 + 1 splits mod q iff q = 1 (mod 4)
-    assert splitting_fraction((1, 0, 1), (1,), 4, 20) == 1.0
-    assert splitting_fraction((1, 0, 1), (3,), 4, 20) == 0.0
-    # the flagship polynomial splits at every q = 1 (mod 12)
-    assert splitting_fraction((5, -6, 5), (1,), 12, 25) == 1.0
+    g12 = NarrowClassGroup(12)
+    # at D = 12 the primes split completely in the genus field are the
+    # q = 1 (mod 12): x^2 + 1 and the flagship polynomial split at each
+    assert splitting_fraction((1, 0, 1), g12, 20) == 1.0
+    assert splitting_fraction((5, -6, 5), g12, 25) == 1.0
+    # x^2 - 2 splits at q = +-1 (mod 8), so at the q = 1 (mod 24) of them
+    first = [q for q in range(3, 2000) if is_prime(q) and q % 12 == 1][:20]
+    hits = sum(q % 24 == 1 for q in first)
+    assert 0 < hits < 20
+    assert splitting_fraction((-2, 0, 1), g12, 20) == hits / 20
+
+
+def test_splitting_fraction_reads_the_genus_field():
+    # the genus field of Q(sqrt(21)) is Q(sqrt(-3), sqrt(-7)), where
+    # x^2 + x + 2, of discriminant -7, splits at every prime that splits
+    # completely; q = 1 (mod 12) would count 13, where (-7/13) = -1
+    assert splitting_fraction((2, 1, 1), NarrowClassGroup(21)) == 1.0
 
 
 # --------------------------------------------------------------------------

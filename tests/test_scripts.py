@@ -1,5 +1,6 @@
-"""Smoke tests of scripts/: each runs in a fresh interpreter at a small
-size, exits 0 and prints its key result line."""
+"""Smoke tests of scripts/ and of the README's quick start: each runs in a
+fresh interpreter at a small size, exits 0 and prints its key result
+line."""
 
 import os
 import subprocess
@@ -10,7 +11,14 @@ import pytest
 import rmlab
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(rmlab.__file__)))
-SCRIPTS = os.path.join(os.path.dirname(SRC), "scripts")
+ROOT = os.path.dirname(SRC)
+SCRIPTS = os.path.join(ROOT, "scripts")
+
+
+def run_python(args):
+    return subprocess.run([sys.executable] + args, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          timeout=300)
 
 
 @pytest.mark.parametrize("script, args, expected", [
@@ -20,8 +28,14 @@ SCRIPTS = os.path.join(os.path.dirname(SRC), "scripts")
      "level 2: error valuation 2"),
 ], ids=["flagship_pipeline", "acceleration_profile", "poisson_convergence"])
 def test_script_runs(script, args, expected):
-    out = subprocess.run([sys.executable, os.path.join(SCRIPTS, script)]
-                         + args, capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": SRC}, timeout=300)
+    out = run_python([os.path.join(SCRIPTS, script)] + args)
     assert out.returncode == 0, out.stderr
     assert expected in out.stdout
+
+
+def test_readme_quick_start():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    out = run_python(["-c", block])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "(5, -6, 5)"
