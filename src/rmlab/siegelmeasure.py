@@ -13,9 +13,14 @@ S and -I on each ball has a closed form from the transformation laws of
 Siegel functions (Kubert-Lang, Modular Units, Ch. 2).  Summed over a word
 for gamma by the cocycle law  mu(g h) = mu(h)|g^{-1} + mu(g), these closed
 forms telescope into one integer identity for mu_DR(gamma) on each ball,
-evaluated along the orbit of the ball's center under the word, one row of
-balls at a time.  No float enters the measure, and the Poisson product
-consumes the rows as they come.
+evaluated along the orbit of the ball's center under the word.  Along a row
+of balls every floor in the identity is the floor of a linear form in b, so
+the row splits at the b where one of them changes into pieces on which the
+measure is constant; mu_pieces evaluates the identity at two points per
+piece, a few percent of the balls for an automorph (all of them when an
+entry of a prefix of the word reaches p^level).  No float enters the
+measure; mu_DR expands the pieces onto the balls, and the Poisson product
+multiplies each piece's sample points into one local product.
 
 The realized measure is s(c) = (c^2 - 1)/24 times the normalized mu_DR whose
 value on p Z_p x Z_p^* is phi_DR; the scale is carried on the BallMeasure and
@@ -192,53 +197,137 @@ def sl2_word(gamma):
 # of the E's add up to (c^2 - 1) n^2 (sum of the T exponents q - 3 #S) on
 # every ball; all other terms are multiples of 6 n.
 
-def _mu_rows(gamma, p: int, level: int, c: int):
-    """Yield (a, bs, values) for a = 0 .. p^level - 1: the values of
-    mu_DR(gamma) on the balls with primitive centers (a, b), b in bs
-    ascending, by the telescoped identity above.  Rows come in BallSpace
-    order; each holds O(p^level) integers."""
-    n = p ** level
+def _numerators(word, n: int, c: int, a: int, bs) -> list:
+    """12 n^2 mu_DR(gamma)(B_(a, b)) for b in bs, gamma the product of
+    `word`, by the telescoped identity above, for any list bs of b in
+    [0, n).  At (0, 0), which is no ball, it is the same arithmetic, with
+    the floors and tests of the piece that (0, 0) starts."""
     c2 = c * c
-    word = sl2_word(gamma)
     const = (c2 - 1) * n * n * sum(
         f[1] if f[0] == "T" else -3 if f[0] == "S" else 0 for f in word)
-    six_n, den = 6 * n, 12 * n * n
-    all_b = list(range(n))
-    unit_b = [b for b in all_b if b % p]
+    six_n = 6 * n
+    # w = (X, Y) and <c w> = (CX, CY) run through the word together;
+    # acc collects the non-constant terms divided by 6 n, from -K(v) on
+    qa, ca = divmod(c * a, n)
+    X, Y = [a] * len(bs), bs
+    CX, CY = [ca] * len(bs), [c * b % n for b in bs]
+    acc = [qa * (c * b - n) - c * b // n * (ca - n) for b in bs]
+    for f in word:
+        if f[0] == "T":
+            q = f[1]
+            t = [y + q * x for x, y in zip(X, Y)]
+            ct = [cy + q * cx for cx, cy in zip(CX, CY)]
+            acc = [s + c2 * (x - n) * (u // n) - (cx - n) * (v // n)
+                   for s, x, cx, u, v in zip(acc, X, CX, t, ct)]
+            Y = [u % n for u in t]
+            CY = [v % n for v in ct]
+        elif f[0] == "S":
+            acc = [s - c2 * (y - n) + cy - n if x else s
+                   for s, x, y, cy in zip(acc, X, Y, CY)]
+            X, Y = Y, [-x % n for x in X]
+            CX, CY = CY, [-cx % n for cx in CX]
+        else:
+            acc = [s - c2 * (y - x) + cy - cx if x and y else s
+                   for s, x, y, cx, cy in zip(acc, X, Y, CX, CY)]
+            X, Y = [-x % n for x in X], [-y % n for y in Y]
+            CX, CY = [-cx % n for cx in CX], [-cy % n for cy in CY]
+    # + K(v gamma)
+    return [const + six_n * (s + c * y // n * (cx - n)
+                             + c * x // n * (n - c * y))
+            for s, x, y, cx in zip(acc, X, Y, CX)]
+
+
+# Along a row a, every floor above is floor(l/n) for a linear form l(b)
+# among the coordinates of (a, b) M_k and c (a, b) M_k, M_k = f_1 ... f_k
+# (k = 0 .. r).  On the reduced w_{k-1} = (x, y),
+#     floor((y + q x)/n) = floor((Y + q X)/n) - floor(Y/n) - q floor(X/n)
+# for the unreduced (X, Y) = (a, b) M_{k-1}, whose image under T^q is
+# (X, Y + q X); floor(c y/n) and floor(c x/n) in K unfold the same way, and
+# x = X - n floor(X/n).  Every test x != 0 reads X != 0 (mod n) and sits in
+# an S or -I step, whose image holds the form -X, with
+#     floor(-X/n) = -floor(X/n) - [X != 0 (mod n)];
+# so the floors of X and -X together change on both sides of each zero of
+# X.  Cut the row at each b where some form's floor changes.  Then on each
+# piece every floor and every test is constant, and 12 n^2 mu is affine in
+# b.  It is even constant: divided by n^2 the identity is a function of
+# v = (a, b)/n alone, with the same floors at every level, and it takes
+# integer values at the dense points of p-power denominator on the segment
+# between the piece's ends.  So each piece is evaluated at its first two
+# points, and the two values must agree.  A form of b-slope beta changes
+# floor about |beta| times in [0, n); one with |beta| >= n changes floor at
+# every b, which makes every b its own piece.
+
+def _forms(word, n: int, c: int):
+    """The forms (alpha / a, beta) whose floors along a row make the cuts,
+    for gamma the product of `word`; None when some |beta| >= n, so that
+    every b is a cut.  Forms constant along the row (beta = 0) make none."""
+    prefixes = [((1, 0), (0, 1))]
+    for f in word:
+        (m0, m1), (m2, m3) = prefixes[-1]
+        if f[0] == "T":
+            m0, m1, m2, m3 = m0, m1 + f[1] * m0, m2, m3 + f[1] * m2
+        elif f[0] == "S":
+            m0, m1, m2, m3 = m1, -m0, m3, -m2
+        else:
+            m0, m1, m2, m3 = -m0, -m1, -m2, -m3
+        prefixes.append(((m0, m1), (m2, m3)))
+    forms = {(k * m[0][j], k * m[1][j])
+             for m in prefixes for j in (0, 1) for k in (1, c)}
+    if any(abs(beta) >= n for _, beta in forms):
+        return None
+    return sorted(form for form in forms if form[1])
+
+
+def _row_cuts(forms, a: int, n: int) -> list:
+    """Sorted starts of the pieces of row a: 0 and every b in (0, n) where
+    some form's floor changes."""
+    cuts = {0}
+    for m0, beta in forms:
+        alpha = a * m0
+        # floor(l/n) changes where floor(l'/n) does, for l' = -l - 1
+        if beta < 0:
+            alpha, beta = -alpha - 1, -beta
+        # the first b with alpha + beta b >= k n
+        for k in range(alpha // n + 1, (alpha + beta * (n - 1)) // n + 1):
+            cuts.add((k * n - alpha + beta - 1) // beta)
+    return sorted(cuts)
+
+
+def mu_pieces(gamma, p: int, level: int, c: int | None = None):
+    """Yield (a, starts, values) for a = 0 .. p^level - 1: mu_DR(gamma)
+    takes the value values[i] on the balls of primitive center (a, b) for
+    b in [starts[i], starts[i + 1]), the last piece ending at p^level.
+    Each piece holds at least one primitive center; rows come in BallSpace
+    order."""
+    c = _checked_c(p, level, c)
+    n = p ** level
+    den = 12 * n * n
+    word = sl2_word(gamma)
+    forms = _forms(word, n, c)
+    every_b = list(range(n))
     for a in range(n):
-        bs = all_b if a % p else unit_b
-        # w = (X, Y) and <c w> = (CX, CY) run through the word together;
-        # acc collects the non-constant terms divided by 6 n, from -K(v) on
-        qa, ca = divmod(c * a, n)
-        X, Y = [a] * len(bs), bs
-        CX, CY = [ca] * len(bs), [c * b % n for b in bs]
-        acc = [qa * (c * b - n) - c * b // n * (ca - n) for b in bs]
-        for f in word:
-            if f[0] == "T":
-                q = f[1]
-                t = [y + q * x for x, y in zip(X, Y)]
-                ct = [cy + q * cx for cx, cy in zip(CX, CY)]
-                acc = [s + c2 * (x - n) * (u // n) - (cx - n) * (v // n)
-                       for s, x, cx, u, v in zip(acc, X, CX, t, ct)]
-                Y = [u % n for u in t]
-                CY = [v % n for v in ct]
-            elif f[0] == "S":
-                acc = [s - c2 * (y - n) + cy - n if x else s
-                       for s, x, y, cy in zip(acc, X, Y, CY)]
-                X, Y = Y, [-x % n for x in X]
-                CX, CY = CY, [-cx % n for cx in CX]
+        prim = a % p != 0
+        cuts = every_b if forms is None else _row_cuts(forms, a, n)
+        # a one-point piece off the primitive centers is dropped; the piece
+        # before it then runs over it, which adds no primitive center
+        starts, samples, pairs = [], [], []
+        for lo, hi in zip(cuts, cuts[1:] + [n]):
+            if hi - lo > 1:
+                samples += (lo, lo + 1)
+            elif prim or lo % p:
+                samples.append(lo)
             else:
-                acc = [s - c2 * (y - x) + cy - cx if x and y else s
-                       for s, x, y, cx, cy in zip(acc, X, Y, CX, CY)]
-                X, Y = [-x % n for x in X], [-y % n for y in Y]
-                CX, CY = [-cx % n for cx in CX], [-cy % n for cy in CY]
-        # + K(v gamma)
-        nums = [const + six_n * (s + c * y // n * (cx - n)
-                                 + c * x // n * (n - c * y))
-                for s, x, y, cx in zip(acc, X, Y, CX)]
-        values = [u // den for u in nums]
-        assert all(u % den == 0 for u in nums), "period not integral"
-        yield a, bs, values
+                continue
+            starts.append(lo)
+            pairs.append(hi - lo > 1)
+        nums = iter(_numerators(word, n, c, a, samples))
+        values = []
+        for pair in pairs:
+            u = next(nums)
+            assert u % den == 0, "period not integral"
+            assert not pair or next(nums) == u, "measure not constant on piece"
+            values.append(u // den)
+        yield a, starts, values
 
 
 def _checked_c(p: int, level: int, c: int | None) -> int:
@@ -261,7 +350,13 @@ def mu_DR(gamma, p: int, level: int, c: int | None = None) -> BallMeasure:
     """The Dedekind-Rademacher measure of gamma in SL2(Z) on level-`level`
     balls, exactly, by the telescoped period identity."""
     c = _checked_c(p, level, c)
-    values = [v for _, _, row in _mu_rows(gamma, p, level, c) for v in row]
+    n = p ** level
+    values = []
+    for a, starts, row in mu_pieces(gamma, p, level, c):
+        for lo, hi, v in zip(starts, starts[1:] + [n], row):
+            # less the multiples of p in [lo, hi) when p | a
+            values += [v] * (hi - lo if a % p else
+                             hi - lo - (hi - 1) // p + (lo - 1) // p)
     return BallMeasure(ball_space(p, level), values, measure_scale(c))
 
 
@@ -276,8 +371,9 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
     gamma_tau the automorph of tau.  Total mass zero makes the product
     invariant under scaling of the sample points, so the integral is taken
     against coordinates of 2A tau = -B + sqrt(D), keeping samples integral.
-    The measure is streamed row by row, and the samples are multiplied into
-    one accumulator per value of mu, each raised to its exponent once.
+    The measure comes as the constant pieces of its rows (mu_pieces); each
+    piece's samples multiply into one local product, folded into one
+    accumulator per value of mu, each raised to its exponent once.
 
     The raw product against the c-realized measure of the inverse automorph
     is J_DR[tau]^{(c^2-1)/12} up to p^Z and torsion; the returned value is
@@ -304,17 +400,26 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
         return ((x[0] * y[0] + r * x[1] * y[1]) % m,
                 (x[0] * y[1] + x[1] * y[0]) % m)
 
+    n = p ** level
     groups = {}
-    for x, ys, values in _mu_rows(((gd, -gb), (-gc, ga)), p, level, c):
+    for x, starts, values in mu_pieces(((gd, -gb), (-gc, ga)), p, level, c):
         # x * (2A tau) + y * 2A = (2Ay + x (s0 - B)) + x s1 w, w^2 = r;
         # the w coordinate is constant along a row
         u, w = x * (s0 - B) % m, x * s1 % m
         rw = r * w % m
-        for y, e in zip(ys, values):
-            if e:
-                b0 = (2 * A * y + u) % m
-                a0, a1 = groups.get(e, (1, 0))
-                groups[e] = ((a0 * b0 + a1 * rw) % m, (a0 * w + a1 * b0) % m)
+        prim = x % p != 0
+        for lo, hi, e in zip(starts, starts[1:] + [n], values):
+            if not e:
+                continue
+            # the piece's samples multiply into one local product
+            if prim:
+                samples = range(2 * A * lo + u, 2 * A * hi + u, 2 * A)
+            else:
+                samples = [2 * A * y + u for y in range(lo, hi) if y % p]
+            a0, a1 = 1, 0
+            for b0 in samples:
+                a0, a1 = (a0 * b0 + a1 * rw) % m, (a0 * w + a1 * b0) % m
+            groups[e] = mul(groups.get(e, (1, 0)), (a0, a1))
     num = den_acc = (1, 0)
     for e, base in groups.items():
         acc = (1, 0)

@@ -33,6 +33,14 @@ def test_script_runs(script, args, expected):
     assert expected in out.stdout
 
 
+def test_poisson_script_rejects_unsupported_field():
+    # (60, 13): narrow class number 4, which the series does not support
+    out = run_python([os.path.join(SCRIPTS, "poisson_convergence.py"),
+                      "--disc", "60", "--p", "13", "--levels", "1"])
+    assert out.returncode == 2
+    assert out.stderr == "error: only narrow class number 1 or 2 supported\n"
+
+
 def test_readme_quick_start():
     with open(os.path.join(ROOT, "README.md")) as fh:
         block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]

@@ -170,7 +170,7 @@ def _acted(mu, gamma):
 def _factor_measure(space, factor, c):
     """Exact period of the generator `factor` on every ball of `space`:
     (K(v f) - K(v) + c^2 E_f(v) - E_f(<cv>)) / 12 n^2, with K and E_f as in
-    the comment above siegelmeasure._mu_rows."""
+    the comment above siegelmeasure._numerators."""
     n = space.den
     if factor[0] == "T":
         q = factor[1]
@@ -265,13 +265,132 @@ def test_mu_DR_matches_assembled_oracle(p, c_other):
                     _assembled_mu(g, p, level, c).values, (g, level, c)
 
 
+def _mu_rows(gamma, p, level, c):
+    """Yield (a, bs, values) for a = 0 .. p^level - 1: the values of
+    mu_DR(gamma) on the balls with primitive centers (a, b), b in bs
+    ascending, by the telescoped identity evaluated on every ball; the
+    per-ball driver that siegelmeasure.mu_pieces replaced."""
+    n = p ** level
+    c2 = c * c
+    word = sl2_word(gamma)
+    const = (c2 - 1) * n * n * sum(
+        f[1] if f[0] == "T" else -3 if f[0] == "S" else 0 for f in word)
+    six_n, den = 6 * n, 12 * n * n
+    all_b = list(range(n))
+    unit_b = [b for b in all_b if b % p]
+    for a in range(n):
+        bs = all_b if a % p else unit_b
+        qa, ca = divmod(c * a, n)
+        X, Y = [a] * len(bs), bs
+        CX, CY = [ca] * len(bs), [c * b % n for b in bs]
+        acc = [qa * (c * b - n) - c * b // n * (ca - n) for b in bs]
+        for f in word:
+            if f[0] == "T":
+                q = f[1]
+                t = [y + q * x for x, y in zip(X, Y)]
+                ct = [cy + q * cx for cx, cy in zip(CX, CY)]
+                acc = [s + c2 * (x - n) * (u // n) - (cx - n) * (v // n)
+                       for s, x, cx, u, v in zip(acc, X, CX, t, ct)]
+                Y = [u % n for u in t]
+                CY = [v % n for v in ct]
+            elif f[0] == "S":
+                acc = [s - c2 * (y - n) + cy - n if x else s
+                       for s, x, y, cy in zip(acc, X, Y, CY)]
+                X, Y = Y, [-x % n for x in X]
+                CX, CY = CY, [-cx % n for cx in CX]
+            else:
+                acc = [s - c2 * (y - x) + cy - cx if x and y else s
+                       for s, x, y, cx, cy in zip(acc, X, Y, CX, CY)]
+                X, Y = [-x % n for x in X], [-y % n for y in Y]
+                CX, CY = [-cx % n for cx in CX], [-cy % n for cy in CY]
+        nums = [const + six_n * (s + c * y // n * (cx - n)
+                                 + c * x // n * (n - c * y))
+                for s, x, y, cx in zip(acc, X, Y, CX)]
+        assert all(u % den == 0 for u in nums), "period not integral"
+        yield a, bs, [u // den for u in nums]
+
+
+def _inverse_automorph(D, cls):
+    """The matrix whose measure poisson_JDR integrates at the RM point of
+    narrow class `cls` of discriminant D."""
+    tau = NarrowClassGroup(D).rm_representative(cls)
+    (a, b), (c, d) = automorph(tau.form)
+    return ((d, -b), (-c, a))
+
+
+def _assert_pieces_match_rows(gamma, p, level, c=None):
+    c = default_c(p) if c is None else c
+    n = p ** level
+    rows = _mu_rows(gamma, p, level, c)
+    for a, starts, values in siegelmeasure.mu_pieces(gamma, p, level, c):
+        expanded = []
+        for lo, hi, v in zip(starts, starts[1:] + [n], values):
+            centers = [b for b in range(lo, hi) if a % p or b % p]
+            assert centers, "piece without a primitive center"
+            expanded += [(b, v) for b in centers]
+        a_ref, bs, ref = next(rows)
+        assert a == a_ref
+        assert expanded == list(zip(bs, ref)), (gamma, p, level, c, a)
+    assert next(rows, None) is None
+
+
+# (D, class, p): both classes of Q(sqrt 3), and one automorph per field
+PIECE_CASES = [(12, 0, 5), (12, 1, 5), (12, 0, 7), (13, 0, 5), (8, 0, 5),
+               (28, 0, 5), (21, 0, 11), (33, 0, 7), (40, 0, 7)]
+
+
+@pytest.mark.parametrize(
+    "case", PIECE_CASES + ["random"],
+    ids=[f"{D}-{cls}-{p}" for D, cls, p in PIECE_CASES] + ["random"])
+def test_pieces_match_per_ball_rows(case):
+    if case != "random":
+        D, cls, p = case
+        gamma = _inverse_automorph(D, cls)
+        for level in (1, 2, 3) if p < 11 else (1, 2):
+            _assert_pieces_match_rows(gamma, p, level)
+        return
+    # random words: small entries give long pieces; entries up to 10^4 (the
+    # dense case) mostly give a form of slope >= p^level, so one ball per
+    # piece
+    rng = random.Random(7)
+    for p, levels, c_other in ((5, (1, 2, 3), 11), (7, (1, 2), 11),
+                               (11, (1, 2), 13)):
+        for level in levels:
+            for bound in (30, 10 ** 4):
+                for q in (1, p):
+                    g = random_gamma0(rng, q, bound)
+                    _assert_pieces_match_rows(g, p, level)
+                    _assert_pieces_match_rows(g, p, level, c_other)
+
+
+def test_pieces_evaluate_few_balls(monkeypatch):
+    # at (12, 5) level 4 the 375,000 balls form 14,451 pieces
+    evaluate, seen = siegelmeasure._numerators, []
+
+    def counted(word, n, c, a, bs):
+        seen.append(len(bs))
+        return evaluate(word, n, c, a, bs)
+
+    monkeypatch.setattr(siegelmeasure, "_numerators", counted)
+    rows = list(siegelmeasure.mu_pieces(_inverse_automorph(12, 0), 5, 4))
+    assert len(rows) == 625 and len(seen) == 625
+    assert sum(seen) < 37_500
+
+
+# the cut set of the pieces depends on the automorph: (D, class, p, levels)
+POISSON_ORACLE_CASES = [(12, 0, 5, 3), (12, 1, 5, 3), (13, 0, 5, 3),
+                        (28, 0, 5, 3), (12, 0, 7, 2)]
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_poisson_matches_per_ball_oracle(level):
-    ctx = PadicContext(5, 16)
-    group = NarrowClassGroup(12)
-    tau = group.rm_representative(group.identity)
-    assert poisson_JDR(tau, level, ctx).to_json() == \
-        _per_ball_poisson(tau, level, ctx).to_json()
+    for D, cls, p, max_level in POISSON_ORACLE_CASES:
+        if level > max_level:
+            continue
+        ctx = PadicContext(p, 16)
+        tau = NarrowClassGroup(D).rm_representative(cls)
+        assert poisson_JDR(tau, level, ctx).to_json() == \
+            _per_ball_poisson(tau, level, ctx).to_json(), (D, cls, p)
 
 
 def test_poisson_builds_no_ball_space(monkeypatch):
