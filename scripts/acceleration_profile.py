@@ -6,19 +6,22 @@ For a coefficient index n coprime to p, prints the valuation of consecutive
 differences of the raw sequence a_{n p^m} and of each Shanks column.  The raw
 sequence gains roughly a constant number of digits per step (one geometric
 transient per finite-slope U_p eigenvalue); each Shanks column removes the
-dominant transient and multiplies the rate.
+dominant transient and multiplies the rate.  Each trace level is reported
+with its number of elements and its time, and the run ends with the
+process's peak resident memory.
 
     python3 scripts/acceleration_profile.py [--disc 12] [--p 5] [--n 1]
                                             [--depth 4] [--prec 32]
 """
 
 import argparse
+import resource
 import time
 
 from rmlab.eisenstein import (LogCache, accelerated_ordinary_projection,
                               diag_coefficient)
 from rmlab.padic import PadicContext
-from rmlab.quadfield import IdealDivisorEngine, NarrowClassGroup
+from rmlab.quadfield import IdealDivisorEngine, NarrowClassGroup, trace_range
 
 
 def main():
@@ -42,10 +45,11 @@ def main():
     terms = []
 
     def producer(k):
-        t0 = time.time()
+        t0 = time.perf_counter()
         value = diag_coefficient(k, chi, engine, ctx, logs)
-        print(f"a_{args.n}*{args.p}^{len(terms)} computed in "
-              f"{time.time() - t0:.1f} s")
+        print(f"a_{args.n}*{args.p}^{len(terms)}: "
+              f"{len(trace_range(k, args.disc))} elements in "
+              f"{time.perf_counter() - t0:.3f} s")
         terms.append(value)
         return value
 
@@ -55,6 +59,9 @@ def main():
     print(f"\nraw agreement profile:    {cert.agreements[0]}")
     for col, prof in enumerate(cert.agreements[1:], 1):
         print(f"after Shanks column {col}:   {prof}")
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"\npeak RSS {peak:.1f} MiB")
 
 
 if __name__ == "__main__":

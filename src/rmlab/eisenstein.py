@@ -3,33 +3,35 @@ real quadratic field, their diagonal restrictions, and ordinary projection.
 
 Every coefficient is a psi-weighted sum over the p-coprime ideal divisors I of
 (nu)*(different), of 1 and of log Nm I.  One kernel, `_fold`, evaluates both
-by the product formula over the prime factorization of the norm, without
-listing divisors: on one nu in `divisor_sums`, where each family coefficient
-is a closed form in the two sums, and on a whole trace level in
-`diag_coefficient`, whose norms are factored together by a sieve
-(`quadfield.sieve_trace`); the psi-weighted log terms are collected as an
-integer exponent per rational prime, and one p-adic log is taken per
-coefficient.  Because the nu of trace n p divisible by p are p times those
-of trace n, every level with p | n is the level n/p plus its p-primitive
-nu.  The ordinary projection of the diagonal restriction derivative is the
-limit of its coefficients at indices n * p^m, extrapolated by iterated
-Shanks steps (`accelerated_ordinary_projection`); plain stabilization at
-n * p^{2m} (`ordinary_projection`) is kept as a check.
+by the product formula, without listing divisors, in one pass over a
+progression of alpha = nu sqrt(D): each prime power is folded into its
+element's state the moment the sieve divides it out of the norm, psi(P) is
+read once per rational prime, and the one prime left above the sieve takes
+its psi from psi((alpha)) = psi(different).  The kernel runs on one nu in
+`divisor_sums`, where each family coefficient is a closed form in the two
+sums, and on a whole trace level in `diag_coefficient`; the psi-weighted log
+terms are collected as an integer exponent per rational prime, and one
+p-adic log is taken per coefficient.  Because the nu of trace n p divisible
+by p are p times those of trace n, every level with p | n is the level n/p
+plus its p-primitive nu.  The ordinary projection of the diagonal
+restriction derivative is the limit of its coefficients at indices n * p^m,
+extrapolated by iterated Shanks steps (`accelerated_ordinary_projection`);
+plain stabilization at n * p^{2m} (`ordinary_projection`) is kept as a
+check.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .modforms import QSeries
 from .padic import DualScalar, PadicContext, PadicScalar, _vp, iwasawa_log
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
-                        TotallyPositiveElement, _split_exponent,
-                        check_inert, embed_quadnum, factor, genus_value,
-                        progression_start, sieve_trace, splitting_type,
-                        sqrtD_padic)
+                        TotallyPositiveElement, _hensel_root, _odd_primes_upto,
+                        _split_exponent, check_inert, embed_quadnum, factor,
+                        genus_value, progression_start, splitting_type,
+                        sqrtD_padic, trace_range)
 
 # revision of the coefficient kernel: bumped by every change that can move a
 # coefficient's digits below its certified precision or its slack, so that
@@ -59,66 +61,140 @@ def _geometric(x: int, e: int) -> tuple:
     return (1, e // 2) if e % 2 == 0 else (0, -(e + 1) // 2)
 
 
-def _fold(D: int, d: int, n: int, svals, owner, primes, exps) -> tuple:
-    """The product formula on records in the form of `sieve_trace`: q^e
-    exactly divides the norm of alpha_i = (svals[i] + n sqrt(D))/2 for
-    (i, q, e) in zip(owner, primes, exps); no record is of p.
+def _local(D: int, q: int, x: int, e: int, n: int, s: int) -> tuple:
+    """The local (A, C) = (sum_{k <= e} psi(P)^k, sum_{k <= e} k psi(P)^k)
+    of the P^e over q dividing alpha = (s + n sqrt(D))/2, q^e exactly
+    dividing its norm, x = psi(P) = `genus_value`: an inert q gives
+    P = (q), narrowly principal, with Nm P = q^2, so its C counts twice;
+    the two primes over a split q dividing alpha fold into one factor."""
+    if e == 1 or D % q == 0:             # one prime P, Nm P = q
+        return _geometric(x, e)
+    if splitting_type(D, q) == "inert":    # P = (q), Nm P = q^2
+        A, C = _geometric(1, e // 2)
+        return A, 2 * C
+    if n % q:                # q not dividing alpha: one of the two primes
+        return _geometric(x, e)
+    v1 = _split_exponent(D, q, e, (s - n * D) // 2, n)
+    A1, C1 = _geometric(x, v1)
+    A2, C2 = _geometric(x, e - v1)
+    return A1 * A2, A2 * C1 + A1 * C2
 
-    A record gets the local (A, C) = (sum_{k <= e} psi(P)^k,
-    sum_{k <= e} k psi(P)^k) of the P^e over q dividing alpha_i, psi being
-    the genus character of d (`genus_value`): an inert q gives P = (q),
-    narrowly principal, with Nm P = q^2, so its C counts twice; the two
-    primes over a split q are folded into one record.  Returns (mass, expo):
-    per element the product of its A, and per q the exponent E_q, the sum
-    of C times the product of the element's other A, so that the elements'
-    psi-weighted sums of log Nm I add up to sum_q E_q log q."""
-    chis = {}
-    rec_a, rec_c = array("q"), array("q")
-    zeros = [0] * len(svals)     # count of the element's vanishing A
-    mass = [1] * len(svals)      # product of the element's non-zero A
-    for i, q, e in zip(owner, primes, exps):
-        x = chis.get(q)
-        if x is None:
-            x = chis[q] = genus_value(D, d, q)
-        if e == 1 or D % q == 0:             # one prime P, Nm P = q
-            A, C = _geometric(x, e)
-        elif splitting_type(D, q) == "inert":    # P = (q), Nm P = q^2
-            A, C = _geometric(1, e // 2)
-            C *= 2
-        elif n % q:              # q not dividing alpha: one of the two primes
-            A, C = _geometric(x, e)
+
+def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
+          engine: IdealDivisorEngine) -> tuple:
+    """The product formula on every alpha = (s + n sqrt(D))/2, s in svals
+    (a range of step 2, each alpha = nu sqrt(D) with nu >> 0), each q^e
+    folded into the element's state as the sieve divides it out of the
+    norm (n^2 D - s^2)/4.  When p | n the s divisible by p, whose alpha
+    the inert p divides, are left out: no mass, no log.
+
+    psi = chi is read once per q, as the genus character of its d
+    (`genus_value`); psi_d is its value on the different.  Per element the
+    state is the product of its non-zero local A (`_local`), its count of
+    vanishing A, the (q, C) of its last vanishing A, and psi_d times
+    prod psi(P)^e over the primes found so far.  2 is divided out of every
+    norm, and each q of odd_primes (ascending) out of the s = +-n sqrt(D)
+    (mod q), or s = 0 (mod q) when q divides nD.  odd_primes holds every
+    odd prime factor of the norms up to the square root of the largest
+    one, so what is left above 1 is one prime P, e = 1, and psi(P) is the
+    running product, because psi((alpha)) = psi(different); an element
+    with nothing left must end with the product +1.
+
+    Returns (mass, expo): per element the product of its A, and per q the
+    exponent E_q, the sum of C times the product of the element's other
+    A, so that the elements' psi-weighted sums of log Nm I add up to
+    sum_q E_q log q.  At a vanishing A only an element with no other one
+    has a log term.  The terms at non-vanishing A are kept for the end
+    only when psi_d = +1: for psi_d = -1 every mass vanishes, as
+    I <-> (alpha)/I pairs the divisors off."""
+    D, p, group = engine.D, engine.p, engine.group
+    d, psi_d = group.genus[chi], chi[group.different_class]
+    size = len(svals)
+    nnD = n * n * D
+    rem = [(nnD - s * s) >> 2 for s in svals]
+    mass, zeros, psi = [1] * size, [0] * size, [psi_d] * size
+    last_q, last_c = [0] * size, [0] * size
+    kept = [] if psi_d == 1 else None    # (i, q, A, C), A and C non-zero
+    if n % p == 0:           # left out: two vanishing A and psi +1
+        first = progression_start(svals, 0, p)
+        k = len(range(first, size, p))
+        rem[first::p], psi[first::p], zeros[first::p] = \
+            [1] * k, [1] * k, [2] * k
+    for q in [2] + odd_primes:
+        if q == 2:               # the parity of a norm has period 2 in i
+            runs = [range(i, size, 2) for i in range(min(size, 2))
+                    if not (nnD - svals[i] ** 2) >> 2 & 1]
+        elif n * D % q == 0:
+            runs = (range(progression_start(svals, 0, q), size, q),)
+        elif splitting_type(D, q) == "split":
+            r = n * (2 * _hensel_root(D, q, 1) - D) % q     # n sqrt(D) mod q
+            runs = (range(progression_start(svals, r, q), size, q),
+                    range(progression_start(svals, q - r, q), size, q))
         else:
-            v1 = _split_exponent(D, q, e, (svals[i] - n * D) // 2, n)
-            A1, C1 = _geometric(x, v1)
-            A2, C2 = _geometric(x, e - v1)
-            A, C = A1 * A2, A2 * C1 + A1 * C2
-        rec_a.append(A)
-        rec_c.append(C)
-        if A:
-            mass[i] *= A
-        else:
-            zeros[i] += 1
+            continue
+        x = genus_value(D, d, q)
+        flip = x < 0 and splitting_type(D, q) != "inert"    # psi((q)) = 1
+        A1, C1 = _local(D, q, x, 1, n, 0)
+        for run in runs:
+            for i in run:
+                y = rem[i]
+                if y % q:
+                    continue                        # a skipped s, or q = 2
+                y //= q
+                e = 1
+                while y % q == 0:
+                    y //= q
+                    e += 1
+                rem[i] = y
+                if e == 1:
+                    A, C = A1, C1
+                else:
+                    A, C = _local(D, q, x, e, n, svals[i])
+                if flip and e & 1:
+                    psi[i] = -psi[i]
+                if A:
+                    mass[i] *= A
+                    if kept is not None and C:
+                        kept.append((i, q, A, C))
+                else:
+                    zeros[i] += 1
+                    last_q[i], last_c[i] = q, C
     expo = {}
-    for i, q, A, C in zip(owner, primes, rec_a, rec_c):
-        if C:
-            z = zeros[i]
-            cof = (0 if z else mass[i] // A) if A else \
-                (mass[i] if z == 1 else 0)
-            if cof:
-                expo[q] = expo.get(q, 0) + C * cof
+    for i, y in enumerate(rem):
+        if y > 1:                # one prime above the sieve, e = 1
+            A, C = _geometric(psi[i], 1)
+            if A:
+                mass[i] *= A
+                if kept is not None:
+                    kept.append((i, y, A, C))
+            else:
+                zeros[i] += 1
+                last_q[i], last_c[i] = y, C
+        elif psi[i] != 1:
+            raise ArithmeticError(
+                f"psi((alpha)) is not psi(different) at s = {svals[i]}")
+        if zeros[i] == 1 and last_c[i]:
+            q = last_q[i]
+            expo[q] = expo.get(q, 0) + last_c[i] * mass[i]
+    for i, q, A, C in kept or ():
+        if not zeros[i]:
+            expo[q] = expo.get(q, 0) + C * (mass[i] // A)
     return [0 if z else m for m, z in zip(mass, zeros)], expo
 
 
 def _fold_element(alpha: QuadNum, chi: tuple,
                   engine: IdealDivisorEngine) -> tuple:
-    """`_fold` on the one element alpha: (mass, expo).  The record of p is
-    dropped: (p) divides no p-coprime divisor."""
-    u, v = alpha.coords_in_order()
-    local = factor(abs(int(alpha.norm())))
-    local.pop(engine.p, None)
-    mass, expo = _fold(engine.D, engine.group.genus[chi], v,
-                       [2 * u + v * engine.D], [0] * len(local),
-                       list(local), list(local.values()))
+    """`_fold` on the one element alpha = nu sqrt(D), nu >> 0, deprived of
+    p first: (p) divides no p-coprime divisor.  Returns (mass, expo)."""
+    D, p = engine.D, engine.p
+    u, n = alpha.coords_in_order() or (0, 0)     # None off the integers
+    s = 2 * u + n * D
+    if n <= 0 or s * s >= n * n * D:
+        raise ValueError("alpha must be nu sqrt(D) with nu totally positive")
+    while n % p == 0 and s % p == 0:
+        n, s = n // p, s // p
+    odd = [q for q in factor((n * n * D - s * s) >> 2) if q > 2]
+    mass, expo = _fold(n, range(s, s + 2, 2), odd, chi, engine)
     return mass[0], expo
 
 
@@ -126,8 +202,9 @@ def divisor_sums(alpha: QuadNum, chi: tuple, engine: IdealDivisorEngine,
                  logs: LogCache) -> tuple:
     """(mass, log_sum) with mass = sum psi(I) and
     log_sum = sum psi(I) log Nm I over the p-coprime divisors I of (alpha),
-    by the product formula of `_fold`: no divisor list is built, and no log
-    is taken when two or more local A vanish."""
+    alpha = nu sqrt(D) with nu >> 0, by the product formula of `_fold`: no
+    divisor list is built, and no log is taken when two or more local A
+    vanish."""
     mass, expo = _fold_element(alpha, chi, engine)
     log_sum = logs.ctx.zero()
     for q, E in expo.items():
@@ -218,16 +295,13 @@ def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
     `diag_coefficient` over the p-primitive alpha, those with p not dividing
     s when p | n (all of them otherwise).
 
-    One integer pass: the norms are factored by `sieve_trace` and folded by
-    `_fold`.  The unit is prod q^{E_q} / prod alpha^{mass}."""
+    One integer pass: `_fold` over the level, whose p-divisible alpha it
+    leaves out.  The unit is prod q^{E_q} / prod alpha^{mass}."""
     D, p, M = engine.D, engine.p, ctx.modulus
-    skip = 0 if n % p else p
-    svals, owner, primes, exps = sieve_trace(n, D, skip)
-    mass, expo = _fold(D, engine.group.genus[chi], n, svals, owner, primes,
-                       exps)
-    if skip:                     # the p | s left out carry no mass either
-        first = progression_start(svals, 0, p)
-        mass[first::p] = [0] * len(range(first, len(svals), p))
+    svals = trace_range(n, D)
+    # the largest norm is at the s nearest 0, s = nD (mod 2)
+    odd = _odd_primes_upto(isqrt((n * n * D - n * D % 2) >> 2))
+    mass, expo = _fold(n, svals, odd, chi, engine)
     num = 1
     for q, E in expo.items():
         if E:

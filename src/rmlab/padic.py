@@ -230,6 +230,8 @@ class PadicScalar:
             a0 = (a0 // pk) % M
             a1 = (a1 // pk) % M
             v += k
+        if v >= abs_prec:        # no digit of the sum is known
+            return ctx.zero()
         return PadicScalar(ctx, v, a0, a1, max(0, v + ctx.prec - abs_prec))
 
     def __neg__(self) -> "PadicScalar":

@@ -4,17 +4,18 @@ Indefinite form reduction and cycles, the narrow class group with Dirichlet
 composition in closed form and its genus characters psi(P) = (d / Nm P),
 D = d * (D/d), read at rational primes (`genus_value`), Pell/automorph
 machinery, exact elements a + b*sqrt(D), ideal arithmetic in Hermite normal
-form, totally-positive trace enumeration with a sieve that factors the norms
-of a whole trace level, and partial zeta values at s = 0 (reduced-cycle
-formula, with a Shintani cone sum as the independent oracle).
+form, totally-positive trace enumeration with the progression helpers of the
+divisor-sum kernel's sieve (`eisenstein._fold`), and partial zeta values at
+s = 0 (reduced-cycle formula, with a Shintani cone sum as the independent
+oracle).
 
-`factor` (trial division) and `next_prime` serve the integers met outside the
-sieve: discriminants and norms of small elements.
+`factor` (trial division) and `next_prime` serve the integers met outside
+that sieve: discriminants, group orders and the norms factored into prime
+ideals by `factor_alpha`.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -864,61 +865,6 @@ def _odd_primes_upto(m: int) -> list:
 def progression_start(svals: range, r: int, q: int) -> int:
     """Index in svals (a range of step 2) of the first s = r (mod q), q odd."""
     return (r - svals.start) * ((q + 1) // 2) % q
-
-
-def sieve_trace(n: int, D: int, skip: int = 0) -> tuple:
-    """Factor the norms (n^2 D - s^2)/4 of all alpha = (s + n sqrt(D))/2,
-    s in `trace_range(n, D)`, at once.
-
-    Returns (svals, owner, primes, exps), the last three parallel flat
-    sequences of records: primes[k]^exps[k] exactly divides the norm of the
-    element s = svals[owner[k]].  Each element's records ascend in q.  2 is
-    stripped by trailing zeros; an odd q up to the square root of the
-    largest norm divides exactly the s = +-n sqrt(D) (mod q), or s = 0
-    (mod q) when q divides nD; what is left above 1 is one prime.  Elements
-    whose s is divisible by `skip` (if given) are left without records."""
-    svals = trace_range(n, D)
-    size = len(svals)
-    nnD = n * n * D
-    rem = [(nnD - s * s) >> 2 for s in svals]
-    if skip:
-        first = progression_start(svals, 0, skip)
-        rem[first::skip] = [1] * len(range(first, size, skip))
-    owner, primes, exps = array("q"), [], array("q")
-    for i, x in enumerate(rem):
-        if not x & 1:
-            e = (x & -x).bit_length() - 1
-            rem[i] = x >> e
-            owner.append(i)
-            primes.append(2)
-            exps.append(e)
-    for q in _odd_primes_upto(isqrt(max(rem, default=0))):
-        if n * D % q == 0:
-            roots = (0,)
-        elif splitting_type(D, q) == "split":
-            r = n * (2 * _hensel_root(D, q, 1) - D) % q     # n sqrt(D) mod q
-            roots = (r, q - r)
-        else:
-            continue
-        for r in roots:
-            for i in range(progression_start(svals, r, q), size, q):
-                x = rem[i]
-                if x % q:
-                    continue                                # a skipped s
-                e = 0
-                while x % q == 0:
-                    x //= q
-                    e += 1
-                rem[i] = x
-                owner.append(i)
-                primes.append(q)
-                exps.append(e)
-    for i, x in enumerate(rem):
-        if x > 1:
-            owner.append(i)
-            primes.append(x)
-            exps.append(1)
-    return svals, owner, primes, exps
 
 
 # --------------------------------------------------------------------------

@@ -100,16 +100,14 @@ def measure_scale(c: int) -> int:
 
 
 class BallSpace:
-    """Level-m balls v + p^m Z_p^2 of X_0, indexed by primitive centers."""
+    """Level-m balls v + p^m Z_p^2 of X_0, indexed by primitive centers
+    (a, b) in [0, p^m)^2 in row order: by a, then by b."""
 
     def __init__(self, p: int, level: int):
         self.p, self.level, self.den = p, level, p ** level
         den = self.den
         self.a = [a for a in range(den) for b in range(den) if a % p or b % p]
         self.b = [b for a in range(den) for b in range(den) if a % p or b % p]
-        self.pos = [-1] * (den * den)
-        for i, (a, b) in enumerate(zip(self.a, self.b)):
-            self.pos[a * den + b] = i
 
 
 @dataclass
@@ -131,9 +129,15 @@ class BallMeasure:
         return sum(v for a, v in zip(self.space.a, self.values) if a % p == 0)
 
     def value_at(self, a: int, b: int) -> int:
-        den = self.space.den
-        idx = self.space.pos[(a % den) * den + (b % den)]
-        if idx < 0:
+        p, den = self.space.p, self.space.den
+        a, b = a % den, b % den
+        # a row holds p^m balls, or p^m - p^(m-1) when p | a
+        idx = a * den - (a + p - 1) // p * (den // p)
+        if a % p:
+            idx += b
+        elif b % p:
+            idx += b - (b + p - 1) // p
+        else:
             raise ValueError("center is not primitive")
         return self.values[idx]
 

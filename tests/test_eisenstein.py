@@ -1,17 +1,21 @@
 import random
+from math import isqrt
 
 import pytest
 
-from rmlab.eisenstein import (LogCache, antiparallel_coeff, diag_coefficient,
-                              diag_restrict_derivative, divisor_sums,
-                              dual_coeff_Fplus, eis_combination_coeff,
-                              eis_family_coeff, ordinary_projection,
-                              sigma_psi)
+from rmlab.eisenstein import (LogCache, _fold, antiparallel_coeff,
+                              diag_coefficient, diag_restrict_derivative,
+                              divisor_sums, dual_coeff_Fplus,
+                              eis_combination_coeff, eis_family_coeff,
+                              ordinary_projection, sigma_psi)
 from rmlab.padic import PadicContext, iwasawa_log
 from rmlab.quadfield import (IdealDivisorEngine, NarrowClassGroup,
-                             TotallyPositiveElement, embed_quadnum,
-                             enumerate_trace, principal_ideal)
+                             TotallyPositiveElement, _odd_primes_upto,
+                             _split_exponent, embed_quadnum, enumerate_trace,
+                             genus_value, principal_ideal, progression_start,
+                             splitting_type)
 from rmlab.winding import log_Tn_Jw
+from test_quadfield import sieve_trace
 
 D, P = 12, 5
 GROUP = NarrowClassGroup(D)
@@ -105,6 +109,16 @@ def test_eis_family_rejects_unknown_pair():
         eis_family_coeff("psi,psi", nu, CHI, ENGINE, CTX)
 
 
+def test_divisor_sums_reject_alpha_of_no_totally_positive_nu():
+    # the kernel reads psi((alpha)) as psi(different): alpha = nu sqrt(D)
+    # with nu >> 0 only
+    nu = enumerate_trace(2, D)[0]
+    alpha = nu.alpha
+    for x in (nu.nu, -alpha, alpha * alpha, alpha.conj() * alpha):
+        with pytest.raises(ValueError, match="totally positive"):
+            divisor_sums(x, CHI, ENGINE, LOGS)
+
+
 def test_l_invariant_cancellation():
     rng = random.Random(3)
     nus = [nu for n in (1, 2, 3, 4) for nu in enumerate_trace(n, D)][:20]
@@ -181,6 +195,91 @@ def test_diag_coefficient_matches_divisor_sum_oracle(disc, p):
             oracle = diag_oracle(n, chi, engine, ctx, logs)
             assert diag_coefficient(n, chi, engine, ctx).equals(oracle)
             assert diag_coefficient(n, chi, engine, ctx, logs).equals(oracle)
+
+
+def _geometric(x, e):
+    if x == 1:
+        return e + 1, e * (e + 1) // 2
+    return (1, e // 2) if e % 2 == 0 else (0, -(e + 1) // 2)
+
+
+def record_fold(D, d, n, svals, owner, primes, exps):
+    """Oracle for `_fold`: the product formula on the records of
+    `sieve_trace`, one record (i, q, e) at a time, psi(P) a Legendre
+    symbol per q (`genus_value`).  Returns (mass, expo) as `_fold` does."""
+    chis = {}
+    rec_a, rec_c = [], []
+    zeros = [0] * len(svals)
+    mass = [1] * len(svals)
+    for i, q, e in zip(owner, primes, exps):
+        x = chis.get(q)
+        if x is None:
+            x = chis[q] = genus_value(D, d, q)
+        if e == 1 or D % q == 0:
+            A, C = _geometric(x, e)
+        elif splitting_type(D, q) == "inert":
+            A, C = _geometric(1, e // 2)
+            C *= 2
+        elif n % q:
+            A, C = _geometric(x, e)
+        else:
+            v1 = _split_exponent(D, q, e, (svals[i] - n * D) // 2, n)
+            A1, C1 = _geometric(x, v1)
+            A2, C2 = _geometric(x, e - v1)
+            A, C = A1 * A2, A2 * C1 + A1 * C2
+        rec_a.append(A)
+        rec_c.append(C)
+        if A:
+            mass[i] *= A
+        else:
+            zeros[i] += 1
+    expo = {}
+    for i, q, A, C in zip(owner, primes, rec_a, rec_c):
+        if C:
+            z = zeros[i]
+            cof = (0 if z else mass[i] // A) if A else \
+                (mass[i] if z == 1 else 0)
+            if cof:
+                expo[q] = expo.get(q, 0) + C * cof
+    return [0 if z else m for m, z in zip(mass, zeros)], expo
+
+
+# fields for the one-pass kernel against the records: 2 splits in (33, 7),
+# (105, 11), (17, 3) and (41, 3), is inert in (5, 7), (13, 5) and (21, 11)
+# and ramifies in the even D; 7 splits in (44, 7); (40, 7), (5, 7), (13, 5),
+# (8, 5), (17, 3) and (41, 3) have no odd character; (60, 13) and (105, 11)
+# have h+ = 4
+FOLD_FIELDS = [(12, 5), (12, 7), (24, 7), (33, 7), (40, 7), (60, 13),
+               (28, 5), (5, 7), (13, 5), (21, 11), (8, 5), (105, 11),
+               (17, 3), (41, 3), (44, 7)]
+
+
+@pytest.mark.parametrize("disc, p", FOLD_FIELDS)
+def test_fold_matches_record_oracle(disc, p):
+    # per element mass and per q exponent E_q, for every character, on the
+    # levels n <= 30 and a few with high prime powers, the p | s left out
+    # when p | n; and psi((alpha)) = psi(different) on every record set,
+    # the identity that gives the kernel the psi of its last prime
+    group = NarrowClassGroup(disc)
+    engine = IdealDivisorEngine(group, p)
+    for n in sorted({*range(1, 31), p * p, 2 * p ** 3, 50, 98, 169}):
+        skip = 0 if n % p else p
+        svals, owner, primes, exps = sieve_trace(n, disc, skip)
+        kept = [i for i, s in enumerate(svals) if not skip or s % skip]
+        odd = _odd_primes_upto(isqrt((n * n * disc - n * disc % 2) // 4))
+        for chi in group.characters:
+            d = group.genus[chi]
+            mass, expo = record_fold(disc, d, n, svals, owner, primes, exps)
+            if skip:
+                first = progression_start(svals, 0, p)
+                mass[first::p] = [0] * len(range(first, len(svals), p))
+            assert _fold(n, svals, odd, chi, engine) == (mass, expo), \
+                (n, chi)
+            psi = [chi[group.different_class]] * len(svals)
+            for i, q, e in zip(owner, primes, exps):
+                if splitting_type(disc, q) != "inert" and e % 2:
+                    psi[i] *= genus_value(disc, d, q)
+            assert all(psi[i] == 1 for i in kept), (n, chi)
 
 
 @pytest.mark.parametrize("disc, p", [(12, 5), (33, 7), (60, 13)])

@@ -78,6 +78,17 @@ def test_cancellation_tracks_slack():
     assert d.slack == 6  # six digits renormalized away
 
 
+def test_sum_with_no_known_digit_is_zero_marker():
+    # 1 known mod 5^7 plus -1 + 5^8: the sum 5^8 lies beyond what is known
+    ctx = PadicContext(5, 10)
+    a = ctx.from_int(1)._with_slack(3)
+    b = ctx.from_int(-1 + 5 ** 8)
+    assert (a + b).is_zero and (b + a).is_zero
+    # one digit known is kept: 5^6 + 1 known mod 5^7
+    c = ctx.from_int(-1 + 5 ** 6) + a
+    assert c.v == 6 and c.effective_prec() == 1
+
+
 def test_zero_marker():
     z = CTX.zero()
     assert z.is_zero

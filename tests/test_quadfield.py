@@ -1,4 +1,5 @@
 import random
+from array import array
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
@@ -17,8 +18,9 @@ from rmlab.quadfield import (IdealF, IdealDivisorEngine, NarrowClassGroup,
                              minus_cf_cycle, partial_zeta_zero,
                              pell_fundamental, prime_ideal, prime_pairs,
                              principal_form, principal_ideal, reduce_form,
-                             rho_step, shintani_zeta_zero, sieve_trace,
-                             splitting_type, sqrtD_padic, trace_range)
+                             rho_step, shintani_zeta_zero, splitting_type,
+                             sqrtD_padic, trace_range)
+from rmlab.quadfield import _hensel_root, _odd_primes_upto, progression_start
 
 DISCS = [5, 8, 12, 13, 21, 24, 28, 33, 40, 44, 56, 57, 60, 61]
 
@@ -385,6 +387,62 @@ def test_factor_alpha_reconstructs_ideal():
                     I = I.mult(P)
             assert I == principal_ideal(D, x)
             assert nm == abs(x.norm())
+
+
+def sieve_trace(n: int, D: int, skip: int = 0) -> tuple:
+    """Oracle for the sieve inside `eisenstein._fold`: factor the norms
+    (n^2 D - s^2)/4 of all alpha = (s + n sqrt(D))/2, s in
+    `trace_range(n, D)`, at once, into flat records.
+
+    Returns (svals, owner, primes, exps), the last three parallel flat
+    sequences of records: primes[k]^exps[k] exactly divides the norm of the
+    element s = svals[owner[k]].  Each element's records ascend in q.  2 is
+    stripped by trailing zeros; an odd q up to the square root of the
+    largest norm divides exactly the s = +-n sqrt(D) (mod q), or s = 0
+    (mod q) when q divides nD; what is left above 1 is one prime.  Elements
+    whose s is divisible by `skip` (if given) are left without records."""
+    svals = trace_range(n, D)
+    size = len(svals)
+    nnD = n * n * D
+    rem = [(nnD - s * s) >> 2 for s in svals]
+    if skip:
+        first = progression_start(svals, 0, skip)
+        rem[first::skip] = [1] * len(range(first, size, skip))
+    owner, primes, exps = array("q"), [], array("q")
+    for i, x in enumerate(rem):
+        if not x & 1:
+            e = (x & -x).bit_length() - 1
+            rem[i] = x >> e
+            owner.append(i)
+            primes.append(2)
+            exps.append(e)
+    for q in _odd_primes_upto(isqrt(max(rem, default=0))):
+        if n * D % q == 0:
+            roots = (0,)
+        elif splitting_type(D, q) == "split":
+            r = n * (2 * _hensel_root(D, q, 1) - D) % q     # n sqrt(D) mod q
+            roots = (r, q - r)
+        else:
+            continue
+        for r in roots:
+            for i in range(progression_start(svals, r, q), size, q):
+                x = rem[i]
+                if x % q:
+                    continue                                # a skipped s
+                e = 0
+                while x % q == 0:
+                    x //= q
+                    e += 1
+                rem[i] = x
+                owner.append(i)
+                primes.append(q)
+                exps.append(e)
+    for i, x in enumerate(rem):
+        if x > 1:
+            owner.append(i)
+            primes.append(x)
+            exps.append(1)
+    return svals, owner, primes, exps
 
 
 # (D, n): 2 splits in Q(sqrt(33)); 2, 3 and 5 ramify in Q(sqrt(60)) and 2, 3

@@ -152,11 +152,10 @@ def _perm(space, gamma):
     """Index permutation v -> v * gamma mod p^level of the balls of
     `space`."""
     (g00, g01), (g10, g11) = gamma
-    den, pos = space.den, space.pos
-    out = [pos[(a * g00 + b * g10) % den * den + (a * g01 + b * g11) % den]
-           for a, b in zip(space.a, space.b)]
-    assert min(out) >= 0
-    return out
+    den = space.den
+    pos = {(a, b): i for i, (a, b) in enumerate(zip(space.a, space.b))}
+    return [pos[(a * g00 + b * g10) % den, (a * g01 + b * g11) % den]
+            for a, b in zip(space.a, space.b)]
 
 
 def _acted(mu, gamma):
@@ -535,6 +534,14 @@ def test_measure_value_at_rejects_imprimitive_center():
     m = mu_DR(((1, 1), (0, 1)), 5, 1)
     with pytest.raises(ValueError):
         m.value_at(0, 5)
+    # every primitive center, reduced mod p^level, reads its own ball
+    for p, level in ((5, 2), (7, 1), (3, 3)):
+        m = mu_DR(((2, 1), (5, 3)), p, level, c=5 if p != 5 else 7)
+        sp, den = m.space, m.space.den
+        assert [m.value_at(a - den, b + 2 * den)
+                for a, b in zip(sp.a, sp.b)] == m.values
+        with pytest.raises(ValueError):
+            m.value_at(p * den, -p)
 
 
 # --------------------------------------------------------------------------
