@@ -7,8 +7,9 @@ differences of the raw sequence a_{n p^m} and of each Shanks column.  The raw
 sequence gains roughly a constant number of digits per step (one geometric
 transient per finite-slope U_p eigenvalue); each Shanks column removes the
 dominant transient and multiplies the rate.  Each trace level is reported
-with its number of elements and its time, and the run ends with the
-process's peak resident memory.
+with its number of elements, the number the kernel sieves (nu and its
+conjugate nu' add the same summand, so it sieves the s >= 0 half) and its
+time, and the run ends with the process's peak resident memory.
 
     python3 scripts/acceleration_profile.py [--disc 12] [--p 5] [--n 1]
                                             [--depth 4] [--prec 32]
@@ -47,9 +48,11 @@ def main():
     def producer(k):
         t0 = time.perf_counter()
         value = diag_coefficient(k, chi, engine, ctx, logs)
-        print(f"a_{args.n}*{args.p}^{len(terms)}: "
-              f"{len(trace_range(k, args.disc))} elements in "
-              f"{time.perf_counter() - t0:.3f} s")
+        svals = trace_range(k, args.disc)
+        # the s > 0 half, and s = 0 unless p | k leaves it out
+        sieved = len(svals) // 2 + (0 in svals and k % args.p != 0)
+        print(f"a_{args.n}*{args.p}^{len(terms)}: {len(svals)} elements in "
+              f"{time.perf_counter() - t0:.3f} s, {sieved} sieved")
         terms.append(value)
         return value
 

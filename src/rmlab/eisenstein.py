@@ -11,7 +11,9 @@ its psi from psi((alpha)) = psi(different).  The kernel runs on one nu in
 `divisor_sums`, where each family coefficient is a closed form in the two
 sums, and on a whole trace level in `diag_coefficient`; the psi-weighted log
 terms are collected as an integer exponent per rational prime, and one
-p-adic log is taken per coefficient.  Because the nu of trace n p divisible
+p-adic log is taken per coefficient.  A level is sieved over s >= 0 only:
+nu and its conjugate nu' add the same summand, as psi, a genus character,
+takes one value on conjugate primes.  Because the nu of trace n p divisible
 by p are p times those of trace n, every level with p | n is the level n/p
 plus its p-primitive nu.  The ordinary projection of the diagonal
 restriction derivative is the limit of its coefficients at indices n * p^m,
@@ -25,13 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .modforms import QSeries
 from .padic import DualScalar, PadicContext, PadicScalar, _vp, iwasawa_log
-from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
-                        TotallyPositiveElement, _hensel_root, _odd_primes_upto,
-                        _split_exponent, check_inert, embed_quadnum, factor,
-                        genus_value, progression_start, splitting_type,
-                        sqrtD_padic, trace_range)
+from .quadfield import (IdealDivisorEngine, QuadNum, TotallyPositiveElement,
+                        _hensel_root, _odd_primes_upto, _split_exponent,
+                        check_inert, embed_quadnum, factor, genus_value,
+                        progression_start, splitting_type, sqrtD_padic,
+                        trace_range)
 
 # revision of the coefficient kernel: bumped by every change that can move a
 # coefficient's digits below its certified precision or its slack, so that
@@ -162,7 +163,7 @@ def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
     expo = {}
     for i, y in enumerate(rem):
         if y > 1:                # one prime above the sieve, e = 1
-            A, C = _geometric(psi[i], 1)
+            A, C = (2, 1) if psi[i] == 1 else (0, -1)
             if A:
                 mass[i] *= A
                 if kept is not None:
@@ -182,6 +183,15 @@ def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
     return [0 if z else m for m, z in zip(mass, zeros)], expo
 
 
+def _fold_one(n: int, s: int, chi: tuple,
+              engine: IdealDivisorEngine) -> tuple:
+    """`_fold` on the one alpha = (s + n sqrt(D))/2, from the odd primes of
+    its norm.  Returns (mass, expo)."""
+    odd = [q for q in factor((n * n * engine.D - s * s) >> 2) if q > 2]
+    (mass,), expo = _fold(n, range(s, s + 2, 2), odd, chi, engine)
+    return mass, expo
+
+
 def _fold_element(alpha: QuadNum, chi: tuple,
                   engine: IdealDivisorEngine) -> tuple:
     """`_fold` on the one element alpha = nu sqrt(D), nu >> 0, deprived of
@@ -193,9 +203,7 @@ def _fold_element(alpha: QuadNum, chi: tuple,
         raise ValueError("alpha must be nu sqrt(D) with nu totally positive")
     while n % p == 0 and s % p == 0:
         n, s = n // p, s // p
-    odd = [q for q in factor((n * n * D - s * s) >> 2) if q > 2]
-    mass, expo = _fold(n, range(s, s + 2, 2), odd, chi, engine)
-    return mass[0], expo
+    return _fold_one(n, s, chi, engine)
 
 
 def divisor_sums(alpha: QuadNum, chi: tuple, engine: IdealDivisorEngine,
@@ -295,29 +303,43 @@ def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
     `diag_coefficient` over the p-primitive alpha, those with p not dividing
     s when p | n (all of them otherwise).
 
-    One integer pass: `_fold` over the level, whose p-divisible alpha it
-    leaves out.  The unit is prod q^{E_q} / prod alpha^{mass}."""
+    The unit is prod q^{E_q} / prod alpha^{mass}.  The level is stable under
+    nu -> nu', that is alpha_s -> alpha_{-s} = -sigma(alpha_s), which has the
+    same norm, the same local (A, C) at every q and, psi being a genus
+    character, the same psi: nu and nu' add the same summand.  So one
+    integer pass, `_fold` over the s > 0 half, gives every E_q twice, and
+    alpha_s^m alpha_{-s}^m = ((n^2 D - s^2)/4)^m is an integer; the s = 0
+    element, present when nD is even and left out when p | n, is folded
+    alone (`_fold_one`), and only its alpha_0 = n sqrt(D)/2 is a power in
+    Z_{p^2}."""
     D, p, M = engine.D, engine.p, ctx.modulus
     svals = trace_range(n, D)
-    # the largest norm is at the s nearest 0, s = nD (mod 2)
-    odd = _odd_primes_upto(isqrt((n * n * D - n * D % 2) >> 2))
-    mass, expo = _fold(n, svals, odd, chi, engine)
-    num = 1
+    half = range(2 - svals.start % 2, svals.stop, 2)
+    # the largest norm of the half is at its least s
+    odd = _odd_primes_upto(isqrt((n * n * D - half.start ** 2) >> 2))
+    mass, expo = _fold(n, half, odd, chi, engine)
+    expo = {q: 2 * E for q, E in expo.items()}
+    # the integer bases by exponent: each q at E_q, each pair's norm at -mass
+    bases = {}
+    for i, m in enumerate(mass):
+        if m:
+            N = (n * n * D - half[i] ** 2) >> 2
+            bases[-m] = bases.get(-m, 1) * N % M
+    mass0 = 0
+    if 0 in svals and n % p:
+        mass0, expo0 = _fold_one(n, 0, chi, engine)
+        for q, E in expo0.items():
+            expo[q] = expo.get(q, 0) + E
     for q, E in expo.items():
         if E:
-            num = num * pow(q, E, M) % M
+            bases[E] = bases.get(E, 1) * q % M
+    num = 1
+    for E, b in bases.items():
+        num = num * pow(b, E, M) % M
     unit = ctx.from_int(num)
-    if any(mass):
-        # alpha^mass, alpha = (s + n sqrt(D))/2, in Z_{p^2}
-        sq = sqrtD_padic(ctx, D)        # a unit, since p is inert
-        half = pow(2, -1, M)
-        masses = ctx.one()
-        for i, s in enumerate(svals):
-            if mass[i]:
-                alpha = ctx.from_coords((s + n * sq.u0) * half % M,
-                                        n * sq.u1 * half % M)
-                masses = masses * alpha ** mass[i]
-        unit = unit / masses
+    if mass0:                # alpha_0 = n sqrt(D)/2, a unit: p is inert
+        alpha0 = sqrtD_padic(ctx, D) * n / ctx.from_int(2)
+        unit = unit / alpha0 ** mass0
     return unit
 
 
@@ -345,20 +367,6 @@ def diag_coefficient(n: int, chi: tuple, engine: IdealDivisorEngine,
             levels[key] = primitive if a is None else a + primitive
         a = levels[key]
     return a
-
-
-def diag_restrict_derivative(chi: tuple, group: NarrowClassGroup, p: int,
-                             n_max: int, ctx: PadicContext,
-                             engine: IdealDivisorEngine | None = None,
-                             logs: LogCache | None = None) -> QSeries:
-    """q-series of the diagonal restriction derivative up to q^{n_max};
-    constant term left unknown."""
-    check_inert(group.D, p)
-    engine = engine or IdealDivisorEngine(group, p)
-    logs = logs or LogCache(ctx)
-    coeffs = [None] + [diag_coefficient(n, chi, engine, ctx, logs)
-                       for n in range(1, n_max + 1)]
-    return QSeries(tuple(coeffs), p)
 
 
 @dataclass

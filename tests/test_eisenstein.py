@@ -3,8 +3,8 @@ from math import isqrt
 
 import pytest
 
-from rmlab.eisenstein import (LogCache, _fold, antiparallel_coeff,
-                              diag_coefficient, diag_restrict_derivative,
+from rmlab.eisenstein import (LogCache, _fold, _level_unit,
+                              antiparallel_coeff, diag_coefficient,
                               divisor_sums, dual_coeff_Fplus,
                               eis_combination_coeff, eis_family_coeff,
                               ordinary_projection, sigma_psi)
@@ -13,7 +13,7 @@ from rmlab.quadfield import (IdealDivisorEngine, NarrowClassGroup,
                              TotallyPositiveElement, _odd_primes_upto,
                              _split_exponent, embed_quadnum, enumerate_trace,
                              genus_value, principal_ideal, progression_start,
-                             splitting_type)
+                             splitting_type, sqrtD_padic, trace_range)
 from rmlab.winding import log_Tn_Jw
 from test_quadfield import sieve_trace
 
@@ -282,6 +282,56 @@ def test_fold_matches_record_oracle(disc, p):
             assert all(psi[i] == 1 for i in kept), (n, chi)
 
 
+def full_level_unit(n, chi, engine, ctx):
+    """Oracle for `_level_unit`: one `_fold` over the whole of
+    trace_range(n, D), both nu and nu', and the unit
+    prod q^{E_q} / prod alpha^{mass} with every alpha a power in Z_{p^2}.
+    Returns (unit, mass)."""
+    D, M = engine.D, ctx.modulus
+    svals = trace_range(n, D)
+    odd = _odd_primes_upto(isqrt((n * n * D - n * D % 2) >> 2))
+    mass, expo = _fold(n, svals, odd, chi, engine)
+    num = 1
+    for q, E in expo.items():
+        if E:
+            num = num * pow(q, E, M) % M
+    unit = ctx.from_int(num)
+    if any(mass):
+        sq = sqrtD_padic(ctx, D)
+        half = pow(2, -1, M)
+        masses = ctx.one()
+        for i, s in enumerate(svals):
+            if mass[i]:
+                alpha = ctx.from_coords((s + n * sq.u0) * half % M,
+                                        n * sq.u1 * half % M)
+                masses = masses * alpha ** mass[i]
+        unit = unit / masses
+    return unit, mass
+
+
+# the inert fields of FOLD_FIELDS with p >= 5, and three more whose even
+# characters give non-zero masses, so that the paired norms and alpha_0
+# are reached
+MIRROR_FIELDS = [(disc, p) for disc, p in FOLD_FIELDS
+                 if p >= 5 and splitting_type(disc, p) == "inert"] \
+    + [(57, 5), (88, 5), (76, 7)]
+
+
+@pytest.mark.parametrize("disc, p", MIRROR_FIELDS)
+def test_mirrored_level_equals_full_level(disc, p):
+    # the s > 0 half, doubled, plus s = 0 is the whole level: nu and nu'
+    # have the same mass, element by element, and the same unit overall
+    group = NarrowClassGroup(disc)
+    engine = IdealDivisorEngine(group, p)
+    ctx = PadicContext(p, 20)
+    for n in sorted({*range(1, 31), p * p, 2 * p ** 3, 50, 98, 169}):
+        for chi in group.characters:
+            full, mass = full_level_unit(n, chi, engine, ctx)
+            assert all(m == mass[-1 - i] for i, m in enumerate(mass)), \
+                (n, chi)
+            assert _level_unit(n, chi, engine, ctx).equals(full), (n, chi)
+
+
 @pytest.mark.parametrize("disc, p", [(12, 5), (33, 7), (60, 13)])
 def test_telescoped_level_equals_fresh_level(disc, p):
     group = NarrowClassGroup(disc)
@@ -360,14 +410,6 @@ def test_diag_matches_weighted_winding():
             term = log_Tn_Jw(tau, n, P, CTX, GROUP, ENGINE)
             wsum = wsum + (term if CHI[i] == 1 else -term)
         assert (a_n * 2).equals(-wsum, 15)
-
-
-def test_diag_restrict_derivative_series_shape():
-    s = diag_restrict_derivative(CHI, GROUP, P, 6, CTX, ENGINE, LOGS)
-    assert s.coeffs[0] is None and s.n_max == 6 and s.level == P
-    assert s.coeffs[1].equals(diag_coefficient(1, CHI, ENGINE, CTX, LOGS))
-    with pytest.raises(ValueError):
-        diag_restrict_derivative(CHI, GROUP, 13, 3, CTX)  # 13 splits
 
 
 # --- ordinary projection ------------------------------------------------------

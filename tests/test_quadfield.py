@@ -5,6 +5,7 @@ from itertools import product
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, strategies as st
 from sympy import primerange
 
 from rmlab.padic import PadicContext
@@ -356,7 +357,6 @@ def test_prime_ideals():
 
 
 def test_check_inert_is_the_callers_guard():
-    from rmlab.eisenstein import diag_restrict_derivative
     from rmlab.gsunits import generating_series
     from rmlab.winding import log_Tn_Jw
     check_inert(12, 5)
@@ -368,7 +368,6 @@ def test_check_inert_is_the_callers_guard():
         msg = rf"^p = {p} is not inert in Q\(sqrt\(12\)\)$"
         for call in (lambda: check_inert(12, p),
                      lambda: generating_series(tau, p, 4, ctx),
-                     lambda: diag_restrict_derivative(chi, group, p, 4, ctx),
                      lambda: log_Tn_Jw(tau, 1, p, ctx)):
             with pytest.raises(ValueError, match=msg):
                 call()
@@ -524,6 +523,22 @@ def test_enumerate_trace_exact_set():
             legal = {s for s in range(-smax, smax + 1)
                      if (s - n * D) % 2 == 0 and s * s < n * n * D}
             assert seen == legal
+
+
+@given(st.integers(2, 10 ** 9), st.integers(1, 10 ** 6))
+def test_trace_range_is_symmetric(D, n):
+    # s -> -s maps the level onto itself (start = -(last element)), s = 0
+    # is in it exactly when nD is even, and so its s > 0 half, the last
+    # len // 2 elements, is range(2 - start % 2, stop, 2): the halving of
+    # each level rests on this
+    assume(isqrt(D) ** 2 != D)
+    svals = trace_range(n, D)
+    last = svals[-1]
+    assert svals.start == -last
+    assert last ** 2 < n * n * D < (last + 2) ** 2
+    assert (0 in svals) == (n * D % 2 == 0)
+    half = range(2 - svals.start % 2, svals.stop, 2)
+    assert half == svals[len(svals) - len(svals) // 2:]
 
 
 def test_vp_and_deprivation():
