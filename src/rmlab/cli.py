@@ -20,8 +20,8 @@ import sys
 
 from . import __version__
 from .eisenstein import KERNEL_REVISION
-from .gsunits import (generating_series, recognize, unit_from_constant_term,
-                      valuation_predictions)
+from .gsunits import (generating_series, recognition_budget, recognize,
+                      unit_from_constant_term, valuation_predictions)
 from .lattice import algdep_padic
 from .modforms import QSeries, basis_for_level, fit_to_basis
 from .padic import PadicContext, PadicScalar, iwasawa_log
@@ -73,10 +73,15 @@ DEFAULTS = {
 
 def apply_config(args: argparse.Namespace):
     """Resolve the global flags: explicit flag, then --config, then the
-    built-in default.  ValueError for a value of another type than its
-    default's (a string where the default is None)."""
+    built-in default.  ValueError for a config key that names no global
+    flag (`threads` is accepted and ignored) and for a value of another type
+    than its default's (a string where the default is None)."""
     config = getattr(args, "config", None)
     conf = read_toml_subset(config) if config else {}
+    unknown = sorted(set(conf) - {"threads"} - {
+        key for dest in DEFAULTS for key in (dest, dest.replace("_", "-"))})
+    if unknown:
+        raise ValueError(f"unknown config key: {', '.join(unknown)}")
     for dest, default in DEFAULTS.items():
         if getattr(args, dest, None) is None:
             setattr(args, dest, conf.get(dest.replace("_", "-"),
@@ -253,8 +258,8 @@ def cmd_recognize(args) -> tuple:
     ctx, group, tau, res = series_from_args(args)
     tau_class = group.class_of_rm_point(tau)
     candidates = unit_from_constant_term(res.a0, group, tau_class, ctx)
-    rec = recognize(candidates, group, tau_class, ctx,
-                    degree=args.degree, budget=args.budget)
+    rec = recognize(candidates, group, tau_class, ctx, degree=args.degree,
+                    budget=recognition_budget(res.fit, ctx, args.budget))
     report = {
         "form": list(tau.form),
         "a0": res.a0.to_json(),
@@ -391,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("recognize-unit", parents=[common],
                          help="minimal polynomial of the encoded unit")
     rec.add_argument("--degree", type=int, default=4)
-    rec.add_argument("--budget", type=int, default=20)
+    rec.add_argument("--budget", type=int, default=20,
+                     help="cap on gsunits.recognition_budget")
     winding = sub.add_parser("winding", parents=[common],
                              help="one RM value of the winding cocycle")
     winding.add_argument("--n", type=int, default=1)

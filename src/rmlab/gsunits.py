@@ -258,6 +258,17 @@ class RecognitionResult:
                 and self.reciprocal_ok)
 
 
+def recognition_budget(fit: FitResult, ctx: PadicContext,
+                       cap: int = 20) -> int:
+    """The p-adic digits recognition may ask of a_0: at most `cap`, six
+    below the working precision, and two below the fit's least residual
+    valuation, the certificate of the digits a_0 is good to."""
+    budget = min(cap, ctx.prec - 6)
+    if fit.min_residual_valuation is not None:
+        budget = min(budget, fit.min_residual_valuation - 2)
+    return budget
+
+
 def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,
               ctx: PadicContext, degree: int = 4, budget: int = 20,
               num_split_primes: int = 50) -> RecognitionResult:
@@ -267,6 +278,8 @@ def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,
     validate it: the polynomial must be reciprocal up to a p-power, and it
     must split completely modulo (most) primes split completely in the genus
     field (`splitting_fraction`)."""
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
     p = ctx.p
     expected = sorted(12 * v for v in
                       valuation_predictions(group, tau_class).values())

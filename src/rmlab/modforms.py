@@ -1,9 +1,9 @@
 """Classical weight-2 forms on Gamma_0(p) as truncated q-expansions.
 
 Just enough of M_2(Gamma_0(p)) for the small prime levels that occur here:
-the Eisenstein series E2^(p), the level-11 eta-product cusp form, Hecke
-operators on coefficients, and exact linear fitting of a series with unknown
-constant term against a basis, with overdetermined residual certification.
+the Eisenstein series E2^(p), the level-11 eta-product cusp form, and exact
+linear fitting of a series with unknown constant term against a basis, with
+overdetermined residual certification.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class QSeries:
 
     coeffs: tuple
     level: int
-    weight: int = 2
 
     @property
     def n_max(self) -> int:
@@ -32,17 +31,6 @@ class QSeries:
 
     def __getitem__(self, n):
         return self.coeffs[n]
-
-    def add(self, other: "QSeries") -> "QSeries":
-        assert self.level == other.level and self.weight == other.weight
-        n = min(self.n_max, other.n_max)
-        out = tuple(None if (a is None or b is None) else a + b
-                    for a, b in zip(self.coeffs[:n + 1], other.coeffs[:n + 1]))
-        return QSeries(out, self.level, self.weight)
-
-    def scale(self, c) -> "QSeries":
-        return QSeries(tuple(None if a is None else a * c
-                             for a in self.coeffs), self.level, self.weight)
 
 
 def sigma_p(n: int, p: int) -> int:
@@ -76,29 +64,6 @@ def eta_cusp_series(p: int, n_max: int) -> QSeries:
                     poly[k] -= poly[k - m]
     coeffs = [0] + poly[:n_max]
     return QSeries(tuple(coeffs[:n_max + 1]), p)
-
-
-def hecke_Tn(s: QSeries, ell: int) -> QSeries:
-    """Weight-2 Hecke operator at a prime ell: U_p when ell equals the level,
-    else (T_ell s)_n = s_{n*ell} + ell * s_{n/ell}."""
-    p = s.level
-    if ell == p:
-        n_out = s.n_max // p
-        coeffs = [s.coeffs[n * p] for n in range(n_out + 1)]
-        return QSeries(tuple(coeffs), p, s.weight)
-    n_out = s.n_max // ell
-    if n_out < 1:
-        raise ValueError("truncation too short for this Hecke operator")
-    coeffs = []
-    for n in range(n_out + 1):
-        hi = s.coeffs[n * ell]
-        if n % ell == 0:
-            lo = s.coeffs[n // ell]
-            val = None if (hi is None or lo is None) else hi + lo * ell
-        else:
-            val = hi
-        coeffs.append(val)
-    return QSeries(tuple(coeffs), p, s.weight)
 
 
 # --------------------------------------------------------------------------
@@ -190,14 +155,3 @@ def basis_for_level(p: int, n_max: int) -> list:
     if p == 11:
         return [e2p_series(p, n_max), eta_cusp_series(p, n_max)]
     raise ValueError(f"unsupported level {p}")
-
-
-def extract_logJDR(fit: FitResult, p: int) -> PadicScalar:
-    """12(p-1) times the Eisenstein coefficient of a successful fit; checks
-    consistency with the inferred constant term."""
-    c = fit.coefficients[0]
-    out = c * 12 * (p - 1)
-    expected_a0 = c * (p - 1)
-    if not fit.a0.equals(expected_a0):
-        raise ArithmeticError("constant term inconsistent with E2 coefficient")
-    return out

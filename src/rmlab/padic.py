@@ -180,10 +180,6 @@ class PadicScalar:
     def is_zero(self) -> bool:
         return self.v is None
 
-    def is_rational_coord(self) -> bool:
-        """True if the w-coordinate vanishes at stored precision."""
-        return self.is_zero or self.u1 == 0
-
     # -- helpers ------------------------------------------------------------
 
     def _with_slack(self, s: int) -> "PadicScalar":
@@ -302,9 +298,6 @@ class PadicScalar:
 
     def norm(self) -> "PadicScalar":
         return self * self.frobenius()
-
-    def trace(self) -> "PadicScalar":
-        return self + self.frobenius()
 
     # -- comparison ---------------------------------------------------------
 

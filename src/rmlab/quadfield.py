@@ -3,11 +3,11 @@
 Indefinite form reduction and cycles, the narrow class group with Dirichlet
 composition in closed form and its genus characters psi(P) = (d / Nm P),
 D = d * (D/d), read at rational primes (`genus_value`), Pell/automorph
-machinery, exact elements a + b*sqrt(D), ideal arithmetic in Hermite normal
-form, totally-positive trace enumeration with the progression helpers of the
-divisor-sum kernel's sieve (`eisenstein._fold`), and partial zeta values at
-s = 0 (reduced-cycle formula, with a Shintani cone sum as the independent
-oracle).
+machinery, exact elements a + b*sqrt(D), prime ideals and the factorization
+of principal ideals into them, totally-positive trace enumeration with the
+progression helpers of the divisor-sum kernel's sieve (`eisenstein._fold`),
+and partial zeta values at s = 0 (reduced-cycle formula, with a Shintani cone
+sum as the independent oracle).
 
 `factor` (trial division) and `next_prime` serve the integers met outside
 that sieve: discriminants, group orders and the norms factored into prime
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .padic import (PadicContext, PadicScalar, _vp, is_prime, legendre,
                     sqrt_mod, sqrt_rational)
@@ -78,10 +78,6 @@ class QuadNum:
     def omega(D: int) -> "QuadNum":
         return QuadNum(D, Fraction(D, 2), Fraction(1, 2))
 
-    @staticmethod
-    def sqrtD(D: int) -> "QuadNum":
-        return QuadNum(D, 0, 1)
-
     def __add__(self, o):
         return QuadNum(self.D, self.a + o.a, self.b + o.b)
 
@@ -103,9 +99,6 @@ class QuadNum:
     def norm(self) -> Fraction:
         return self.a * self.a - self.D * self.b * self.b
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def inverse(self) -> "QuadNum":
         n = self.norm()
         if n == 0:
@@ -125,39 +118,26 @@ class QuadNum:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
+    def _scaled_floor(self) -> tuple:
+        """(floor(L * self), L) under sqrt(D) > 0, with L the least common
+        denominator of a and b: floor(B sqrt(D)) for an integer B != 0 is
+        isqrt(B^2 D), or minus it minus one when B < 0, D not a square."""
+        L = lcm(self.a.denominator, self.b.denominator)
+        A, B = int(self.a * L), int(self.b * L)
+        r = isqrt(B * B * self.D)
+        return A + (r if B >= 0 else -r - 1), L
+
     def sign(self) -> int:
-        """Sign under the embedding sqrt(D) > 0, exactly."""
+        """Sign under the embedding sqrt(D) > 0, exactly: for b != 0 the
+        element is irrational, so positive exactly when its floor is >= 0."""
         if self.b == 0:
             return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        # compare a with -b*sqrt(D)
-        lhs, rhs = self.a * self.a, self.D * self.b * self.b
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        big = 1 if lhs > rhs else -1  # which of |a|, |b|sqrt(D) wins
-        return big * ((self.a > 0) - (self.a < 0)) if lhs != rhs \
-            else 0  # impossible for nonsquare D unless zero
-
-    def is_totally_positive(self) -> bool:
-        return self.sign() > 0 and self.conj().sign() > 0
+        return 1 if self._scaled_floor()[0] >= 0 else -1
 
     def floor(self) -> int:
         """Exact floor under sqrt(D) > 0."""
-        lo, hi = -1, 1
-        while (self - QuadNum(self.D, lo, 0)).sign() < 0:
-            lo *= 2
-        while (self - QuadNum(self.D, hi, 0)).sign() >= 0:
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if (self - QuadNum(self.D, mid, 0)).sign() >= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        f, L = self._scaled_floor()
+        return f // L
 
     def coords_in_order(self):
         """Coordinates (u, v) with self = u + v*omega, or None if not in O_F."""
@@ -403,16 +383,6 @@ class RMPoint:
     def negate(self) -> "RMPoint":
         return RMPoint(-self.A, self.B, -self.C)
 
-    def apply(self, M) -> "RMPoint":
-        """Moebius image M(tau) as an RM point (forms transform by M^{-1})."""
-        (a, b), (c, d) = M
-        Minv = ((d, -b), (-c, a))
-        A2, B2, C2 = apply_sl2(self.form, Minv)
-        return RMPoint(A2, B2, C2)
-
-    def padic(self, ctx: PadicContext) -> PadicScalar:
-        return embed_quadnum(self.value(), ctx)
-
     @staticmethod
     def from_value(w: QuadNum) -> "RMPoint":
         """The unique primitive form with w = (−B + sqrt(D))/(2A)."""
@@ -483,7 +453,10 @@ class NarrowClassGroup:
         self.inverse = [next(j for j in range(self.h)
                              if self.table[i][j] == self.identity)
                         for i in range(self.h)]
-        self.different_class = self._class_of_different()
+        # sqrt(D) has negative norm, so the class of (sqrt(D)) is that of
+        # the form of norm -1 (H. Cohen, GTM 138, 5.2)
+        self.different_class = self.class_of_form(
+            (-1, D % 2, (D - D % 2) // 4))
         self.prime_of_class = self._first_primes()
         # d runs over the products of the prime discriminants of D, the d
         # with d and D/d both discriminants; the two give one character,
@@ -512,11 +485,6 @@ class NarrowClassGroup:
 
     def rm_representative(self, i: int) -> RMPoint:
         return RMPoint(*self.representative(i))
-
-    def _class_of_different(self) -> int:
-        sq = QuadNum.sqrtD(self.D)
-        I = ideal_from_generators(self.D, [sq, sq * QuadNum.omega(self.D)])
-        return self.narrow_class_of_ideal(I)
 
     def narrow_class_of_ideal(self, I: "IdealF") -> int:
         return self.class_of_form(I.oriented_form())
@@ -547,7 +515,9 @@ class NarrowClassGroup:
 # --------------------------------------------------------------------------
 
 class IdealF:
-    """Integral O_F-ideal Z*a + Z*(b + c*omega) in HNF (c | a, c | b)."""
+    """Ideal Z*a + Z*(b + c*omega) of O_F in Hermite normal form (c | a,
+    c | b).  The package builds prime ideals only: a = q and c = 1 over a
+    split or ramified q, a = c = q over an inert q."""
 
     __slots__ = ("D", "a", "b", "c")
 
@@ -576,21 +546,6 @@ class IdealF:
         return (QuadNum(self.D, self.a, 0),
                 QuadNum(self.D, self.b, 0) + w * self.c)
 
-    def contains(self, x: QuadNum) -> bool:
-        co = x.coords_in_order()
-        if co is None:
-            return False
-        u, v = co
-        if v % self.c:
-            return False
-        return (u - (v // self.c) * self.b) % self.a == 0
-
-    def mult(self, other: "IdealF") -> "IdealF":
-        b1, b2 = self.basis()
-        c1, c2 = other.basis()
-        return ideal_from_generators(
-            self.D, [b1 * c1, b1 * c2, b2 * c1, b2 * c2])
-
     def oriented_form(self) -> Form:
         """Primitive form Nm(x beta1 + y beta2) / Nm(I) of the oriented
         Z-basis (beta1, beta2) = (b + c*omega, a); its class is the narrow
@@ -602,43 +557,6 @@ class IdealF:
         nm = b * b + b * c * D + c * c * (D * D - D) // 4
         assert nm % (a * c) == 0
         return (nm // (a * c), (2 * b + c * D) // c, a // c)
-
-
-def ideal_from_generators(D: int, gens) -> IdealF:
-    """HNF of the Z-module generated by {g, g*omega : g in gens}."""
-    w = QuadNum.omega(D)
-    rows = []
-    for g in gens:
-        for x in (g, g * w):
-            co = x.coords_in_order()
-            assert co is not None, "generator not integral"
-            rows.append(co)
-    rows = [r for r in rows if r != (0, 0)]
-    # triangularize [[a, 0], [b, c]] with column 2 = omega coordinate
-    c = 0
-    carrier = (0, 0)
-    for (u, v) in rows:
-        if v == 0:
-            continue
-        if c == 0:
-            c, carrier = abs(v), ((u, v) if v > 0 else (-u, -v))
-        else:
-            g, x, y = _ext_gcd(c, v)
-            carrier = (x * carrier[0] + y * u, g)
-            c = g
-    assert c != 0, "rank-deficient generator set"
-    b, _ = carrier
-    a = 0
-    for (u, v) in rows:
-        k = v // c
-        a = gcd(a, u - k * b)
-    assert a != 0
-    a = abs(a)
-    return IdealF(D, a, b % a, c)
-
-
-def principal_ideal(D: int, x: QuadNum) -> IdealF:
-    return ideal_from_generators(D, [x])
 
 
 @lru_cache(maxsize=None)
@@ -740,23 +658,6 @@ def factor_alpha(D: int, alpha: QuadNum):
             for pair in prime_pairs(D, q, e, u, v)]
 
 
-@dataclass
-class DivisorIdeal:
-    """Divisor of a principal ideal, carried multiplicatively."""
-
-    D: int
-    norm: int
-    class_idx: int
-    exponents: tuple  # ((prime IdealF, e), ...)
-
-    def hnf(self) -> IdealF:
-        I = IdealF(self.D, 1, 0, 1)
-        for P, e in self.exponents:
-            for _ in range(e):
-                I = I.mult(P)
-        return I
-
-
 class IdealDivisorEngine:
     """Enumerates the p-coprime divisors of principal ideals with their
     norms and narrow classes, caching the narrow class of each prime P of a
@@ -776,20 +677,18 @@ class IdealDivisorEngine:
             self._pclass[P] = self.group.narrow_class_of_ideal(P)
         return self._pclass[P]
 
-    def divisors(self, alpha: QuadNum):
-        """All divisors I | (alpha) with p coprime to I."""
-        divs = [DivisorIdeal(self.D, 1, self.group.identity, ())]
+    def divisors(self, alpha: QuadNum) -> list:
+        """(norm, narrow class) of every divisor I | (alpha) with p coprime
+        to I."""
+        divs = [(1, self.group.identity)]
         for P, emax in factor_alpha(self.D, alpha):
             if P.a == self.p:
                 continue
             cls = self.prime_class(P)
             new = []
-            for d in divs:
-                ci, nm = d.class_idx, d.norm
-                for e in range(emax + 1):
-                    new.append(DivisorIdeal(
-                        self.D, nm, ci,
-                        d.exponents + (((P, e),) if e else ())))
+            for nm, ci in divs:
+                for _ in range(emax + 1):
+                    new.append((nm, ci))
                     nm *= P.norm
                     ci = self.group.compose(ci, cls)
             divs = new

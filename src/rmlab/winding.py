@@ -42,6 +42,8 @@ class WeightedRMPoint:
 
 def _check_instance(D: int, n: int, p: int):
     check_inert(D, p)
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, not {n}")
     if gcd(n, p) != 1:
         raise ValueError("n must be coprime to p")
 
@@ -59,11 +61,10 @@ def rm_plus_set(tau: RMPoint, n: int, p: int,
     for elt in enumerate_trace(n, D):
         assert elt.vp(p) == 0  # inert p with p coprime to n
         alpha = elt.alpha  # nu * sqrt(D), generates (nu) * different
-        for div in engine.divisors(alpha):
-            if div.class_idx != required:
-                continue
-            w = alpha * Fraction(1, div.norm)
-            out.append(WeightedRMPoint(w, 1, ("ideal", div.norm, elt.s)))
+        for norm, cls in engine.divisors(alpha):
+            if cls == required:
+                out.append(WeightedRMPoint(alpha * Fraction(1, norm), 1,
+                                           ("ideal", norm, elt.s)))
     return out
 
 

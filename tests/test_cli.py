@@ -66,6 +66,13 @@ def test_winding_matches_library(capsys):
     assert PadicScalar.from_json(rep["log_TnJw"]).equals(expected)
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_winding_nonpositive_n_exits_2(capsys, n):
+    code, rep = run(capsys, ["--prec", "10", "winding", f"--n={n}"])
+    assert code == EXIT_INVALID
+    assert rep["error"] == f"n must be a positive integer, not {n}"
+
+
 def test_invalid_instance_exits_2(capsys):
     code, rep = run(capsys, ["--disc", "12", "--p", "13", "--prec", "8",
                              "--nmax", "3", "gtau"])
@@ -182,8 +189,8 @@ def test_fit_from_file(capsys, tmp_path, source):
     # precision, with an all-zero unit part, or with a negative slack
     from rmlab.modforms import e2p_series
     ctx = PadicContext(5, 10)
-    series = e2p_series(5, 8).scale(3)
-    listed = [None] + [ctx.from_int(series.coeffs[n]).to_json()
+    series = e2p_series(5, 8)
+    listed = [None] + [ctx.from_int(3 * series.coeffs[n]).to_json()
                        for n in range(1, 9)]
     path = tmp_path / "series.json"
     prec = "12" if source == "gtau" else "10"
@@ -260,6 +267,19 @@ def test_config_value_of_wrong_type_exits_2(capsys, tmp_path, line):
     assert " must be " in rep["error"]
 
 
+def test_config_unknown_key_exits_2(capsys, tmp_path):
+    # a misspelled key is named, not ignored; threads is accepted and
+    # ignored, as the README documents
+    conf = tmp_path / "conf.toml"
+    conf.write_text("disc = 8\np = 5\npresc = 12\nthreads = 2\n")
+    code, rep = run(capsys, ["--config", str(conf), "gtau"])
+    assert code == EXIT_INVALID
+    assert rep["error"] == "unknown config key: presc"
+    conf.write_text("disc = 8\np = 5\nprec = 8\nnmax = 3\nthreads = 2\n")
+    code, rep = run(capsys, ["--config", str(conf), "gtau"])
+    assert code == EXIT_OK and rep["prec"] == 8
+
+
 def test_read_toml_subset(tmp_path):
     path = tmp_path / "c.toml"
     path.write_text('[run]\nname = "x"\nn = 3  # comment\n')
@@ -278,6 +298,22 @@ def test_recognize_unit_flagship_small(capsys):
     assert rep["recognized"]
     assert rep["polynomial"] == [5, -6, 5]
     assert rep["predicted_valuations"] == {"0": [-1, 12], "1": [1, 12]}
+
+
+def test_recognize_unit_budget_held_below_certificates(capsys):
+    # at prec 24 the default --budget 20 is capped at prec - 6 = 18, below
+    # the certified precision of a_0
+    code, rep = run(capsys, ["--prec", "24", "recognize-unit"])
+    assert code == EXIT_OK
+    assert rep["recognized"]
+    assert rep["polynomial"] == [5, -6, 5]
+
+
+def test_recognize_unit_degree_0_exits_2(capsys):
+    code, rep = run(capsys, ["--prec", "12", "--nmax", "4", "--depth", "2",
+                             "recognize-unit", "--degree", "0"])
+    assert code == EXIT_INVALID
+    assert rep["error"] == "degree must be at least 1"
 
 
 def test_corrupt_cache_line_is_recomputed(capsys, tmp_path):

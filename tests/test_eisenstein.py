@@ -12,10 +12,10 @@ from rmlab.padic import PadicContext, iwasawa_log
 from rmlab.quadfield import (IdealDivisorEngine, NarrowClassGroup,
                              TotallyPositiveElement, _odd_primes_upto,
                              _split_exponent, embed_quadnum, enumerate_trace,
-                             genus_value, principal_ideal, progression_start,
+                             genus_value, progression_start,
                              splitting_type, sqrtD_padic, trace_range)
 from rmlab.winding import log_Tn_Jw
-from test_quadfield import sieve_trace
+from test_quadfield import principal_ideal, sieve_trace
 
 D, P = 12, 5
 GROUP = NarrowClassGroup(D)
@@ -54,7 +54,7 @@ def test_sigma_trivial_character_counts_divisors(disc, p):
         for n in (1, 3, p, 2 * p):
             for nu in enumerate_trace(n, disc):
                 assert sigma_psi(nu, chi, engine) == sum(
-                    chi[d.class_idx] for d in engine.divisors(nu.alpha))
+                    chi[cls] for _, cls in engine.divisors(nu.alpha))
 
 
 @pytest.mark.parametrize("disc, p", KERNEL_FIELDS)
@@ -76,13 +76,12 @@ def test_eis_family_pair_reindexing(disc, p):
                 total_class = group.narrow_class_of_ideal(
                     principal_ideal(disc, nu.alpha))
                 a1, b1, a2, b2 = (ctx.zero(),) * 4
-                for d in engine.divisors(nu.alpha):
-                    cof = group.compose(total_class,
-                                        group.inverse[d.class_idx])
-                    a1 = a1 + chi[d.class_idx]
-                    b1 = b1 + chi[d.class_idx] * logs.log_int(d.norm)
+                for norm, cls in engine.divisors(nu.alpha):
+                    cof = group.compose(total_class, group.inverse[cls])
+                    a1 = a1 + chi[cls]
+                    b1 = b1 + chi[cls] * logs.log_int(norm)
                     a2 = a2 + chi[cof]
-                    b2 = b2 + chi[cof] * logs.log_int(d.norm)
+                    b2 = b2 + chi[cof] * logs.log_int(norm)
                 assert e1.a.equals(a1) and e1.b.equals(b1)
                 assert e2.a.equals(a2) and e2.b.equals(b2)
                 # and the reindexed sum is psi(total) times the (1,psi) a-part
@@ -92,10 +91,10 @@ def test_eis_family_pair_reindexing(disc, p):
                 nu0 = nu.deprived(p)
                 log_nu0 = iwasawa_log(embed_quadnum(nu0.nu, ctx))
                 mass, b_ap, b_fp = ctx.zero(), ctx.zero(), ctx.zero()
-                for d in engine.divisors(nu0.alpha):
-                    x = chi[d.class_idx]
-                    log_i = logs.log_int(d.norm)
-                    log_cof = logs.log_int(nu0.ideal_norm // d.norm)
+                for norm, cls in engine.divisors(nu0.alpha):
+                    x = chi[cls]
+                    log_i = logs.log_int(norm)
+                    log_cof = logs.log_int(nu0.ideal_norm // norm)
                     mass = mass + x
                     b_ap = b_ap + (r1 * log_i + r2 * log_cof - log_nu0) * x
                     b_fp = b_fp + (log_i - log_nu0) * x
@@ -395,8 +394,8 @@ def test_sqrtD_normalization_immaterial():
         alt = CTX.zero()
         for nu in enumerate_trace(n, D):
             lognu = iwasawa_log(embed_quadnum(nu.nu, CTX))
-            for d in ENGINE.divisors(nu.alpha):
-                alt = alt - CHI[d.class_idx] * (lognu - LOGS.log_int(d.norm))
+            for norm, cls in ENGINE.divisors(nu.alpha):
+                alt = alt - CHI[cls] * (lognu - LOGS.log_int(norm))
         assert a.equals(alt, 16)
 
 

@@ -6,9 +6,11 @@ import pytest
 from rmlab.gsunits import (UnitCandidate, _teichmuller_generator,
                            generating_series, is_reciprocal_up_to_p_power,
                            l_invariants_from_unit, newton_slopes,
-                           quadratic_roots, recognize, splitting_fraction,
-                           unit_from_constant_term, valuation_predictions)
+                           quadratic_roots, recognition_budget, recognize,
+                           splitting_fraction, unit_from_constant_term,
+                           valuation_predictions)
 from rmlab.lattice import eval_poly
+from rmlab.modforms import FitResult
 from rmlab.padic import (PadicContext, is_prime, iwasawa_log, padic_exp,
                          sqrt_rational)
 from rmlab.quadfield import NarrowClassGroup
@@ -163,6 +165,28 @@ def test_recognize_rejects_wrong_newton():
                     ctx, degree=4, budget=20)
     assert not rec.recognized
     assert rec.matches and rec.matches[0][1] == (1, -4, 1)
+
+
+def test_recognize_rejects_degree_below_1():
+    # as algdep_padic does, rather than report "not recognized"
+    ctx = PadicContext(5, 32)
+    group = NarrowClassGroup(12)
+    a0 = flagship_log(ctx) * ctx.from_rational(Fraction(1, 12))
+    cands = unit_from_constant_term(a0, group, group.identity, ctx)
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
+            recognize(cands, group, group.identity, ctx, degree=degree)
+
+
+def test_recognition_budget():
+    # the least of the cap, prec - 6 and the least residual valuation - 2
+    ctx = PadicContext(5, 32)
+    fit = FitResult([], ctx.zero(), {2: 21, 3: 25}, 21, True)
+    assert recognition_budget(fit, ctx) == 19
+    assert recognition_budget(fit, ctx, 12) == 12
+    assert recognition_budget(fit, PadicContext(5, 24)) == 18
+    exact = FitResult([], ctx.zero(), {2: None}, None, True)
+    assert recognition_budget(exact, ctx, 30) == 26
 
 
 # --------------------------------------------------------------------------

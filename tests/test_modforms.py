@@ -1,16 +1,18 @@
 import pytest
 
 from rmlab.modforms import (QSeries, basis_for_level, e2p_series,
-                            eta_cusp_series, extract_logJDR, fit_to_basis,
-                            hecke_Tn, sigma_p)
+                            eta_cusp_series, fit_to_basis, sigma_p)
 from rmlab.padic import PadicContext
 
 CTX = PadicContext(5, 20)
 
 
-def _padic_series(s, ctx):
-    return QSeries(tuple(None if a is None else ctx.from_int(a)
-                         for a in s.coeffs), s.level, s.weight)
+def _padic_series(ctx, *terms):
+    """The p-adic series sum c * s over (c, s) in terms, with a_0 unknown."""
+    n_max = min(s.n_max for _, s in terms)
+    return QSeries((None,) + tuple(
+        ctx.from_int(sum(c * s[n] for c, s in terms))
+        for n in range(1, n_max + 1)), terms[0][1].level)
 
 
 def test_e2p_pinned_values():
@@ -59,50 +61,43 @@ def test_eta_cusp_unsupported_level():
 
 
 def test_hecke_eisenstein_eigenvalues():
+    # E2^(p) on coefficients: T_l a_n = a_{nl} + l a_{n/l} = (1 + l) a_n for
+    # l = 2, 3, and U_p a_n = a_{np} = a_n
     for p in (5, 7):
         s = e2p_series(p, 60)
         for ell in (2, 3):
-            ts = hecke_Tn(s, ell)
-            expect = e2p_series(p, ts.n_max).scale(1 + ell)
-            assert ts.coeffs == expect.coeffs
-        us = hecke_Tn(s, p)
-        assert us.coeffs == e2p_series(p, us.n_max).coeffs
+            for n in range(60 // ell + 1):
+                lo = ell * s[n // ell] if n % ell == 0 else 0
+                assert s[n * ell] + lo == (1 + ell) * s[n], (p, ell, n)
+        assert all(s[n * p] == s[n] for n in range(60 // p + 1))
 
 
 def test_hecke_eta_eigenvalue():
+    # the level-11 eta form is a T_2 eigenform of eigenvalue a_2 = -2:
+    # a_{2n} + 2 a_{n/2} = -2 a_n
     s = eta_cusp_series(11, 40)
-    ts = hecke_Tn(s, 2)
-    expect = eta_cusp_series(11, ts.n_max).scale(-2)
-    assert ts.coeffs == expect.coeffs
-
-
-def test_hecke_on_zero():
-    z = QSeries((0,) * 21, 5)
-    assert all(a == 0 for a in hecke_Tn(z, 3).coeffs)
-
-
-def test_hecke_truncation_guard():
-    with pytest.raises(ValueError):
-        hecke_Tn(QSeries((1, 2), 5), 3)
+    for n in range(21):
+        lo = 2 * s[n // 2] if n % 2 == 0 else 0
+        assert s[2 * n] + lo == -2 * s[n], n
 
 
 # --- fitting -----------------------------------------------------------------
 
 def test_fit_planted_eisenstein():
-    s = _padic_series(e2p_series(5, 20).scale(3), CTX)
-    s = QSeries((None,) + s.coeffs[1:], 5)  # hide the constant term
-    fit = fit_to_basis(s, [e2p_series(5, 20)], CTX)
-    assert fit.coefficients[0].equals(CTX.from_int(3))
-    assert fit.a0.equals(CTX.from_int(12))
-    assert fit.certified
-    assert all(v is None for v in fit.residuals.values())
+    # the constant term is read off as (p - 1) times the E2 coefficient
+    for c in (3, 2, -3):
+        s = _padic_series(CTX, (c, e2p_series(5, 20)))
+        fit = fit_to_basis(s, [e2p_series(5, 20)], CTX)
+        assert fit.coefficients[0].equals(CTX.from_int(c))
+        assert fit.a0.equals(CTX.from_int(4 * c))
+        assert fit.certified
+        assert all(v is None for v in fit.residuals.values())
 
 
 def test_fit_planted_two_dimensional():
     n_max = 25
-    s = e2p_series(11, n_max).add(eta_cusp_series(11, n_max).scale(7))
-    sp = _padic_series(s, CTX)
-    sp = QSeries((None,) + sp.coeffs[1:], 11)
+    sp = _padic_series(CTX, (1, e2p_series(11, n_max)),
+                       (7, eta_cusp_series(11, n_max)))
     fit = fit_to_basis(sp, basis_for_level(11, n_max), CTX)
     assert fit.coefficients[0].equals(CTX.one())
     assert fit.coefficients[1].equals(CTX.from_int(7))
@@ -120,9 +115,7 @@ def test_fit_skips_unknown_coefficients():
 
 
 def test_fit_negative_control_flags_perturbation():
-    base = _padic_series(e2p_series(5, 20), CTX)
-    coeffs = list(base.coeffs)
-    coeffs[0] = None
+    coeffs = list(_padic_series(CTX, (1, e2p_series(5, 20))).coeffs)
     coeffs[13] = coeffs[13] + CTX.from_int(5 ** 3)
     fit = fit_to_basis(QSeries(tuple(coeffs), 5), [e2p_series(5, 20)], CTX)
     assert not fit.certified
@@ -134,8 +127,8 @@ def test_fit_negative_control_flags_perturbation():
 def test_fit_underdetermined_basis_fails_certification():
     # a cusp component at level 11 cannot be absorbed by E2 alone
     n_max = 25
-    s = e2p_series(11, n_max).add(eta_cusp_series(11, n_max).scale(3))
-    sp = QSeries((None,) + _padic_series(s, CTX).coeffs[1:], 11)
+    sp = _padic_series(CTX, (1, e2p_series(11, n_max)),
+                       (3, eta_cusp_series(11, n_max)))
     fit = fit_to_basis(sp, [e2p_series(11, n_max)], CTX)
     assert not fit.certified
 
@@ -144,21 +137,3 @@ def test_fit_requires_overdetermination():
     s = QSeries((None, CTX.from_int(24)), 5)
     with pytest.raises(ValueError):
         fit_to_basis(s, [e2p_series(5, 1)], CTX)
-
-
-def test_extract_logJDR():
-    for c in (2, -3):
-        s = _padic_series(e2p_series(5, 20).scale(c), CTX)
-        s = QSeries((None,) + s.coeffs[1:], 5)
-        fit = fit_to_basis(s, [e2p_series(5, 20)], CTX)
-        out = extract_logJDR(fit, 5)
-        assert out.equals(CTX.from_int(12 * 4 * c))
-
-
-def test_extract_logJDR_consistency_guard():
-    s = _padic_series(e2p_series(5, 20).scale(2), CTX)
-    s = QSeries((None,) + s.coeffs[1:], 5)
-    fit = fit_to_basis(s, [e2p_series(5, 20)], CTX)
-    fit.a0 = CTX.from_int(9)  # corrupt the inferred constant term
-    with pytest.raises(ArithmeticError):
-        extract_logJDR(fit, 5)

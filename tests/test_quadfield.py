@@ -18,10 +18,11 @@ from rmlab.quadfield import (IdealF, IdealDivisorEngine, NarrowClassGroup,
                              is_fundamental_discriminant,
                              minus_cf_cycle, partial_zeta_zero,
                              pell_fundamental, prime_ideal, prime_pairs,
-                             principal_form, principal_ideal, reduce_form,
+                             principal_form, reduce_form,
                              rho_step, shintani_zeta_zero, splitting_type,
                              sqrtD_padic, trace_range)
-from rmlab.quadfield import _hensel_root, _odd_primes_upto, progression_start
+from rmlab.quadfield import (_ext_gcd, _hensel_root, _odd_primes_upto,
+                             progression_start)
 
 DISCS = [5, 8, 12, 13, 21, 24, 28, 33, 40, 44, 56, 57, 60, 61]
 
@@ -64,7 +65,7 @@ def test_quadnum_field_ops():
             x = rand_quadnum(D, rng)
             y = rand_quadnum(D, rng)
             assert (x * y).norm() == x.norm() * y.norm()
-            assert (x + y).trace() == x.trace() + y.trace()
+            assert x + x.conj() == QuadNum(D, 2 * x.a, 0)   # the trace
             assert (x * x.inverse()) == QuadNum(D, 1, 0)
             assert x.conj().conj() == x
             assert (x * y).conj() == x.conj() * y.conj()
@@ -82,6 +83,27 @@ def test_quadnum_sign_and_floor_match_floats():
     # a case floats get nervous about: 1 + b*sqrt(D) with b ~ -1/sqrt(D)
     x = QuadNum(5, 1, Fraction(-161, 360))  # (161/360)^2*5 = 129605/129600 > 1
     assert x.sign() == -1
+
+
+def sign_by_squares(x):
+    """Oracle for `QuadNum.sign`: the sign of a + b sqrt(D) from the signs
+    of a and b, and, when they differ, from a^2 against b^2 D."""
+    sa, sb = (x.a > 0) - (x.a < 0), (x.b > 0) - (x.b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    return sa if x.a * x.a > x.D * x.b * x.b else sb
+
+
+@given(st.sampled_from(DISCS), st.fractions(max_denominator=50),
+       st.fractions(max_denominator=50))
+def test_sign_and_floor_are_exact(D, a, b):
+    # the isqrt closed forms against the case analysis by squares, and the
+    # floor bracketed by two exact signs
+    x = QuadNum(D, a, b)
+    assert x.sign() == sign_by_squares(x)
+    f = x.floor()
+    assert sign_by_squares(x - QuadNum(D, f, 0)) >= 0
+    assert sign_by_squares(x - QuadNum(D, f + 1, 0)) < 0
 
 
 def test_coords_in_order_roundtrip():
@@ -294,10 +316,10 @@ def test_rm_point_roundtrip():
             assert RMPoint.from_value(tau.value()) == tau
             assert g.class_of_rm_point(tau) == i
             M = rand_sl2(rng)
-            moved = tau.apply(M)
-            assert g.class_of_rm_point(moved) == i
-            # Moebius action on the actual value
             (a, b), (c, d) = M
+            # forms transform by M^-1 under the Moebius action of M
+            moved = RMPoint(*apply_sl2(tau.form, ((d, -b), (-c, a))))
+            assert g.class_of_rm_point(moved) == i
             w = tau.value()
             expected = (w * a + QuadNum(D, b, 0)) / (w * c + QuadNum(D, d, 0))
             assert moved.value() == expected
@@ -315,6 +337,82 @@ def test_negation_multiplies_by_different_class():
 
 # --- ideals -------------------------------------------------------------------
 
+# Ideal arithmetic in Hermite normal form, which the package does not carry:
+# the oracle for factor_alpha, for the divisor classes and for the closed
+# form of the class of (sqrt(D)).
+
+def times_omega(D, u, v):
+    """Coordinates of (u + v*omega) * omega, with omega^2 = D omega -
+    (D^2 - D)/4."""
+    return -v * (D * D - D) // 4, u + v * D
+
+
+def hnf_contains(I, u, v):
+    """u + v*omega lies in I = Z*a + Z*(b + c*omega)."""
+    return v % I.c == 0 and (u - v // I.c * I.b) % I.a == 0
+
+
+def ideal_from_generators(D, gens):
+    """HNF of the Z-module generated by {g, g*omega : g in gens}."""
+    rows = []
+    for g in gens:
+        u, v = g.coords_in_order()
+        rows += [(u, v), times_omega(D, u, v)]
+    # triangularize [[a, 0], [b, c]] with column 2 = omega coordinate
+    c, b = 0, 0
+    for u, v in rows:
+        if v:
+            g, x, y = _ext_gcd(c, v)
+            b, c = x * b + y * u, g
+    a = 0
+    for u, v in rows:
+        a = gcd(a, u - v // c * b)
+    return IdealF(D, abs(a), b, c)
+
+
+def principal_ideal(D, x):
+    return ideal_from_generators(D, [x])
+
+
+def ideal_mult(I, J):
+    (b1, b2), (c1, c2) = I.basis(), J.basis()
+    return ideal_from_generators(I.D, [b1 * c1, b1 * c2, b2 * c1, b2 * c2])
+
+
+def hnf_divisors(D, alpha, p):
+    """Every ideal I | (alpha) with p not dividing Nm I, by trying each HNF
+    triple (a, b, c) with a*c | Nm(alpha): it is an ideal when it holds
+    (b + c*omega)*omega, and divides (alpha) when it holds alpha and
+    alpha*omega."""
+    u, v = alpha.coords_in_order()
+    N = abs(int(alpha.norm()))
+    out = []
+    for m in range(1, N + 1):
+        if N % m or m % p == 0:
+            continue
+        for c in range(1, isqrt(m) + 1):
+            if m % (c * c):
+                continue
+            for b in range(0, m // c, c):
+                I = IdealF(D, m // c, b, c)
+                if (hnf_contains(I, *times_omega(D, b, c))
+                        and hnf_contains(I, u, v)
+                        and hnf_contains(I, *times_omega(D, u, v))):
+                    out.append(I)
+    return out
+
+
+def test_different_class_is_the_class_of_sqrtD():
+    # the closed form (-1, D mod 2, (D - D mod 2)/4) against the class of the
+    # HNF ideal (sqrt(D)), on every fundamental D < 2000
+    for D in range(5, 2000):
+        if is_fundamental_discriminant(D):
+            g = NarrowClassGroup(D)
+            sq = QuadNum(D, 0, 1)
+            assert g.different_class == g.narrow_class_of_ideal(
+                principal_ideal(D, sq)), D
+
+
 def test_principal_ideal_norm():
     rng = random.Random(9)
     for D in (12, 40, 61):
@@ -322,8 +420,8 @@ def test_principal_ideal_norm():
             x = rand_quadnum(D, rng, integral=True)
             I = principal_ideal(D, x)
             assert I.norm == abs(x.norm())
-            assert I.contains(x)
-            assert I.contains(x * QuadNum.omega(D))
+            assert hnf_contains(I, *x.coords_in_order())
+            assert hnf_contains(I, *(x * QuadNum.omega(D)).coords_in_order())
 
 
 def test_ideal_mult_norm_multiplicative():
@@ -333,8 +431,8 @@ def test_ideal_mult_norm_multiplicative():
             x = rand_quadnum(D, rng, integral=True)
             y = rand_quadnum(D, rng, integral=True)
             Ix, Iy = principal_ideal(D, x), principal_ideal(D, y)
-            assert Ix.mult(Iy) == principal_ideal(D, x * y)
-            assert Ix.mult(Iy).norm == Ix.norm * Iy.norm
+            assert ideal_mult(Ix, Iy) == principal_ideal(D, x * y)
+            assert ideal_mult(Ix, Iy).norm == Ix.norm * Iy.norm
 
 
 def test_prime_ideals():
@@ -342,7 +440,7 @@ def test_prime_ideals():
         for q in (2, 3, 5, 7, 11, 13):
             typ = splitting_type(D, q)
             P = prime_ideal(D, q)
-            assert P.contains(QuadNum(D, q, 0))
+            assert hnf_contains(P, q, 0)
             if typ == "inert":
                 assert P.norm == q * q
                 assert P == principal_ideal(D, QuadNum(D, q, 0))
@@ -351,9 +449,9 @@ def test_prime_ideals():
             if typ == "split":
                 Q = prime_ideal(D, q, 1)
                 assert Q != P
-                assert P.mult(Q) == principal_ideal(D, QuadNum(D, q, 0))
+                assert ideal_mult(P, Q) == principal_ideal(D, QuadNum(D, q, 0))
             if typ == "ramified":
-                assert P.mult(P) == principal_ideal(D, QuadNum(D, q, 0))
+                assert ideal_mult(P, P) == principal_ideal(D, QuadNum(D, q, 0))
 
 
 def test_check_inert_is_the_callers_guard():
@@ -383,7 +481,7 @@ def test_factor_alpha_reconstructs_ideal():
             for P, e in factor_alpha(D, x):
                 nm *= P.norm ** e
                 for _ in range(e):
-                    I = I.mult(P)
+                    I = ideal_mult(I, P)
             assert I == principal_ideal(D, x)
             assert nm == abs(x.norm())
 
@@ -475,7 +573,7 @@ def test_level_sieve_matches_factor_alpha(D, n):
 def test_narrow_class_of_principal_ideals():
     g = NarrowClassGroup(12)
     tot_pos = QuadNum(12, 7, 2)
-    assert tot_pos.is_totally_positive()
+    assert tot_pos.sign() == tot_pos.conj().sign() == 1
     assert g.narrow_class_of_ideal(principal_ideal(12, tot_pos)) == g.identity
     mixed = QuadNum(12, 1, 1)
     assert mixed.sign() != mixed.conj().sign()
@@ -483,24 +581,25 @@ def test_narrow_class_of_principal_ideals():
             == g.different_class)
 
 
+# inert p: 11 in Q(sqrt(21)), 7 in Q(sqrt(33)) and Q(sqrt(40)), 13 in
+# Q(sqrt(60)), whose Cl+ has order 4
+DIVISOR_FIELDS = [(12, 5), (21, 11), (33, 7), (40, 7), (60, 13)]
+
+
 def test_divisor_engine_counts_and_classes():
+    # (norm, class) of each divisor against the brute-force HNF divisors,
+    # as multisets
     rng = random.Random(12)
-    for D, p in ((12, 5), (40, 7)):
+    for D, p in DIVISOR_FIELDS:
         g = NarrowClassGroup(D)
         eng = IdealDivisorEngine(g, p)
-        for _ in range(10):
+        for _ in range(8):
             x = rand_quadnum(D, rng, integral=True)
-            divs = eng.divisors(x)
-            expected = 1
-            for P, e in factor_alpha(D, x):
-                if P.a != p:
-                    expected *= e + 1
-            assert len(divs) == expected
-            for d in rng.sample(divs, min(4, len(divs))):
-                I = d.hnf()
-                assert I.norm == d.norm
-                assert g.narrow_class_of_ideal(I) == d.class_idx
-                assert d.norm % p != 0
+            while abs(x.norm()) > 3000:
+                x = rand_quadnum(D, rng, integral=True)
+            assert sorted(eng.divisors(x)) == sorted(
+                (I.norm, g.narrow_class_of_ideal(I))
+                for I in hnf_divisors(D, x, p))
 
 
 # --- trace enumeration ---------------------------------------------------------
@@ -512,8 +611,8 @@ def test_enumerate_trace_exact_set():
             seen = set()
             for e in elts:
                 nu = e.nu
-                assert nu.trace() == n
-                assert nu.is_totally_positive()
+                assert nu + nu.conj() == QuadNum(D, n, 0)   # the trace
+                assert nu.sign() == nu.conj().sign() == 1
                 alpha = e.alpha
                 assert alpha.coords_in_order() is not None  # in the different^-1
                 assert e.ideal_norm == -alpha.norm()  # Nm(sqrt(D)) < 0

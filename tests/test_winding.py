@@ -34,6 +34,19 @@ def test_instance_guards():
         rm_plus_set(tau, 1, 3, g, eng)  # 3 ramifies
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_nonpositive_n_rejected(n):
+    # the trace range is empty for n <= 0, which would sum to the zero
+    # marker; 0 is divisible by p, but the message must name the sign
+    g, eng = group_engine(12, 5)
+    tau = g.rm_representative(0)
+    msg = rf"^n must be a positive integer, not {n}$"
+    with pytest.raises(ValueError, match=msg):
+        rm_plus_set(tau, n, 5, g, eng)
+    with pytest.raises(ValueError, match=msg):
+        log_Tn_Jw(tau, n, 5, CTX5, g, eng)
+
+
 def test_emitted_points_postconditions():
     g, eng = group_engine(12, 5)
     for i in range(g.h):
