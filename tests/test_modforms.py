@@ -84,14 +84,22 @@ def test_hecke_eta_eigenvalue():
 # --- fitting -----------------------------------------------------------------
 
 def test_fit_planted_eisenstein():
-    # the constant term is read off as (p - 1) times the E2 coefficient
-    for c in (3, 2, -3):
+    s = _padic_series(CTX, (3, e2p_series(5, 20)))
+    fit = fit_to_basis(s, [e2p_series(5, 20)], CTX)
+    assert fit.coefficients[0].equals(CTX.from_int(3))
+    assert fit.a0.equals(CTX.from_int(12))
+    assert fit.certified
+    assert all(v is None for v in fit.residuals.values())
+
+
+def test_extract_logJDR():
+    # log J_DR is read off a fit as 12 a_0, and a_0 is (p - 1) times the
+    # E2 coefficient
+    for c in (2, -3):
         s = _padic_series(CTX, (c, e2p_series(5, 20)))
         fit = fit_to_basis(s, [e2p_series(5, 20)], CTX)
-        assert fit.coefficients[0].equals(CTX.from_int(c))
-        assert fit.a0.equals(CTX.from_int(4 * c))
-        assert fit.certified
-        assert all(v is None for v in fit.residuals.values())
+        assert fit.a0.equals(fit.coefficients[0] * 4)
+        assert (fit.a0 * 12).equals(CTX.from_int(12 * 4 * c))
 
 
 def test_fit_planted_two_dimensional():
