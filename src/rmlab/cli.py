@@ -255,6 +255,8 @@ def cmd_verify(args) -> tuple:
 
 
 def cmd_recognize(args) -> tuple:
+    if args.degree < 1:         # before the series, which takes seconds
+        raise ValueError("degree must be at least 1")
     ctx, group, tau, res = series_from_args(args)
     tau_class = group.class_of_rm_point(tau)
     candidates = unit_from_constant_term(res.a0, group, tau_class, ctx)
@@ -334,12 +336,9 @@ def cmd_algdep(args) -> tuple:
     a0, a1, v = (int(s) for s in args.value.split(","))
     x = ctx.from_coords(a0, a1, v)
     res = algdep_padic(x, args.degree, args.budget)
-    poly = list(res.coefficients) if res.found else None
-    while poly and poly[-1] == 0:
-        poly.pop()
     report = {
         "value": x.to_json(),
-        "polynomial": poly,
+        "polynomial": list(res.coefficients) if res.found else None,
         "height": res.height,
         # JSON has no infinity: a margin past the float range is null
         "margin": res.margin if math.isfinite(res.margin) else None,
@@ -456,9 +455,9 @@ def main(argv=None) -> int:
     }
     try:
         report, code = HANDLERS[args.command](args)
-    except (ValueError, NotImplementedError) as exc:
+    except ValueError as exc:
         report, code = {"error": str(exc)}, EXIT_INVALID
-    except (ArithmeticError, OverflowError) as exc:
+    except ArithmeticError as exc:
         report, code = {"error": str(exc)}, EXIT_COMPUTE
     base.update(report)
     base["exit_code"] = code

@@ -369,13 +369,6 @@ def diag_coefficient(n: int, chi: tuple, engine: IdealDivisorEngine,
     return a
 
 
-@dataclass
-class StabilizationCertificate:
-    values: list               # a_{n p^{2m}} for m = 0..m_max
-    agreement: list            # valuation of consecutive differences
-    stabilized_at: int         # digits of agreement of the last two terms
-
-
 def shanks_step(seq: list) -> list:
     """One column of the Shanks table: eliminates the dominant geometric
     transient from a convergent sequence."""
@@ -394,10 +387,22 @@ def _agreement_profile(seq: list) -> list:
 
 
 @dataclass
-class AccelerationCertificate:
+class ProjectionCertificate:
     depth: int                 # number of Shanks columns applied
     agreements: list           # per column, valuations of consecutive diffs
     stabilized_at: int         # agreement of the last two deepest entries
+
+
+def _certificate(columns: list, ctx: PadicContext) -> ProjectionCertificate:
+    """The certificate of a projection from its columns (the raw sequence,
+    then each Shanks column): stabilized at the last agreement of the
+    deepest column with two entries to compare (a single-entry column
+    certifies nothing by itself), or at the working precision when those
+    two entries are equal."""
+    agreements = [_agreement_profile(col) for col in columns]
+    last = next((prof[-1] for prof in reversed(agreements) if prof), None)
+    return ProjectionCertificate(len(columns) - 1, agreements,
+                                 ctx.prec if last is None else last)
 
 
 def accelerated_ordinary_projection(producer, n: int, p: int, m_max: int,
@@ -413,18 +418,10 @@ def accelerated_ordinary_projection(producer, n: int, p: int, m_max: int,
         raise ValueError("n must be coprime to p")
     if m_max < 2:
         raise ValueError("need at least three terms to extrapolate")
-    seq = [producer(n * p ** m) for m in range(m_max + 1)]
-    agreements = [_agreement_profile(seq)]
-    depth = 0
-    while len(seq) >= 3:
-        seq = shanks_step(seq)
-        depth += 1
-        agreements.append(_agreement_profile(seq))
-    # conservative certificate: the deepest column with two entries to
-    # compare (a single-entry column certifies nothing by itself)
-    last = next((prof[-1] for prof in reversed(agreements) if prof), None)
-    stabilized = ctx.prec if last is None else last
-    return seq[-1], AccelerationCertificate(depth, agreements, stabilized)
+    columns = [[producer(n * p ** m) for m in range(m_max + 1)]]
+    while len(columns[-1]) >= 3:
+        columns.append(shanks_step(columns[-1]))
+    return columns[-1][-1], _certificate(columns, ctx)
 
 
 def ordinary_projection(producer, n: int, p: int, m_max: int,
@@ -432,19 +429,17 @@ def ordinary_projection(producer, n: int, p: int, m_max: int,
                         threshold: int | None = None):
     """Stabilized limit of producer(n * p^{2m}) for m = 0..m_max.
 
-    Returns (value, certificate); raises if the last two terms do not agree
-    to the threshold (default: half the working precision)."""
+    Returns (value, certificate of depth 0); raises if the last two terms
+    do not agree to the threshold (default: half the working precision)."""
     if gcd(n, p) != 1:
         raise ValueError("n must be coprime to p")
     if threshold is None:
         threshold = ctx.prec // 2
     values = [producer(n * p ** (2 * m)) for m in range(m_max + 1)]
-    agreement = _agreement_profile(values)
-    last = agreement[-1] if agreement else None
-    digits = ctx.prec if last is None else last
-    if digits < threshold:
+    cert = _certificate([values], ctx)
+    if cert.stabilized_at < threshold:
         raise ArithmeticError(
-            f"no stabilization: last agreement at valuation {digits}, "
-            f"needed {threshold}; profile {agreement}")
-    cert = StabilizationCertificate(values, agreement, digits)
+            f"no stabilization: last agreement at valuation "
+            f"{cert.stabilized_at}, needed {threshold}; profile "
+            f"{cert.agreements[0]}")
     return values[-1], cert

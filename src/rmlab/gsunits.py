@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
 
 from .eisenstein import (LogCache, diag_coefficient,
                          accelerated_ordinary_projection)
-from .lattice import AlgdepResult, algdep_padic
+from .lattice import AlgdepResult, algdep_padic, primitive
 from .modforms import QSeries, FitResult, basis_for_level, fit_to_basis
 from .padic import (PadicContext, PadicScalar, _vp, iwasawa_log, padic_exp,
                     sqrt_rational, teichmuller)
@@ -34,7 +33,7 @@ from .quadfield import (IdealDivisorEngine, NarrowClassGroup, RMPoint,
 @dataclass
 class GSeriesResult:
     series: QSeries             # a_0 unknown; a_n for n >= 1
-    certificates: dict          # freshly computed n0 -> AccelerationCertificate
+    certificates: dict          # freshly computed n0 -> ProjectionCertificate
     fit: FitResult
     a0: PadicScalar             # inferred constant term = log_p(u_tau)
     trivial: bool               # True when the series vanishes identically
@@ -296,17 +295,12 @@ def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,
             res = algdep_padic(value, d, budget)
             if not res.found:
                 continue
-            coeffs = list(res.coefficients)
+            coeffs = res.coefficients
             if s:
-                coeffs = [c * p ** (s * i) for i, c in enumerate(coeffs)]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
+                coeffs = primitive([c * p ** (s * i)
+                                    for i, c in enumerate(coeffs)])
             if sum(1 for c in coeffs if c) < 2:
                 continue        # degenerate lattice artifact, not a relation
-            g = 0
-            for c in coeffs:
-                g = gcd(g, abs(c))
-            coeffs = tuple(c // g for c in coeffs)
             # a wrong torsion twist can still satisfy a cyclotomic-scaled
             # relation; the Newton polygon gives it away
             matches.append((cand.twist, coeffs))

@@ -165,21 +165,22 @@ def eval_poly(coeffs, x: PadicScalar) -> PadicScalar:
     return acc
 
 
-def _normalize(coeffs):
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    coeffs = [c // g for c in coeffs]
-    lead = next(c for c in reversed(coeffs) if c)
-    if lead < 0:
-        coeffs = [-c for c in coeffs]
-    return tuple(coeffs)
+def primitive(coeffs) -> tuple:
+    """The primitive polynomial proportional to the integer polynomial
+    `coeffs` (low to high, not all zero): trailing zeros stripped, the gcd
+    divided out and the leading coefficient positive."""
+    coeffs = list(coeffs)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    g = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
+    return tuple(c // g for c in coeffs)
 
 
 def algdep_padic(x: PadicScalar, degree: int, budget: int,
                  height_bound: int = 10 ** 6) -> AlgdepResult:
     """Smallest integer polynomial of degree <= `degree` vanishing at x
-    modulo p^budget, found by LLL on the coefficient-congruence lattice.
+    modulo p^budget, found by LLL on the coefficient-congruence lattice,
+    as a `primitive` polynomial: its degree may fall below `degree`.
 
     A failed search (no candidate below the height bound) is a legitimate
     outcome, reported with coefficients None."""
@@ -224,7 +225,7 @@ def algdep_padic(x: PadicScalar, degree: int, budget: int,
             continue
         if sum(ci * b for ci, (_, b) in zip(c, coords)) % m:
             continue
-        c = _normalize(c)
+        c = primitive(c)
         height = max(abs(v) for v in c)
         if height > height_bound:
             continue

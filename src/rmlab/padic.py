@@ -7,8 +7,10 @@ cancellation in addition (tracked per element as `slack`) and a flat charge on
 each log/exp call.
 
 It also holds the package's number-theory core: `_vp`, `legendre`, `sqrt_mod`
-(Tonelli-Shanks, least root; Cohen, GTM 138, Alg. 1.5.1), `is_prime`
+(Tonelli-Shanks, least root; Cohen, GTM 138, Alg. 1.5.1), `hensel_lift`
+(the one Newton lift of a simple root of a monic quadratic), `is_prime`
 (Miller-Rabin, bases 2..41) and `sqrt_rational`, the one root in Q_{p^2}.
+`from_coords` is the one place where a unit part is normalized.
 """
 
 from __future__ import annotations
@@ -58,6 +60,18 @@ def sqrt_mod(a: int, p: int) -> int:
         s, c = i, b * b % p
         t, x = t * c % p, x * b % p
     return min(x, p - x)
+
+
+def hensel_lift(b: int, c: int, x: int, q: int, k: int) -> int:
+    """The root of x^2 + b x + c mod q^k lifting the root x mod q, which
+    must be simple (2x + b prime to q): Newton's step with modulus
+    doubling."""
+    m = 1
+    while m < k:
+        m = min(2 * m, k)
+        qm = q ** m
+        x = (x - (x * x + b * x + c) * pow(2 * x + b, -1, qm)) % qm
+    return x % q ** k
 
 
 # Miller-Rabin with these 13 bases is exact below psi_13, the least strong
@@ -120,10 +134,7 @@ class PadicContext:
         return PadicScalar(self, 0, 0, 1)
 
     def from_int(self, n: int) -> "PadicScalar":
-        if n == 0:
-            return self.zero()
-        v = _vp(n, self.p)
-        return PadicScalar(self, v, (n // self.p ** v) % self.modulus, 0)
+        return self.from_coords(n, 0)
 
     def from_rational(self, q) -> "PadicScalar":
         q = Fraction(q)
@@ -132,28 +143,21 @@ class PadicContext:
         return self.from_int(q.numerator) / self.from_int(q.denominator)
 
     def from_coords(self, a0: int, a1: int, val: int = 0) -> "PadicScalar":
-        """p^val * (a0 + a1*w) with integer coordinates."""
+        """p^val * (a0 + a1*w) with integer coordinates: the common p-power
+        of the non-zero coordinates moves into the valuation."""
         if a0 == 0 and a1 == 0:
             return self.zero()
-        k = min(_vp(a0, self.p) if a0 else self.prec,
-                _vp(a1, self.p) if a1 else self.prec)
-        pk = self.p ** k
-        return PadicScalar(self, val + k,
-                           (a0 // pk) % self.modulus,
-                           (a1 // pk) % self.modulus)
+        p, M = self.p, self.modulus
+        while a0 % p == 0 and a1 % p == 0:
+            a0, a1, val = a0 // p, a1 // p, val + 1
+        return PadicScalar(self, val, a0 % M, a1 % M)
 
     def sqrt_zp(self, a: int) -> int:
         """The square root of a in Z_p (unit a, (a|p) = 1) lifting the least
         root mod p, as int mod p^N."""
-        p, N = self.p, self.prec
-        if legendre(a, p) != 1:
+        if legendre(a, self.p) != 1:
             raise ValueError("not a unit square in Z_p")
-        x, k = sqrt_mod(a, p), 1
-        while k < N:  # Hensel with modulus doubling
-            k = min(2 * k, N)
-            pk = p ** k
-            x = (x - (x * x - a) * pow(2 * x, -1, pk)) % pk
-        return x % self.modulus
+        return hensel_lift(0, -a, sqrt_mod(a, self.p), self.p, self.prec)
 
 
 class PadicScalar:
@@ -211,24 +215,16 @@ class PadicScalar:
         M = ctx.modulus
         a0 = self.u0 * ctx.p ** (self.v - v) + other.u0 * ctx.p ** (other.v - v)
         a1 = self.u1 * ctx.p ** (self.v - v) + other.u1 * ctx.p ** (other.v - v)
-        a0 %= M
-        a1 %= M
+        out = ctx.from_coords(a0 % M, a1 % M, v)
         # absolute precision: each operand is known mod p^(v + prec - slack);
         # the sum is known mod the min of those, whatever its valuation
         abs_prec = min(self.v + ctx.prec - self.slack,
                        other.v + ctx.prec - other.slack)
-        if a0 == 0 and a1 == 0:
+        if out.is_zero or out.v >= abs_prec:   # no digit of the sum is known
             return ctx.zero()
-        k = min(_vp(a0, ctx.p) if a0 else ctx.prec,
-                _vp(a1, ctx.p) if a1 else ctx.prec)
-        if k:
-            pk = ctx.p ** k
-            a0 = (a0 // pk) % M
-            a1 = (a1 // pk) % M
-            v += k
-        if v >= abs_prec:        # no digit of the sum is known
-            return ctx.zero()
-        return PadicScalar(ctx, v, a0, a1, max(0, v + ctx.prec - abs_prec))
+        # out is new and not yet shared, so its slack is set in place
+        out.slack = max(0, out.v + ctx.prec - abs_prec)
+        return out
 
     def __neg__(self) -> "PadicScalar":
         if self.is_zero:

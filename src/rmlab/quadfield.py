@@ -22,8 +22,8 @@ from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt, lcm
 
-from .padic import (PadicContext, PadicScalar, _vp, is_prime, legendre,
-                    sqrt_mod, sqrt_rational)
+from .padic import (PadicContext, PadicScalar, _vp, hensel_lift, is_prime,
+                    legendre, sqrt_mod, sqrt_rational)
 
 
 # --------------------------------------------------------------------------
@@ -569,13 +569,7 @@ def _hensel_root(D: int, q: int, k: int) -> int:
         # the discriminant of t^2 - D t + c0 is D: t = (D + sqrt(D))/2 mod q
         t = (D + sqrt_mod(D, q)) * pow(2, -1, q) % q
         assert (t * t - D * t + c0) % q == 0
-    m, qm = 1, q
-    while m < k:
-        m = min(2 * m, k)
-        qm = q ** m
-        d = (2 * t - D) % qm
-        t = (t - (t * t - D * t + c0) * pow(d, -1, qm)) % qm
-    return t % q ** k
+    return hensel_lift(-D, c0, t, q, k)
 
 
 @lru_cache(maxsize=None)

@@ -424,20 +424,9 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
             for b0 in samples:
                 a0, a1 = (a0 * b0 + a1 * rw) % m, (a0 * w + a1 * b0) % m
             groups[e] = mul(groups.get(e, (1, 0)), (a0, a1))
-    num = den_acc = (1, 0)
+    J = ctx.one()
     for e, base in groups.items():
-        acc = (1, 0)
-        k = abs(e)
-        while k:
-            if k & 1:
-                acc = mul(acc, base)
-            base = mul(base, base)
-            k >>= 1
-        if e > 0:
-            num = mul(num, acc)
-        else:
-            den_acc = mul(den_acc, acc)
-    J = ctx.from_coords(*num) / ctx.from_coords(*den_acc)
+        J = J * ctx.from_coords(*base) ** e
     assert J.v == 0, "Poisson product must be a p-adic unit"
     root_log = iwasawa_log(J) / ctx.from_int(exponent)
     return padic_exp(root_log)

@@ -228,6 +228,12 @@ def test_algdep_command(capsys):
                              "--degree", "2", "--budget", "16"])
     assert code == EXIT_OK
     assert rep["polynomial"] == [-7, 1]
+    # 5^9 at precision 8: a valuation past the precision is kept whole
+    code, rep = run(capsys, ["--p", "5", "--prec", "8", "algdep", "--value",
+                             "1953125,0,0", "--degree", "2", "--budget", "4"])
+    assert code == EXIT_OK
+    assert rep["value"]["v"] == 9
+    assert rep["polynomial"] == [0, 1]
 
 
 def test_algdep_infinite_margin_is_null(capsys):
@@ -309,9 +315,13 @@ def test_recognize_unit_budget_held_below_certificates(capsys):
     assert rep["polynomial"] == [5, -6, 5]
 
 
-def test_recognize_unit_degree_0_exits_2(capsys):
-    code, rep = run(capsys, ["--prec", "12", "--nmax", "4", "--depth", "2",
-                             "recognize-unit", "--degree", "0"])
+def test_recognize_unit_degree_0_exits_2(capsys, monkeypatch):
+    # refused before the series, which at the defaults takes seconds
+    def no_series(*args, **kwargs):
+        raise AssertionError("the series was computed")
+
+    monkeypatch.setattr(rmlab.cli, "generating_series", no_series)
+    code, rep = run(capsys, ["recognize-unit", "--degree", "0"])
     assert code == EXIT_INVALID
     assert rep["error"] == "degree must be at least 1"
 

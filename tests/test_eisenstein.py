@@ -417,7 +417,7 @@ def test_ordinary_projection_stationary_input():
     producer = lambda k: CTX.from_int(42)
     val, cert = ordinary_projection(producer, 3, P, 2, CTX)
     assert val.equals(CTX.from_int(42))
-    assert cert.agreement == [None, None]
+    assert cert.agreements[0] == [None, None]
     assert cert.stabilized_at == CTX.prec
 
 
@@ -437,6 +437,6 @@ def test_ordinary_projection_convergence_profile():
     producer = lambda k: diag_coefficient(k, CHI, ENGINE, CTX, LOGS)
     val, cert = ordinary_projection(producer, 1, P, 2, CTX, threshold=4)
     # consecutive differences have strictly increasing valuation
-    vals = [a for a in cert.agreement if a is not None]
+    vals = [a for a in cert.agreements[0] if a is not None]
     assert vals == sorted(vals) and len(set(vals)) == len(vals)
     assert not val.is_zero

@@ -199,10 +199,12 @@ def test_algdep_degree_one():
 
 
 def test_algdep_sqrt_d():
+    # above the true degree the polynomial comes back primitive and stripped
     for D in (12, 17, 33):
         x = sqrtD_padic(CTX, D)
-        res = algdep_padic(x, 2, 30)
-        assert res.coefficients == (-D, 0, 1)
+        for degree in (2, 4):
+            res = algdep_padic(x, degree, 30)
+            assert res.coefficients == (-D, 0, 1)
 
 
 def test_algdep_rejects_bad_inputs():

@@ -9,7 +9,7 @@ from sympy import Poly, factorint, isprime, primerange, symbols
 from sympy import sqrt_mod as sympy_sqrt_mod
 
 from rmlab.gsunits import _splits_mod
-from rmlab.padic import is_prime, legendre, sqrt_mod
+from rmlab.padic import hensel_lift, is_prime, legendre, sqrt_mod
 from rmlab.quadfield import factor, next_prime
 
 # least strong pseudoprimes to the first k prime bases (OEIS A014233)
@@ -106,6 +106,29 @@ def test_sqrt_mod_is_sympys_least_root():
             a = next(a for a in range(p) if a not in least)
             with pytest.raises(ValueError):
                 sqrt_mod(a, p)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_hensel_lift_is_the_one_root_above_its_residue(q):
+    # against a digit-by-digit search: each base-q digit of a root of
+    # f = x^2 + bx + c above a simple root mod q, tried at every value
+    rng = random.Random(q)
+    lifted = 0
+    for _ in range(40):
+        b, c = rng.randrange(-50, 50), rng.randrange(-50, 50)
+        if q == 2:
+            b = 2 * b + 1       # 2x + b is prime to 2 only for b odd
+        for x in range(q):
+            if (x * x + b * x + c) % q or (2 * x + b) % q == 0:
+                continue
+            roots = [x]
+            for k in range(1, 9):
+                assert roots == [hensel_lift(b, c, x, q, k)], (b, c, x, k)
+                roots = [y for r in roots for y in range(r, q ** (k + 1),
+                                                         q ** k)
+                         if (y * y + b * y + c) % q ** (k + 1) == 0]
+            lifted += 1
+    assert lifted >= 10
 
 
 def _mul(f, g):

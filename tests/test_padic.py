@@ -68,6 +68,11 @@ def test_valuation_bookkeeping():
     assert CTX.from_int(250).u0 == 2
     assert (CTX.from_int(5) * CTX.from_int(25)).v == 3
     assert (CTX.from_int(6) - CTX.from_int(1)).v == 1
+    # a coordinate whose valuation passes the precision keeps it whole
+    for n in (5 ** 21, 3 * 5 ** 25, -5 ** 40):
+        x = CTX.from_coords(n, 0)
+        assert (x.v, x.u0, x.u1) == (CTX.from_int(n).v, CTX.from_int(n).u0, 0)
+        assert x == CTX.from_int(n)
 
 
 def test_cancellation_tracks_slack():
