@@ -5,8 +5,9 @@ Every coefficient is a psi-weighted sum over the p-coprime ideal divisors I of
 (nu)*(different), of 1 and of log Nm I.  One kernel, `_fold`, evaluates both
 by the product formula, without listing divisors, in one pass over a
 progression of alpha = nu sqrt(D): each prime power is folded into its
-element's state the moment the sieve divides it out of the norm, psi(P) is
-read once per rational prime, and the one prime left above the sieve takes
+element's state the moment the sieve divides it out of the norm, psi(P) and
+the rest of a rational prime's data are computed once per field and genus
+character (`_prime_data`), and the one prime left above the sieve takes
 its psi from psi((alpha)) = psi(different).  The kernel runs on one nu in
 `divisor_sums`, where each family coefficient is a closed form in the two
 sums, and on a whole trace level in `diag_coefficient`; the psi-weighted log
@@ -27,10 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .padic import DualScalar, PadicContext, PadicScalar, _vp, iwasawa_log
+from .padic import (DualScalar, PadicContext, PadicScalar, _vp, iwasawa_log,
+                    sqrt_mod)
 from .quadfield import (IdealDivisorEngine, QuadNum, TotallyPositiveElement,
-                        _hensel_root, _odd_primes_upto, _split_exponent,
-                        check_inert, embed_quadnum, factor, genus_value,
+                        _odd_primes_upto, _split_exponent, check_inert,
+                        embed_quadnum, factor, genus_value,
                         progression_start, splitting_type, sqrtD_padic,
                         trace_range)
 
@@ -81,6 +83,23 @@ def _local(D: int, q: int, x: int, e: int, n: int, s: int) -> tuple:
     return A1 * A2, A2 * C1 + A1 * C2
 
 
+# per (D, d), the genus character's d: q -> `_prime_data(D, d, q)`, and
+# (q, e) -> the local (A, C) at e > 1 where `_local` reads neither n nor s
+# (all but split q dividing n); filled as the sieve reaches q and e
+_PRIMES = {}
+
+
+def _prime_data(D: int, d: int, q: int) -> tuple:
+    """What `_fold` needs of q for the genus character of d, none of it
+    depending on the level: its splitting type; for split q, r0 = sqrt(D)
+    (mod q); x = psi(P) = `genus_value`; whether an odd power of P flips
+    psi (psi((q)) = 1 unless q is inert); and the local (A, C) at e = 1."""
+    typ = splitting_type(D, q)
+    r0 = sqrt_mod(D, q) if typ == "split" else None
+    x = genus_value(D, d, q)
+    return (typ, r0, x, x < 0 and typ != "inert") + _geometric(x, 1)
+
+
 def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
           engine: IdealDivisorEngine) -> tuple:
     """The product formula on every alpha = (s + n sqrt(D))/2, s in svals
@@ -90,16 +109,18 @@ def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
     the inert p divides, are left out: no mass, no log.
 
     psi = chi is read once per q, as the genus character of its d
-    (`genus_value`); psi_d is its value on the different.  Per element the
-    state is the product of its non-zero local A (`_local`), its count of
-    vanishing A, the (q, C) of its last vanishing A, and psi_d times
-    prod psi(P)^e over the primes found so far.  2 is divided out of every
-    norm, and each q of odd_primes (ascending) out of the s = +-n sqrt(D)
-    (mod q), or s = 0 (mod q) when q divides nD.  odd_primes holds every
-    odd prime factor of the norms up to the square root of the largest
-    one, so what is left above 1 is one prime P, e = 1, and psi(P) is the
-    running product, because psi((alpha)) = psi(different); an element
-    with nothing left must end with the product +1.
+    (`genus_value`), with the rest of q's data, from `_PRIMES`, where it is
+    computed once per (D, d, q); psi_d is its value on the different.  Per
+    element the state is the product of its non-zero local A (`_local`),
+    its count of vanishing A, the (q, C) of its last vanishing A, and psi_d
+    times prod psi(P)^e over the primes found so far.  2 is divided out of
+    every norm, and each q of odd_primes (ascending) out of the
+    s = +-n sqrt(D) (mod q), or s = 0 (mod q) when q divides nD.
+    odd_primes holds every odd prime factor of the norms up to the square
+    root of the largest one, so what is left above 1 is one prime P,
+    e = 1, and psi(P) is the running product, because psi((alpha)) =
+    psi(different); an element with nothing left must end with the
+    product +1.
 
     Returns (mass, expo): per element the product of its A, and per q the
     exponent E_q, the sum of C times the product of the element's other
@@ -121,21 +142,25 @@ def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
         k = len(range(first, size, p))
         rem[first::p], psi[first::p], zeros[first::p] = \
             [1] * k, [1] * k, [2] * k
+    table = _PRIMES.setdefault((D, d), {})
     for q in [2] + odd_primes:
+        data = table.get(q)
+        if data is None:
+            data = table[q] = _prime_data(D, d, q)
+        typ, r0, x, flip, A1, C1 = data
         if q == 2:               # the parity of a norm has period 2 in i
             runs = [range(i, size, 2) for i in range(min(size, 2))
                     if not (nnD - svals[i] ** 2) >> 2 & 1]
         elif n * D % q == 0:
             runs = (range(progression_start(svals, 0, q), size, q),)
-        elif splitting_type(D, q) == "split":
-            r = n * (2 * _hensel_root(D, q, 1) - D) % q     # n sqrt(D) mod q
+        elif typ == "split":
+            r = n * r0 % q                                  # n sqrt(D) mod q
             runs = (range(progression_start(svals, r, q), size, q),
                     range(progression_start(svals, q - r, q), size, q))
         else:
             continue
-        x = genus_value(D, d, q)
-        flip = x < 0 and splitting_type(D, q) != "inert"    # psi((q)) = 1
-        A1, C1 = _local(D, q, x, 1, n, 0)
+        # the split of q^e between P and P' reads s when q divides n
+        fixed = typ != "split" or n % q != 0
         for run in runs:
             for i in run:
                 y = rem[i]
@@ -149,8 +174,13 @@ def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
                 rem[i] = y
                 if e == 1:
                     A, C = A1, C1
-                else:
+                elif not fixed:
                     A, C = _local(D, q, x, e, n, svals[i])
+                else:
+                    AC = table.get((q, e))
+                    if AC is None:
+                        AC = table[q, e] = _local(D, q, x, e, n, 0)
+                    A, C = AC
                 if flip and e & 1:
                     psi[i] = -psi[i]
                 if A:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .eisenstein import (LogCache, diag_coefficient,
                          accelerated_ordinary_projection)
@@ -22,8 +21,9 @@ from .modforms import QSeries, FitResult, basis_for_level, fit_to_basis
 from .padic import (PadicContext, PadicScalar, _vp, iwasawa_log, padic_exp,
                     sqrt_rational, teichmuller)
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, RMPoint,
-                        check_inert, factor, genus_value, has_norm_minus_one,
-                        next_prime, partial_zeta_zero, splitting_type)
+                        _odd_primes_upto, check_inert, factor, genus_value,
+                        has_norm_minus_one, partial_zeta_zero,
+                        splitting_type)
 
 
 # --------------------------------------------------------------------------
@@ -206,19 +206,63 @@ def is_reciprocal_up_to_p_power(coeffs, p: int) -> bool:
     return all(l == lam * c for l, c in zip(lhs, coeffs))
 
 
+def _polydivmod(f: list, g: list, q: int) -> tuple:
+    """(quotient, remainder) of f by the monic g over F_q, coefficients low
+    to high; the remainder reduced mod q and without leading zeros."""
+    rem, dg = f[:], len(g) - 1
+    quo = [0] * max(len(f) - dg, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + dg] % q
+        for j in range(dg):
+            rem[i + j] -= c * g[j]
+    rem = [c % q for c in rem[:dg]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def _monic(f: list, q: int) -> list:
+    inv = pow(f[-1], -1, q)
+    return [c * inv % q for c in f]
+
+
 def _splits_mod(coeffs, q: int) -> bool:
     """True if the polynomial (low to high, leading coefficient prime to q)
-    is a product of linear factors mod q: dividing out its roots r in F_q,
-    each as often as it recurs, uses up the whole degree."""
-    f, r = [c % q for c in coeffs], 0
-    while len(f) > 1 and r < q:
-        # synthetic division by x - r: quotient from the top, then f(r)
-        *quo, rem = accumulate(reversed(f), lambda a, c: (a * r + c) % q)
-        if rem:
-            r += 1
-        else:
-            f = quo[::-1]
-    return len(f) == 1
+    is a product of linear factors mod q, counted with multiplicity.  The
+    roots in F_q of the monic f are those of g = gcd(f, x^q - x), with x^q
+    taken mod f by square-and-multiply (H. Cohen, GTM 138, 3.4): g = 1
+    leaves a factor of degree > 1, else f / g is tested the same way, with
+    x^q reduced mod it, until it is linear or constant."""
+    f = _monic([c % q for c in coeffs], q)
+    xq = [1]                     # x^q mod f
+    for bit in bin(q)[2:]:
+        sq = [0] * (2 * len(xq) - 1)
+        for i, a in enumerate(xq):
+            for j, b in enumerate(xq):
+                sq[i + j] += a * b
+        xq = _polydivmod([0] + sq if bit == "1" else sq, f, q)[1]
+    while len(f) > 2:
+        x_q_minus_x = xq + [0] * (2 - len(xq))
+        x_q_minus_x[1] -= 1
+        a, b = f, _polydivmod(x_q_minus_x, f, q)[1]
+        while b:                 # Euclid: a ends as the gcd
+            a, b = b, _polydivmod(a, _monic(b, q), q)[1]
+        if len(a) == 1:
+            return False
+        f = _polydivmod(f, _monic(a, q), q)[0]
+        xq = _polydivmod(xq, f, q)[1]
+    return True
+
+
+def _primes():
+    """2, 3, 5, 7, ...: the odd ones from `_odd_primes_upto`, its bound
+    doubled each time they run out."""
+    yield 2
+    done, m = 0, 64
+    while True:
+        odd = _odd_primes_upto(m)
+        yield from odd[done:]
+        done, m = len(odd), 2 * m
 
 
 def splitting_fraction(coeffs, group: NarrowClassGroup,
@@ -229,14 +273,14 @@ def splitting_fraction(coeffs, group: NarrowClassGroup,
     modulo which the polynomial factors completely into linear pieces."""
     D, lead = group.D, coeffs[-1]
     hits = tried = 0
-    q = 2
-    while tried < num_primes:
+    for q in _primes():
+        if tried == num_primes:
+            break
         if (splitting_type(D, q) == "split" and lead % q
                 and all(genus_value(D, d, q) == 1
                         for d in group.genus.values())):
             tried += 1
             hits += _splits_mod(coeffs, q)
-        q = next_prime(q)
     return hits / num_primes
 
 

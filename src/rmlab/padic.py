@@ -384,22 +384,35 @@ def _series_slack(ctx: PadicContext, nterms: int) -> int:
 
 
 def _log_one_plus(t: PadicScalar) -> PadicScalar:
-    """Log(1 + t) for v(t) >= 1, standard series."""
+    """Log(1 + t) for v(t) >= 1, standard series, summed on integer
+    coordinates: with t = p^v tau, term k is c_k tau^k p^v, where
+    c_k = +-p^{(k-1)v - v_p(k)} / (k / p^{v_p(k)}), so every term after the
+    first lies in p^{v+1} and the sum has valuation v and t's slack.  A t
+    with no digit known (slack >= prec) gives zero."""
     ctx = t.ctx
-    if t.is_zero:
+    if t.is_zero or t.slack >= ctx.prec:
         return ctx.zero()
     assert t.v >= 1
+    p, v, M, r = ctx.p, t.v, ctx.modulus, ctx.r
     # term k has valuation >= k*v(t) - log_p k; stop when beyond precision+1
     kmax = 1
-    while kmax * t.v - _series_slack(ctx, kmax) <= ctx.prec + 1:
+    while kmax * v - _series_slack(ctx, kmax) <= ctx.prec + 1:
         kmax += 1
-    acc = ctx.zero()
-    power = ctx.one()
+    t0, t1 = t.u0, t.u1
+    w0, w1 = 1, 0                # tau^k
+    s0 = s1 = 0
     for k in range(1, kmax + 1):
-        power = power * t
-        term = power / ctx.from_int(k)
-        acc = acc + (term if k % 2 else -term)
-    return acc
+        w0, w1 = (w0 * t0 + r * w1 * t1) % M, (w0 * t1 + w1 * t0) % M
+        j = _vp(k, p)
+        shift = (k - 1) * v - j
+        if shift >= ctx.prec:
+            continue
+        c = p ** shift * pow(k // p ** j, -1, M)
+        if k % 2 == 0:
+            c = -c
+        s0 += c * w0
+        s1 += c * w1
+    return PadicScalar(ctx, v, s0 % M, s1 % M, t.slack)
 
 
 def iwasawa_log(x: PadicScalar) -> PadicScalar:

@@ -16,6 +16,7 @@ ideals by `factor_alpha`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -745,14 +746,26 @@ def enumerate_trace(n: int, D: int):
     return [TotallyPositiveElement(D, n, s) for s in trace_range(n, D)]
 
 
+# (bound, the odd primes up to it) of the one sieve `_odd_primes_upto` cuts
+_SIEVED = [2, []]
+
+
 def _odd_primes_upto(m: int) -> list:
-    if m < 3:
-        return []
-    sieve = bytearray([1]) * (m + 1)
-    for i in range(3, isqrt(m) + 1, 2):
-        if sieve[i]:
-            sieve[i * i::2 * i] = bytes(len(range(i * i, m + 1, 2 * i)))
-    return [q for q in range(3, m + 1, 2) if sieve[q]]
+    """The odd primes up to m, ascending, cut (by bisection) from one sieve
+    kept for the process; a bound beyond it re-sieves to at least twice the
+    old bound, so a growing sequence of bounds costs one sieve to the last
+    bound, about twice over."""
+    bound, odd = _SIEVED
+    if m > bound:
+        bound = max(m, 2 * bound)
+        top = bound + 1
+        sieve = bytearray([1]) * top
+        for i in range(3, isqrt(bound) + 1, 2):
+            if sieve[i]:
+                sieve[i * i::2 * i] = bytes(len(range(i * i, top, 2 * i)))
+        odd = [q for q in range(3, top, 2) if sieve[q]]
+        _SIEVED[:] = bound, odd
+    return odd[:bisect_right(odd, m)]
 
 
 def progression_start(svals: range, r: int, q: int) -> int:

@@ -3,6 +3,7 @@ from math import isqrt
 
 import pytest
 
+from rmlab import eisenstein
 from rmlab.eisenstein import (LogCache, _fold, _level_unit,
                               antiparallel_coeff, diag_coefficient,
                               divisor_sums, dual_coeff_Fplus,
@@ -279,6 +280,29 @@ def test_fold_matches_record_oracle(disc, p):
                 if splitting_type(disc, q) != "inert" and e % 2:
                     psi[i] *= genus_value(disc, d, q)
             assert all(psi[i] == 1 for i in kept), (n, chi)
+
+
+@pytest.mark.parametrize("disc, p", [(60, 13), (105, 11)])
+def test_prime_table_keeps_characters_apart(disc, p):
+    # from an empty prime table, one level folded for chi_1, chi_2, chi_1:
+    # each fold must read the entries of its own genus character only
+    group = NarrowClassGroup(disc)
+    engine = IdealDivisorEngine(group, p)
+    chi1, chi2 = [chi for chi in group.characters
+                  if group.genus[chi] != 1][:2]
+    for n in (12, 2 * p, p * p):
+        skip = 0 if n % p else p
+        svals, owner, primes, exps = sieve_trace(n, disc, skip)
+        odd = _odd_primes_upto(isqrt((n * n * disc - n * disc % 2) // 4))
+        eisenstein._PRIMES.clear()
+        for chi in (chi1, chi2, chi1):
+            d = group.genus[chi]
+            mass, expo = record_fold(disc, d, n, svals, owner, primes, exps)
+            if skip:
+                first = progression_start(svals, 0, p)
+                mass[first::p] = [0] * len(range(first, len(svals), p))
+            assert _fold(n, svals, odd, chi, engine) == (mass, expo), \
+                (n, chi)
 
 
 def full_level_unit(n, chi, engine, ctx):

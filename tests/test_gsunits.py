@@ -224,6 +224,16 @@ def test_splitting_fraction():
     assert splitting_fraction((-2, 0, 1), g12, 20) == hits / 20
 
 
+def test_splitting_fraction_at_the_flagship_field():
+    # the 50 primes split completely at D = 12 run to q = 1321; the
+    # flagship polynomial splits at all of them, 15625 x^2 + 25774 x + 15625
+    # at 20 and x^4 + 1 at 22
+    g12 = NarrowClassGroup(12)
+    assert splitting_fraction((5, -6, 5), g12) == 1.0
+    assert splitting_fraction((15625, 25774, 15625), g12) == 0.4
+    assert splitting_fraction((1, 0, 0, 0, 1), g12) == 0.44
+
+
 def test_splitting_fraction_reads_the_genus_field():
     # the genus field of Q(sqrt(21)) is Q(sqrt(-3), sqrt(-7)), where
     # x^2 + x + 2, of discriminant -7, splits at every prime that splits

@@ -3,6 +3,7 @@ primality, factorization, modular square roots and the split test of the
 recognition stage."""
 
 import random
+from itertools import accumulate
 
 import pytest
 from sympy import Poly, factorint, isprime, primerange, symbols
@@ -10,7 +11,7 @@ from sympy import sqrt_mod as sympy_sqrt_mod
 
 from rmlab.gsunits import _splits_mod
 from rmlab.padic import hensel_lift, is_prime, legendre, sqrt_mod
-from rmlab.quadfield import factor, next_prime
+from rmlab.quadfield import _odd_primes_upto, factor, next_prime
 
 # least strong pseudoprimes to the first k prime bases (OEIS A014233)
 PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751,
@@ -139,19 +140,20 @@ def _mul(f, g):
     return out
 
 
-def _random_poly(rng, q):
-    """Integer coefficients (low to high) of degree <= 4 with leading
+def _random_poly(rng, q, degree=4):
+    """Integer coefficients (low to high) of degree <= `degree` with leading
     coefficient prime to q: half at random, half products of monic factors
     of degree 1 or 2, each taken once or twice."""
     while True:
         if rng.random() < 0.5:
-            coeffs = [rng.randrange(-50, 51) for _ in range(rng.randint(1, 5))]
+            coeffs = [rng.randrange(-50, 51)
+                      for _ in range(rng.randint(1, degree + 1))]
         else:
             coeffs = [rng.choice((1, 2, -3))]
             while True:
                 f = [rng.randrange(q) for _ in range(rng.randint(1, 2))] + [1]
                 e = rng.randint(1, 2)
-                if len(coeffs) - 1 + e * (len(f) - 1) > 4:
+                if len(coeffs) - 1 + e * (len(f) - 1) > degree:
                     break
                 for _ in range(e):
                     coeffs = _mul(coeffs, f)
@@ -172,3 +174,39 @@ def test_splits_mod_matches_factor_list():
         assert _splits_mod(coeffs, q) == expected, (coeffs, q)
         seen[expected] += 1
     assert min(seen.values()) >= 40
+
+
+def splits_by_roots(coeffs, q):
+    """Oracle for `_splits_mod`: divides out the roots r of F_q, tried in
+    turn, each as often as it recurs, and asks whether that uses up the
+    whole degree."""
+    f, r = [c % q for c in coeffs], 0
+    while len(f) > 1 and r < q:
+        # synthetic division by x - r: quotient from the top, then f(r)
+        *quo, rem = accumulate(reversed(f), lambda a, c: (a * r + c) % q)
+        if rem:
+            r += 1
+        else:
+            f = quo[::-1]
+    return len(f) == 1
+
+
+def test_splits_mod_matches_root_stripping():
+    # degrees up to 6, repeated roots planted, at primes up to 1500: the
+    # split test of `splitting_fraction` reaches q = 1321 at D = 12
+    rng = random.Random(19)
+    primes = list(primerange(2, 1500))
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        q = rng.choice(primes)
+        coeffs = _random_poly(rng, q, degree=6)
+        expected = splits_by_roots(coeffs, q)
+        assert _splits_mod(coeffs, q) == expected, (coeffs, q)
+        seen[expected] += 1
+    assert min(seen.values()) >= 150
+
+
+def test_odd_primes_upto_cuts_one_sieve():
+    # bounds up and down, across the sieve's doubling, and below 3
+    for m in (100, 7, 2, 1000, 3, 257, 5000, 2600, 0):
+        assert _odd_primes_upto(m) == list(primerange(3, m + 1)), m

@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmlab.padic import (DualScalar, PadicContext, PadicScalar, iwasawa_log,
-                         padic_exp, teichmuller)
+from rmlab.padic import (DualScalar, PadicContext, PadicScalar,
+                         _log_one_plus, _series_slack, iwasawa_log, padic_exp,
+                         teichmuller)
 
 CTX = PadicContext(5, 20)
 CTX7 = PadicContext(7, 15)
@@ -170,6 +171,42 @@ def test_log_one_plus_p_partial_sums():
     expected = CTX.from_rational(acc)
     got = iwasawa_log(CTX.from_int(1 + p))
     assert got.equals(expected, 15)
+
+
+def log_one_plus_by_scalars(t):
+    """Oracle for `_log_one_plus`: the same kmax and terms, each term a
+    PadicScalar t^k / k added into the sum with its slack."""
+    ctx = t.ctx
+    if t.is_zero:
+        return ctx.zero()
+    kmax = 1
+    while kmax * t.v - _series_slack(ctx, kmax) <= ctx.prec + 1:
+        kmax += 1
+    acc = ctx.zero()
+    power = ctx.one()
+    for k in range(1, kmax + 1):
+        power = power * t
+        term = power / ctx.from_int(k)
+        acc = acc + (term if k % 2 else -term)
+    return acc
+
+
+@pytest.mark.parametrize("p, prec", [(5, 16), (5, 32), (5, 44), (7, 8),
+                                     (7, 32), (11, 24), (13, 20)])
+def test_log_one_plus_on_coordinates_matches_scalar_series(p, prec):
+    # exact (v, u0, u1, slack), at v(t) = 1, 2, 3, half the precision and
+    # beyond it, with slack up to prec - 1
+    ctx = PadicContext(p, prec)
+    rng = random.Random(p * 100 + prec)
+    for _ in range(60):
+        v = rng.choice((1, 1, 2, 3, prec // 2, prec + 3))
+        slack = rng.choice((0, 0, 1, 3, prec - 1))
+        x = rand_scalar(ctx, rng, nonzero=True, unit=True)
+        t = PadicScalar(ctx, v, x.u0, x.u1, slack)
+        got, want = _log_one_plus(t), log_one_plus_by_scalars(t)
+        assert (got.v, got.u0, got.u1, got.slack) == \
+            (want.v, want.u0, want.u1, want.slack), (v, slack)
+    assert _log_one_plus(PadicScalar(ctx, 1, 1, 1, prec)).is_zero
 
 
 def test_log_homomorphism():
