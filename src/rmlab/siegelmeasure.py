@@ -19,8 +19,11 @@ the row splits at the b where one of them changes into pieces on which the
 measure is constant; mu_pieces evaluates the identity at two points per
 piece, a few percent of the balls for an automorph (all of them when an
 entry of a prefix of the word reaches p^level).  No float enters the
-measure; mu_DR expands the pieces onto the balls, and the Poisson product
-multiplies each piece's sample points into one local product.
+measure; mu_DR expands the pieces onto the balls.  The Poisson product
+sums by parts along each row: one running product crosses the row and is
+folded into one accumulator per jump of the measure at the cuts, and away
+from the cuts it multiplies a block of p samples at a time, with the block
+values read from a difference table.
 
 The realized measure is s(c) = (c^2 - 1)/24 times the normalized mu_DR whose
 value on p Z_p x Z_p^* is phi_DR; the scale is carried on the BallMeasure and
@@ -33,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 
 from .padic import PadicContext, PadicScalar, iwasawa_log, padic_exp
@@ -368,6 +372,42 @@ def mu_DR(gamma, p: int, level: int, c: int | None = None) -> BallMeasure:
 # multiplicative Poisson transform
 # --------------------------------------------------------------------------
 
+def _times_samples(a0: int, a1: int, samples, w: int, rw: int,
+                   m: int) -> tuple:
+    """(a0 + a1 omega) times the product of the samples b0 + w omega for b0
+    in `samples`, in Z[omega]/m, with rw = r w mod m for omega^2 = r."""
+    for b0 in samples:
+        a0, a1 = (a0 * b0 + a1 * rw) % m, (a0 * w + a1 * b0) % m
+    return a0, a1
+
+
+def _block_values(offsets, shift: int, w: int, r: int, m: int,
+                  count: int) -> tuple:
+    """The products B(j) = prod_{o in offsets} ((shift j + o) + w omega) in
+    Z[omega]/m, omega^2 = r, for j < count, as two lists of coordinates
+    congruent to B(j)'s mod m (not reduced).  B is a polynomial in j of
+    degree k = len(offsets), so B(0 .. k) are multiplied out, and every B(j)
+    follows from their forward differences, the k-th of which is constant,
+    by k rounds of prefix sums."""
+    k = len(offsets)
+    rw = r * w % m
+    direct = zip(*(_times_samples(1, 0, [shift * j + o for o in offsets],
+                                  w, rw, m) for j in range(k + 1)))
+    out = []
+    for vals in direct:
+        diffs = []
+        for _ in range(k + 1):
+            diffs.append(vals[0])
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+        # Delta^t B(0 ..) is Delta^t B(0) followed by the prefix sums of
+        # Delta^(t+1) B; each round lengthens the sequence by one
+        seq = [diffs[k]] * max(count - k, 0)
+        for d in reversed(diffs[:k]):
+            seq = accumulate(seq, initial=d)
+        out.append(list(seq)[:count])
+    return tuple(out)
+
+
 def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
                 c: int | None = None) -> PadicScalar:
     """Riemann-product approximation of J_DR[tau]: the product over level-M
@@ -375,9 +415,20 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
     gamma_tau the automorph of tau.  Total mass zero makes the product
     invariant under scaling of the sample points, so the integral is taken
     against coordinates of 2A tau = -B + sqrt(D), keeping samples integral.
-    The measure comes as the constant pieces of its rows (mu_pieces); each
-    piece's samples multiply into one local product, folded into one
-    accumulator per value of mu, each raised to its exponent once.
+
+    The measure comes as the constant pieces of its rows (mu_pieces).  With
+    R(b) the product of a row's samples below b, pieces [c_i, c_{i+1}) of
+    values e_i give, by summation by parts,
+        prod_i (R(c_{i+1}) / R(c_i))^{e_i} = prod_i R(c_{i+1})^{e_i - e_{i+1}}
+    (e after the last piece is 0), so one running product crosses the row
+    and is folded, at each cut where mu jumps, into one accumulator per
+    jump; each accumulator is raised to its jump once.  A piece of value 0
+    restarts the running product after it.  The samples y = p j + i of a
+    block j (i from 0, or from 1 when p | x) multiply to a polynomial in j
+    of degree k <= p, so a row with more than k (k + 1) blocks free of cuts
+    reads those blocks from a difference table (_block_values) and
+    multiplies one block at a time; the blocks around a cut go sample by
+    sample.
 
     The raw product against the c-realized measure of the inverse automorph
     is J_DR[tau]^{(c^2-1)/12} up to p^Z and torsion; the returned value is
@@ -399,10 +450,18 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
     sq = sqrtD_padic(ctx, D)            # a unit, since p is inert
     s0, s1 = sq.u0, sq.u1
     m, r = ctx.modulus, ctx.r
+    step = 2 * A
 
     def mul(x, y):
         return ((x[0] * y[0] + r * x[1] * y[1]) % m,
                 (x[0] * y[1] + x[1] * y[0]) % m)
+
+    def row_samples(lo, hi, u, prim):
+        """The first coordinates 2Ay + u of a row's samples at y in
+        [lo, hi); a row with p | x (not prim) has none at p | y."""
+        if prim:
+            return range(step * lo + u, step * hi + u, step)
+        return [step * y + u for y in range(lo, hi) if y % p]
 
     n = p ** level
     groups = {}
@@ -412,18 +471,38 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
         u, w = x * (s0 - B) % m, x * s1 % m
         rw = r * w % m
         prim = x % p != 0
-        for lo, hi, e in zip(starts, starts[1:] + [n], values):
+        # the running product crosses [lo, hi) and is then folded into the
+        # accumulator of the jump
+        walks, lo = [], 0
+        for hi, e, e_next in zip(starts[1:] + [n], values, values[1:] + [0]):
             if not e:
-                continue
-            # the piece's samples multiply into one local product
-            if prim:
-                samples = range(2 * A * lo + u, 2 * A * hi + u, 2 * A)
-            else:
-                samples = [2 * A * y + u for y in range(lo, hi) if y % p]
-            a0, a1 = 1, 0
-            for b0 in samples:
-                a0, a1 = (a0 * b0 + a1 * rw) % m, (a0 * w + a1 * b0) % m
-            groups[e] = mul(groups.get(e, (1, 0)), (a0, a1))
+                lo = hi
+            elif e != e_next:
+                walks.append((lo, hi, e - e_next))
+                lo = hi
+        k = p if prim else p - 1
+        table = sum(max(hi // p + lo // -p, 0) for lo, hi, _ in walks) > \
+            k * (k + 1)
+        if table:
+            offsets = [step * i + u for i in range(p - k, p)]
+            B0, B1 = _block_values(offsets, step * p, w, r, m,
+                                   walks[-1][1] // p)
+        a0, a1, y = 1, 0, 0
+        for lo, hi, jump in walks:
+            if lo != y:
+                a0, a1 = 1, 0
+            j0, j1 = -(lo // -p), hi // p
+            if table and j1 > j0:
+                a0, a1 = _times_samples(
+                    a0, a1, row_samples(lo, p * j0, u, prim), w, rw, m)
+                for b0, b1 in zip(B0[j0:j1], B1[j0:j1]):
+                    a0, a1 = ((a0 * b0 + r * a1 * b1) % m,
+                              (a0 * b1 + a1 * b0) % m)
+                lo = p * j1
+            a0, a1 = _times_samples(a0, a1, row_samples(lo, hi, u, prim),
+                                    w, rw, m)
+            y = hi
+            groups[jump] = mul(groups.get(jump, (1, 0)), (a0, a1))
     J = ctx.one()
     for e, base in groups.items():
         J = J * ctx.from_coords(*base) ** e

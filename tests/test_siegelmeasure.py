@@ -392,6 +392,131 @@ def test_poisson_matches_per_ball_oracle(level):
             _per_ball_poisson(tau, level, ctx).to_json(), (D, cls, p)
 
 
+def _piecewise_poisson(tau, level, ctx, c=None):
+    """poisson_JDR with each piece's samples multiplied into one local
+    product, folded into one accumulator per value of mu: the piecewise
+    loop that summation by parts and the block table replaced."""
+    p = ctx.p
+    c = default_c(p) if c is None else c
+    A, B, _ = tau.form
+    (ga, gb), (gc, gd) = automorph(tau.form)
+    sq = sqrtD_padic(ctx, tau.disc)
+    s0, s1 = sq.u0, sq.u1
+    m, r = ctx.modulus, ctx.r
+
+    def mul(x, y):
+        return ((x[0] * y[0] + r * x[1] * y[1]) % m,
+                (x[0] * y[1] + x[1] * y[0]) % m)
+
+    n = p ** level
+    groups = {}
+    for x, starts, values in siegelmeasure.mu_pieces(
+            ((gd, -gb), (-gc, ga)), p, level, c):
+        u, w = x * (s0 - B) % m, x * s1 % m
+        rw = r * w % m
+        prim = x % p != 0
+        for lo, hi, e in zip(starts, starts[1:] + [n], values):
+            if not e:
+                continue
+            if prim:
+                samples = range(2 * A * lo + u, 2 * A * hi + u, 2 * A)
+            else:
+                samples = [2 * A * y + u for y in range(lo, hi) if y % p]
+            a0, a1 = 1, 0
+            for b0 in samples:
+                a0, a1 = (a0 * b0 + a1 * rw) % m, (a0 * w + a1 * b0) % m
+            groups[e] = mul(groups.get(e, (1, 0)), (a0, a1))
+    J = ctx.one()
+    for e, base in groups.items():
+        J = J * ctx.from_coords(*base) ** e
+    return padic_exp(iwasawa_log(J) / ctx.from_int(2 * measure_scale(c)))
+
+
+def _counting_block_values(monkeypatch):
+    """Count the rows that build a block table."""
+    build, calls = siegelmeasure._block_values, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(siegelmeasure, "_block_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("D, cls", [(12, 0), (12, 1), (28, 0)])
+def test_poisson_matches_piecewise_oracle_at_level_4(monkeypatch, D, cls):
+    # every row of these automorphs reads its cut-free blocks from a table
+    tables = _counting_block_values(monkeypatch)
+    ctx = PadicContext(5, 16)
+    tau = NarrowClassGroup(D).rm_representative(cls)
+    assert poisson_JDR(tau, 4, ctx).to_json() == \
+        _piecewise_poisson(tau, 4, ctx).to_json()
+    assert len(tables) == 625
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_block_values_match_direct_products(p):
+    # B(j) = prod_i ((2A (p j + i) + u) + w omega) by prefix sums equals the
+    # direct product, for p | x (i from 1; x = 0 gives u = w = 0) or not
+    ctx = PadicContext(p, 12)
+    m, r = ctx.modulus, ctx.r
+    rng = random.Random(p)
+    step = 2 * rng.choice([a for a in range(1, 40) if a % p])
+    for x in (rng.randrange(1, p), p * rng.randrange(1, p), 0):
+        u, w = x * rng.randrange(m) % m, x * rng.randrange(m) % m
+        first = 0 if x % p else 1
+        offsets = [step * i + u for i in range(first, p)]
+        direct = []
+        for j in range(200):
+            a = (1, 0)
+            for y in range(p * j + first, p * j + p):
+                b0 = step * y + u
+                a = ((a[0] * b0 + r * a[1] * w) % m,
+                     (a[0] * w + a[1] * b0) % m)
+            direct.append(a)
+        for count in range(1, 201):
+            B0, B1 = siegelmeasure._block_values(offsets, step * p, w, r, m,
+                                                 count)
+            assert [(b0 % m, b1 % m) for b0, b1 in zip(B0, B1)] == \
+                direct[:count], (x, count)
+
+
+def test_summation_by_parts_edge_cases(monkeypatch):
+    # made-up rows at p = 5, level 4 (rows of 625 samples, 125 blocks)
+    # against the piecewise oracle
+    rows = [
+        # a cut inside block 1 (7); cuts on block boundaries (10, 300);
+        # equal values on both sides of 10; two cuts in block 2 (13, 14)
+        # around a piece of value 0; three cuts in block 60
+        (1, [0, 7, 10, 13, 14, 300, 301, 302], [2, -1, -1, 0, 3, 3, 5, -4]),
+        # p | x: the one-point piece at 10 was dropped and [4, 11) runs over
+        # it; the trailing piece of value 0 ends the products at 200
+        (5, [0, 4, 11, 200], [1, -2, 3, 0]),
+        # x = 0, whose first piece [0, 1) was dropped: u = w = 0
+        (0, [1, 2, 400], [-3, 1, 2]),
+        # a cut every third sample: too few cut-free blocks for a table
+        (2, list(range(0, 625, 3)), [i % 4 - 2 for i in range(209)]),
+        # a row of one value, which starts on a value-0 piece
+        (7, [0, 123], [0, 6]),
+        # a row whose every jump is zero: nothing to multiply
+        (9, [0, 30], [0, 0]),
+    ]
+
+    def fake(gamma, p, level, c=None):
+        assert (p, level) == (5, 4)
+        yield from rows
+
+    monkeypatch.setattr(siegelmeasure, "mu_pieces", fake)
+    tables = _counting_block_values(monkeypatch)
+    ctx = PadicContext(5, 16)
+    tau = NarrowClassGroup(12).rm_representative(0)
+    assert poisson_JDR(tau, 4, ctx).to_json() == \
+        _piecewise_poisson(tau, 4, ctx).to_json()
+    # tables for the rows x = 1, 5, 0 and 7, up to their last jump
+    assert [args[-1] for args in tables] == [125, 40, 125, 125]
+
+
 def test_poisson_builds_no_ball_space(monkeypatch):
     def refuse(*args):
         raise AssertionError("ball space built")
