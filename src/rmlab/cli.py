@@ -166,21 +166,29 @@ def cache_append(cache_dir: str | None, D: int, p: int, prec: int,
 # shared pieces
 # --------------------------------------------------------------------------
 
+def parse_ints(text: str, flag: str, count: int) -> list:
+    """The value of a flag holding `count` comma-separated integers;
+    ValueError naming the flag for anything else."""
+    try:
+        parts = [int(s) for s in text.split(",")]
+    except ValueError:
+        parts = None
+    if parts is None or len(parts) != count:
+        words = {3: "three", 4: "four"}[count]
+        raise ValueError(f"{flag} must be {words} comma-separated integers")
+    return parts
+
+
 def parse_form(text: str, D: int) -> RMPoint:
-    parts = [int(s) for s in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError("--form must be three comma-separated integers")
-    tau = RMPoint(*parts)
+    tau = RMPoint(*parse_ints(text, "--form", 3))
     if tau.disc != D:
         raise ValueError(f"form discriminant {tau.disc} != --disc {D}")
     return tau
 
 
 def parse_matrix(text: str):
-    parts = [int(s) for s in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("--gamma must be four comma-separated integers")
-    return ((parts[0], parts[1]), (parts[2], parts[3]))
+    a, b, c, d = parse_ints(text, "--gamma", 4)
+    return ((a, b), (c, d))
 
 
 def instance_from_args(args) -> tuple:
@@ -333,7 +341,7 @@ def cmd_fit(args) -> tuple:
 
 def cmd_algdep(args) -> tuple:
     ctx = PadicContext(args.p, args.prec)
-    a0, a1, v = (int(s) for s in args.value.split(","))
+    a0, a1, v = parse_ints(args.value, "--value", 3)
     x = ctx.from_coords(a0, a1, v)
     res = algdep_padic(x, args.degree, args.budget)
     report = {

@@ -30,11 +30,10 @@ from math import gcd, isqrt
 
 from .padic import (DualScalar, PadicContext, PadicScalar, _vp, iwasawa_log,
                     sqrt_mod)
-from .quadfield import (IdealDivisorEngine, QuadNum, TotallyPositiveElement,
+from .quadfield import (IdealDivisorEngine, TotallyPositiveElement,
                         _odd_primes_upto, _split_exponent, check_inert,
-                        embed_quadnum, factor, genus_value,
-                        progression_start, splitting_type, sqrtD_padic,
-                        trace_range)
+                        embed_quadnum, factor, genus_value, progression_start,
+                        splitting_type, sqrtD_padic, trace_range)
 
 # revision of the coefficient kernel: bumped by every change that can move a
 # coefficient's digits below its certified precision or its slack, so that
@@ -222,28 +221,23 @@ def _fold_one(n: int, s: int, chi: tuple,
     return mass, expo
 
 
-def _fold_element(alpha: QuadNum, chi: tuple,
-                  engine: IdealDivisorEngine) -> tuple:
-    """`_fold` on the one element alpha = nu sqrt(D), nu >> 0, deprived of
-    p first: (p) divides no p-coprime divisor.  Returns (mass, expo)."""
-    D, p = engine.D, engine.p
-    u, n = alpha.coords_in_order() or (0, 0)     # None off the integers
-    s = 2 * u + n * D
-    if n <= 0 or s * s >= n * n * D:
-        raise ValueError("alpha must be nu sqrt(D) with nu totally positive")
-    while n % p == 0 and s % p == 0:
-        n, s = n // p, s // p
-    return _fold_one(n, s, chi, engine)
-
-
-def divisor_sums(alpha: QuadNum, chi: tuple, engine: IdealDivisorEngine,
-                 logs: LogCache) -> tuple:
+def divisor_sums(nu: TotallyPositiveElement, chi: tuple,
+                 engine: IdealDivisorEngine,
+                 logs: LogCache | None) -> tuple:
     """(mass, log_sum) with mass = sum psi(I) and
-    log_sum = sum psi(I) log Nm I over the p-coprime divisors I of (alpha),
-    alpha = nu sqrt(D) with nu >> 0, by the product formula of `_fold`: no
-    divisor list is built, and no log is taken when two or more local A
-    vanish."""
-    mass, expo = _fold_element(alpha, chi, engine)
+    log_sum = sum psi(I) log Nm I over the p-coprime divisors I of
+    (nu)*different, nu >> 0, by the product formula of `_fold` on nu
+    deprived of p, as (p) divides no p-coprime divisor: no divisor list is
+    built, and no log is taken when two or more local A vanish, nor any
+    at all without logs (log_sum is then None)."""
+    n, s, D = nu.n, nu.s, nu.D
+    if n <= 0 or s * s >= n * n * D or (s - n * D) % 2:
+        raise ValueError("nu must be totally positive in the inverse "
+                         "different")
+    nu0 = nu.deprived(engine.p)
+    mass, expo = _fold_one(nu0.n, nu0.s, chi, engine)
+    if logs is None:
+        return mass, None
     log_sum = logs.ctx.zero()
     for q, E in expo.items():
         log_sum = log_sum + logs.log_int(q) * E
@@ -253,7 +247,7 @@ def divisor_sums(alpha: QuadNum, chi: tuple, engine: IdealDivisorEngine,
 def sigma_psi(nu: TotallyPositiveElement, chi: tuple,
               engine: IdealDivisorEngine) -> int:
     """Sum of psi(I) over p-coprime divisors I of (nu) * different."""
-    return _fold_element(nu.alpha, chi, engine)[0]
+    return divisor_sums(nu, chi, engine, None)[0]
 
 
 def eis_family_coeff(pair: str, nu: TotallyPositiveElement, chi: tuple,
@@ -265,7 +259,7 @@ def eis_family_coeff(pair: str, nu: TotallyPositiveElement, chi: tuple,
     if pair not in ("1,psi", "psi,1"):
         raise ValueError("unsupported character pair")
     logs = logs or LogCache(ctx)
-    mass, log_sum = divisor_sums(nu.alpha, chi, engine, logs)
+    mass, log_sum = divisor_sums(nu, chi, engine, logs)
     if pair == "psi,1":
         # psi(cofactor) = psi((alpha)) psi(I) for quadratic psi, and
         # (alpha) = (nu)(sqrt(D)), nu >> 0, is in the class of the different
@@ -287,7 +281,7 @@ def antiparallel_coeff(nu: TotallyPositiveElement, chi: tuple,
         raise ArithmeticError("degenerate total L-invariant")
     logs = logs or LogCache(ctx)
     nu0 = nu.deprived(engine.p)
-    mass, log_sum = divisor_sums(nu0.alpha, chi, engine, logs)
+    mass, log_sum = divisor_sums(nu, chi, engine, logs)
     r1 = L1 * Ltot.inverse()
     r2 = L2 * Ltot.inverse()
     # log Nm(cofactor) = log Nm(alpha_0) - log Nm I
@@ -308,7 +302,8 @@ def eis_combination_coeff(nu: TotallyPositiveElement, chi: tuple,
         raise ArithmeticError("degenerate total L-invariant")
     logs = logs or LogCache(ctx)
     e1 = eis_family_coeff("1,psi", nu, chi, engine, ctx, logs)
-    e2 = eis_family_coeff("psi,1", nu, chi, engine, ctx, logs)
+    # E(psi,1) = psi(different) E(1,psi), as in `eis_family_coeff`
+    e2 = e1.scale(ctx.from_int(chi[engine.group.different_class]))
     r2 = L2 * Ltot.inverse()
     return (e1 - e2).scale(r2)
 
@@ -320,7 +315,7 @@ def dual_coeff_Fplus(nu: TotallyPositiveElement, chi: tuple,
     sum over I | (nu_0)*different of psi(I)(1 - eps log(nu_0 / Nm I))."""
     logs = logs or LogCache(ctx)
     nu0 = nu.deprived(engine.p)
-    mass, log_sum = divisor_sums(nu0.alpha, chi, engine, logs)
+    mass, log_sum = divisor_sums(nu, chi, engine, logs)
     b = log_sum
     if mass:
         b = b - iwasawa_log(embed_quadnum(nu0.nu, ctx)) * mass

@@ -21,7 +21,7 @@ from .modforms import QSeries, FitResult, basis_for_level, fit_to_basis
 from .padic import (PadicContext, PadicScalar, _vp, iwasawa_log, padic_exp,
                     sqrt_rational, teichmuller)
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, RMPoint,
-                        _odd_primes_upto, check_inert, factor, genus_value,
+                        _primes, check_inert, factor, genus_value,
                         has_norm_minus_one, partial_zeta_zero,
                         splitting_type)
 
@@ -252,17 +252,6 @@ def _splits_mod(coeffs, q: int) -> bool:
         f = _polydivmod(f, _monic(a, q), q)[0]
         xq = _polydivmod(xq, f, q)[1]
     return True
-
-
-def _primes():
-    """2, 3, 5, 7, ...: the odd ones from `_odd_primes_upto`, its bound
-    doubled each time they run out."""
-    yield 2
-    done, m = 0, 64
-    while True:
-        odd = _odd_primes_upto(m)
-        yield from odd[done:]
-        done, m = len(odd), 2 * m
 
 
 def splitting_fraction(coeffs, group: NarrowClassGroup,

@@ -512,9 +512,5 @@ class DualScalar:
     def scale(self, c: PadicScalar) -> "DualScalar":
         return DualScalar(self.a * c, self.b * c)
 
-    def equals(self, other, digits=None) -> bool:
-        return self.a.equals(other.a, digits) and self.b.equals(other.b,
-                                                                digits)
-
     def __repr__(self):
         return f"({self.a!r}) + ({self.b!r})*eps"

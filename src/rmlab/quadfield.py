@@ -9,9 +9,9 @@ progression helpers of the divisor-sum kernel's sieve (`eisenstein._fold`),
 and partial zeta values at s = 0 (reduced-cycle formula, with a Shintani cone
 sum as the independent oracle).
 
-`factor` (trial division) and `next_prime` serve the integers met outside
-that sieve: discriminants, group orders and the norms factored into prime
-ideals by `factor_alpha`.
+`factor` (trial division) serves the integers met outside that sieve:
+discriminants, group orders and the norms factored into prime ideals by
+`factor_alpha`.  `_primes` walks 2, 3, 5, ... over the sieve's primes.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import gcd, isqrt, lcm
 
-from .padic import (PadicContext, PadicScalar, _vp, hensel_lift, is_prime,
-                    legendre, sqrt_mod, sqrt_rational)
+from .padic import (PadicContext, PadicScalar, _vp, legendre, sqrt_mod,
+                    sqrt_rational)
 
 
 # --------------------------------------------------------------------------
@@ -42,11 +41,6 @@ def factor(n: int) -> dict:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def next_prime(q: int) -> int:
-    """The least prime above q."""
-    return next(n for n in count(q + 1) if is_prime(n))
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -387,7 +381,6 @@ class RMPoint:
     @staticmethod
     def from_value(w: QuadNum) -> "RMPoint":
         """The unique primitive form with w = (−B + sqrt(D))/(2A)."""
-        from math import lcm
         assert w.b != 0
         D = w.D
         # A = 1/(2b), B = -a/b, C = -(A w^2 + B w); clear by a positive
@@ -495,13 +488,12 @@ class NarrowClassGroup:
         rational prime q (and the root order of `prime_ideal` for split q)."""
         degree_one = {"inert": 0, "ramified": 1, "split": 2}  # primes over q
         found = {}
-        q = 2
-        while len(found) < self.h:
+        for q in _primes():
             for which in range(degree_one[splitting_type(self.D, q)]):
                 P = prime_ideal(self.D, q, which)
                 found.setdefault(self.narrow_class_of_ideal(P), P)
-            q = next_prime(q)
-        return [found[i] for i in range(self.h)]
+            if len(found) == self.h:
+                return [found[i] for i in range(self.h)]
 
     # -- characters ----------------------------------------------------------
 
@@ -561,16 +553,16 @@ class IdealF:
 
 
 @lru_cache(maxsize=None)
-def _hensel_root(D: int, q: int, k: int) -> int:
-    """Root t of t^2 - D t + (D^2-D)/4 mod q^k (q split), Hensel-lifted."""
+def _split_root(D: int, q: int) -> int:
+    """Root t1 of t^2 - D t + (D^2-D)/4, the minimal polynomial of omega,
+    mod a split q: the prime P1 = (q, omega - t1) of `prime_ideal`."""
     c0 = (D * D - D) // 4
     if q == 2:
-        t = next(t for t in range(2) if (t * t - D * t + c0) % 2 == 0)
-    else:
-        # the discriminant of t^2 - D t + c0 is D: t = (D + sqrt(D))/2 mod q
-        t = (D + sqrt_mod(D, q)) * pow(2, -1, q) % q
-        assert (t * t - D * t + c0) % q == 0
-    return hensel_lift(-D, c0, t, q, k)
+        return next(t for t in range(2) if (t * t - D * t + c0) % 2 == 0)
+    # the discriminant of t^2 - D t + c0 is D: t = (D + sqrt(D))/2 mod q
+    t = (D + sqrt_mod(D, q)) * pow(2, -1, q) % q
+    assert (t * t - D * t + c0) % q == 0
+    return t
 
 
 @lru_cache(maxsize=None)
@@ -598,7 +590,7 @@ def prime_ideal(D: int, q: int, which: int = 0) -> IdealF:
         else:
             t = (D * pow(2, -1, q)) % q
         return IdealF(D, q, (-t) % q, 1)
-    t = _hensel_root(D, q, 1)
+    t = _split_root(D, q)
     if which:
         t = (D - t) % q
     return IdealF(D, q, (-t) % q, 1)
@@ -606,15 +598,14 @@ def prime_ideal(D: int, q: int, which: int = 0) -> IdealF:
 
 def _split_exponent(D: int, q: int, e: int, u: int, v: int) -> int:
     """Exponent of P1 = (q, omega - t1) in (u + v*omega) for a split q with
-    q^e exactly dividing the norm, t1 the Hensel root mod q; the conjugate
-    prime's exponent is e minus it."""
-    T = _hensel_root(D, q, e + 1)
-    x = (u + v * T) % q ** (e + 1)
-    v1 = 0
-    while v1 < e and x % q == 0:
-        v1 += 1
-        x //= q
-    return v1
+    q^e exactly dividing the norm, t1 = `_split_root`; the conjugate
+    prime's exponent is e minus it.  Both primes take the q^k common to u
+    and v; the rest of the norm, q^(e - 2k), lies in one of them, in P1
+    exactly when u + v*t1 = 0 (mod q) after dividing u and v by q^k."""
+    k = 0
+    while u % q == 0 and v % q == 0:
+        u, v, k = u // q, v // q, k + 1
+    return k if (u + v * _split_root(D, q)) % q else e - k
 
 
 def prime_pairs(D: int, q: int, e: int, u: int, v: int) -> list:
@@ -624,17 +615,12 @@ def prime_pairs(D: int, q: int, e: int, u: int, v: int) -> list:
     typ = splitting_type(D, q)
     if typ == "inert":
         assert e % 2 == 0
-        return [(IdealF(D, q, 0, q), e // 2)]
+        return [(prime_ideal(D, q), e // 2)]
     if typ == "ramified":
         return [(prime_ideal(D, q), e)]
     v1 = _split_exponent(D, q, e, u, v)
-    t1 = _hensel_root(D, q, 1)
-    out = []
-    if v1:
-        out.append((IdealF(D, q, -t1, 1), v1))
-    if e - v1:
-        out.append((IdealF(D, q, t1 - D, 1), e - v1))
-    return out
+    return [(prime_ideal(D, q, which), k)
+            for which, k in enumerate((v1, e - v1)) if k]
 
 
 def factor_alpha(D: int, alpha: QuadNum):
@@ -766,6 +752,17 @@ def _odd_primes_upto(m: int) -> list:
         odd = [q for q in range(3, top, 2) if sieve[q]]
         _SIEVED[:] = bound, odd
     return odd[:bisect_right(odd, m)]
+
+
+def _primes():
+    """2, 3, 5, 7, ...: the odd ones from `_odd_primes_upto`, its bound
+    doubled each time they run out."""
+    yield 2
+    done, m = 0, 64
+    while True:
+        odd = _odd_primes_upto(m)
+        yield from odd[done:]
+        done, m = len(odd), 2 * m
 
 
 def progression_start(svals: range, r: int, q: int) -> int:

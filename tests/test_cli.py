@@ -236,6 +236,22 @@ def test_algdep_command(capsys):
     assert rep["polynomial"] == [0, 1]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["algdep", "--value", "1,2"], "--value"),
+    (["algdep", "--value", "1,2,3,4"], "--value"),
+    (["algdep", "--value", "1,x,0"], "--value"),
+    (["phi-dr", "--gamma", "1,1,0"], "--gamma"),
+    (["phi-dr", "--gamma", "1,1,0,1.5"], "--gamma"),
+    (["winding", "--form", "1,2"], "--form"),
+])
+def test_integer_list_flags_name_the_flag(capsys, argv, flag):
+    # --form, --gamma and --value share one parser, which checks the count
+    # and the integers and names the flag in its message
+    code, rep = run(capsys, ["--p", "5"] + argv)
+    assert code == EXIT_INVALID == 2
+    assert rep["error"].startswith(f"{flag} must be ")
+
+
 def test_algdep_infinite_margin_is_null(capsys):
     # the two shortest rows' length ratio passes the float range; JSON has
     # no token for infinity, so the report says null

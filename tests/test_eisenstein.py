@@ -111,12 +111,15 @@ def test_eis_family_rejects_unknown_pair():
 
 def test_divisor_sums_reject_alpha_of_no_totally_positive_nu():
     # the kernel reads psi((alpha)) as psi(different): alpha = nu sqrt(D)
-    # with nu >> 0 only
-    nu = enumerate_trace(2, D)[0]
-    alpha = nu.alpha
-    for x in (nu.nu, -alpha, alpha * alpha, alpha.conj() * alpha):
+    # with nu >> 0 in the inverse different only.  Trace 0 and -2, s^2 past
+    # n^2 D on either side, and s of the wrong parity; (n, s) = (5, 1)
+    # would pass as (1, 0) if it were deprived of p = 5 before the check
+    for n, s in ((0, 0), (-2, 0), (2, 8), (2, -8), (3, 1), (5, 1)):
+        nu = TotallyPositiveElement(D, n, s)
         with pytest.raises(ValueError, match="totally positive"):
-            divisor_sums(x, CHI, ENGINE, LOGS)
+            divisor_sums(nu, CHI, ENGINE, LOGS)
+        with pytest.raises(ValueError, match="totally positive"):
+            sigma_psi(nu, CHI, ENGINE)
 
 
 def test_l_invariant_cancellation():
@@ -134,6 +137,23 @@ def test_l_invariant_cancellation():
             assert combined.b.equals(fplus.b, 15)
 
 
+def test_combination_folds_each_nu_once(monkeypatch):
+    # E(psi,1) = psi(different) E(1,psi): one fold of nu serves both
+    calls = []
+    fold_one = eisenstein._fold_one
+
+    def counting(*args):
+        calls.append(args)
+        return fold_one(*args)
+
+    monkeypatch.setattr(eisenstein, "_fold_one", counting)
+    L1, L2 = CTX.from_int(3), CTX.from_int(8)
+    for nu in enumerate_trace(3, D):
+        calls.clear()
+        eis_combination_coeff(nu, CHI, ENGINE, CTX, L1, L2, LOGS)
+        assert len(calls) == 1
+
+
 def test_degenerate_l_invariant_rejected():
     nu = enumerate_trace(1, D)[0]
     L = CTX.from_int(7)
@@ -149,12 +169,12 @@ def test_p_stability():
                                                 nu.s * P ** m)
                 f0 = dual_coeff_Fplus(nu, CHI, ENGINE, CTX, LOGS)
                 fm = dual_coeff_Fplus(scaled, CHI, ENGINE, CTX, LOGS)
-                assert f0.equals(fm)
+                assert f0.a.equals(fm.a) and f0.b.equals(fm.b)
                 L1, L2 = CTX.from_int(3), CTX.from_int(11)
                 a0 = antiparallel_coeff(nu, CHI, ENGINE, CTX, L1, L2, LOGS)
                 am = antiparallel_coeff(scaled, CHI, ENGINE, CTX,
                                         L1, L2, LOGS)
-                assert a0.equals(am)
+                assert a0.a.equals(am.a) and a0.b.equals(am.b)
 
 
 def test_diag_series_vanishes_for_norm_minus_one_field():
@@ -172,14 +192,14 @@ def test_diag_series_vanishes_for_norm_minus_one_field():
 
 
 def diag_oracle(n, chi, engine, ctx, logs):
-    # the per-element sum: divisor_sums of each alpha_0, one log each
+    # the per-element sum: divisor_sums of each nu_0, one log each
     total = ctx.zero()
     for nu in enumerate_trace(n, engine.D):
-        alpha0 = nu.deprived(engine.p).alpha
-        mass, log_sum = divisor_sums(alpha0, chi, engine, logs)
+        nu0 = nu.deprived(engine.p)
+        mass, log_sum = divisor_sums(nu0, chi, engine, logs)
         total = total + log_sum
         if mass:
-            total = total - iwasawa_log(embed_quadnum(alpha0, ctx)) * mass
+            total = total - iwasawa_log(embed_quadnum(nu0.alpha, ctx)) * mass
     return total
 
 

@@ -10,6 +10,16 @@ is read only through an attribute or a string constant that holds it as
 variable or a function, a lone part of a dotted string names a module or a
 metric, and `args.x` reads the command-line flag --x.  The unit tests do
 not count, except for the short list below, each entry with its reason.
+
+An attribute read of a method name that several classes define is resolved
+through its class.  A property is read without a call and any other method
+with one, and a read that leaves two candidates reads the method of the
+receiver's class where the code shows it: `self`, the class itself, a call
+of the class, a parameter annotated with it, a local variable assigned one
+of these, an arithmetic expression whose left (else right) operand is one,
+or a call of a function or method whose return annotation names it or, for
+an unannotated function, whose first resolved `return` gives it.  Any other
+read of such a name reads none of them.
 """
 
 import ast
@@ -40,6 +50,102 @@ def _parse(path):
         return ast.parse(fh.read())
 
 
+def _classes():
+    """name -> {method name -> def} for the classes of src/rmlab."""
+    return {node.name: {item.name: item for item in node.body
+                        if isinstance(item, ast.FunctionDef)}
+            for path in glob(os.path.join(SRC, "*.py"))
+            for node in _parse(path).body if isinstance(node, ast.ClassDef)}
+
+
+CLASSES = _classes()
+OWNER = {id(fn): cls for cls, fns in CLASSES.items() for fn in fns.values()}
+
+
+def _decorated(fn, name):
+    return any(getattr(d, "id", None) == name for d in fn.decorator_list)
+
+
+def _named(annotation):
+    """The class of src/rmlab an annotation names, or None."""
+    name = getattr(annotation, "id", getattr(annotation, "value", None))
+    return name if name in CLASSES else None
+
+
+class Receivers:
+    """The src class of an expression's value where a reader shows it (see
+    the module docstring), with `functions` the top-level functions the
+    reader can call by name."""
+
+    def __init__(self, functions):
+        self.functions = functions
+        self.returns = {}
+
+    def env(self, fn, cls):
+        """Variable -> class in the body of fn, a method of cls or not."""
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        env = {a.arg: _named(a.annotation) for a in args}
+        if cls and args and not _decorated(fn, "staticmethod"):
+            env[args[0].arg] = cls
+        assigns = [node for node in ast.walk(fn)
+                   if isinstance(node, ast.Assign) and len(node.targets) == 1
+                   and isinstance(node.targets[0], ast.Name)]
+        for node in sorted(assigns, key=lambda node: node.lineno):
+            env[node.targets[0].id] = self.type(node.value, env)
+        return env
+
+    def type(self, expr, env):
+        if isinstance(expr, ast.Name):
+            return env.get(expr.id, _named(expr))
+        if isinstance(expr, ast.BinOp):
+            return self.type(expr.left, env) or self.type(expr.right, env)
+        if not isinstance(expr, ast.Call):
+            return None
+        func = expr.func
+        if isinstance(func, ast.Name):
+            fn = self.functions.get(func.id)
+            return _named(func) or (fn and self.result(fn))
+        if isinstance(func, ast.Attribute):
+            cls = self.owner(func, env, True)
+            return cls and self.result(CLASSES[cls][func.attr])
+        return None
+
+    def owner(self, attr, env, called):
+        """The class whose method the read `attr` is, or None."""
+        owners = [cls for cls, fns in CLASSES.items()
+                  if attr.attr in fns
+                  and _decorated(fns[attr.attr], "property") != called]
+        if len(owners) == 1:
+            return owners[0]
+        kind = self.type(attr.value, env)
+        return kind if kind in owners else None
+
+    def result(self, fn):
+        """The class fn returns, by annotation or by its returns."""
+        if id(fn) not in self.returns:
+            self.returns[id(fn)] = None              # recursion guard
+            kind = _named(fn.returns)
+            if not kind and fn.returns is None:
+                env = self.env(fn, OWNER.get(id(fn)))
+                kind = next(filter(None, (
+                    self.type(node.value, env) for node in ast.walk(fn)
+                    if isinstance(node, ast.Return) and node.value)), None)
+            self.returns[id(fn)] = kind
+        return self.returns[id(fn)]
+
+    def scoped(self, node, env, cls=None):
+        """(child, the variable types of its innermost function) for every
+        node under node, the body of class cls or of no class."""
+        for child in ast.iter_child_nodes(node):
+            yield child, env
+            if isinstance(child, ast.FunctionDef):
+                yield from self.scoped(child, self.env(child, cls))
+            elif isinstance(child, ast.ClassDef):
+                yield from self.scoped(child, env, child.name)
+            else:
+                yield from self.scoped(child, env, cls)
+
+
 def definitions():
     """(qualified name, node, path) per definition under the rule."""
     for path in sorted(glob(os.path.join(SRC, "*.py"))):
@@ -62,9 +168,21 @@ def references():
                *glob(os.path.join(ROOT, "scripts", "*.py")),
                *glob(os.path.join(ROOT, "perfbench", "*.py")),
                os.path.join(ROOT, "tests", "test_acceptance.py")]
+    ambiguous = {attr for attr in {a for fns in CLASSES.values() for a in fns}
+                 if sum(attr in fns for fns in CLASSES.values()) > 1}
+    library = {node.name: node
+               for path in glob(os.path.join(SRC, "*.py"))
+               for node in _parse(path).body
+               if isinstance(node, ast.FunctionDef)}
     names, methods = {}, {}
     for path in readers:
-        for node in ast.walk(_parse(path)):
+        tree = _parse(path)
+        receivers = Receivers({**library, **{
+            node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}})
+        called = {id(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        for node, env in receivers.scoped(tree, {}):
             as_method = []
             if isinstance(node, ast.Name):
                 as_name = [node.id]
@@ -72,8 +190,11 @@ def references():
                 as_name = [node.name]
             elif isinstance(node, ast.Attribute):
                 as_name = [node.attr]
-                if not (isinstance(node.value, ast.Name)
-                        and node.value.id == "args"):
+                if node.attr in ambiguous:
+                    cls = receivers.owner(node, env, id(node) in called)
+                    as_method = [f"{cls}.{node.attr}"] if cls else []
+                elif not (isinstance(node.value, ast.Name)
+                          and node.value.id == "args"):
                     as_method = as_name
             elif isinstance(node, ast.Constant) and isinstance(node.value,
                                                                str):

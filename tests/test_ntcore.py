@@ -3,7 +3,7 @@ primality, factorization, modular square roots and the split test of the
 recognition stage."""
 
 import random
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 from sympy import Poly, factorint, isprime, primerange, symbols
@@ -11,7 +11,7 @@ from sympy import sqrt_mod as sympy_sqrt_mod
 
 from rmlab.gsunits import _splits_mod
 from rmlab.padic import hensel_lift, is_prime, legendre, sqrt_mod
-from rmlab.quadfield import _odd_primes_upto, factor, next_prime
+from rmlab.quadfield import _odd_primes_upto, _primes, factor
 
 # least strong pseudoprimes to the first k prime bases (OEIS A014233)
 PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751,
@@ -72,9 +72,14 @@ def test_is_prime_refuses_beyond_its_proven_range():
             is_prime(n)
 
 
-def test_next_prime():
-    assert [next_prime(q) for q in (-3, 0, 1, 2, 3, 4, 13, 7919)] == \
-        [2, 2, 2, 3, 5, 5, 17, 7927]
+def test_primes_walk_from_two():
+    # the first 1200 primes cross the walk's doubled bound from 64 to 16384;
+    # a walk started after the shared sieve has grown reads the same primes
+    assert list(islice(_primes(), 1200)) == list(primerange(2, 9734))
+    _odd_primes_upto(50_000)
+    walk = list(islice(_primes(), 1200))
+    assert walk == list(primerange(2, 9734))
+    assert walk[walk.index(7919) + 1] == 7927
 
 
 def test_factor_matches_factorint():
@@ -91,7 +96,7 @@ def test_legendre_values():
 
 def test_sqrt_mod_is_sympys_least_root():
     # every square mod every prime below 5000 against the least x with
-    # x^2 = a, and against sympy.sqrt_mod, whose root order _hensel_root
+    # x^2 = a, and against sympy.sqrt_mod, whose root order _split_root
     # was written for, on every square below 500 and on a sample above
     # (all 774,403 sympy calls would take about 15 s)
     rng = random.Random(7)

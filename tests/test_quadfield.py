@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from sympy import primerange
 
-from rmlab.padic import PadicContext
+from rmlab.padic import PadicContext, hensel_lift
 from rmlab.quadfield import (IdealF, IdealDivisorEngine, NarrowClassGroup,
                              QuadNum, RMPoint, all_reduced_forms, apply_sl2,
                              automorph, check_inert, compose_forms,
@@ -21,8 +21,8 @@ from rmlab.quadfield import (IdealF, IdealDivisorEngine, NarrowClassGroup,
                              principal_form, reduce_form,
                              rho_step, shintani_zeta_zero, splitting_type,
                              sqrtD_padic, trace_range)
-from rmlab.quadfield import (_ext_gcd, _hensel_root, _odd_primes_upto,
-                             progression_start)
+from rmlab.quadfield import (_ext_gcd, _odd_primes_upto, _split_exponent,
+                             _split_root, progression_start)
 
 DISCS = [5, 8, 12, 13, 21, 24, 28, 33, 40, 44, 56, 57, 60, 61]
 
@@ -486,6 +486,44 @@ def test_factor_alpha_reconstructs_ideal():
             assert nm == abs(x.norm())
 
 
+def hensel_split_exponent(D, q, e, u, v):
+    """Oracle for `_split_exponent`, the rule it replaced: the valuation,
+    capped at e, of u + v*T, T the root t1 = `_split_root` of omega's
+    minimal polynomial Hensel-lifted to q^(e+1)."""
+    T = hensel_lift(-D, (D * D - D) // 4, _split_root(D, q), q, e + 1)
+    x = (u + v * T) % q ** (e + 1)
+    v1 = 0
+    while v1 < e and x % q == 0:
+        v1 += 1
+        x //= q
+    return v1
+
+
+@pytest.mark.parametrize("D", [12, 21, 28, 33, 57, 60, 105])
+def test_split_exponent_matches_hensel_oracle(D):
+    # every split q <= 50, every e <= 6 and every u + v*omega of a box with
+    # q^e exactly dividing its norm; the box reaches e = 6 at q = 2, 3, 5,
+    # and elements divisible by q whose norm keeps a power of q beyond
+    # that of (q)^k, which goes to one prime only
+    c0, box = (D * D - D) // 4, range(-150, 151)
+    split = [q for q in primerange(2, 51) if splitting_type(D, q) == "split"]
+    seen = set()
+    for u, v in product(box, box):
+        nm = u * u + u * v * D + v * v * c0
+        for q in split if nm else ():
+            e = 0
+            while nm % q == 0:
+                nm, e = nm // q, e + 1
+            if 1 <= e <= 6:
+                v1 = _split_exponent(D, q, e, u, v)
+                assert v1 == hensel_split_exponent(D, q, e, u, v), \
+                    (q, e, u, v)
+                shared = u % q == 0 and v % q == 0
+                seen.add((q, e, shared and v1 != e - v1))
+    assert {q for q, e, _ in seen if e == 6} >= {q for q in split if q <= 5}
+    assert any(mixed for _, _, mixed in seen)
+
+
 def sieve_trace(n: int, D: int, skip: int = 0) -> tuple:
     """Oracle for the sieve inside `eisenstein._fold`: factor the norms
     (n^2 D - s^2)/4 of all alpha = (s + n sqrt(D))/2, s in
@@ -517,7 +555,7 @@ def sieve_trace(n: int, D: int, skip: int = 0) -> tuple:
         if n * D % q == 0:
             roots = (0,)
         elif splitting_type(D, q) == "split":
-            r = n * (2 * _hensel_root(D, q, 1) - D) % q     # n sqrt(D) mod q
+            r = n * (2 * _split_root(D, q) - D) % q         # n sqrt(D) mod q
             roots = (r, q - r)
         else:
             continue
