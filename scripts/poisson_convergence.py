@@ -8,12 +8,13 @@ This script prints the valuation of iwasawa_log(J_DR) - 12 a_0 as the level
 grows: it should equal the level exactly, one p-adic digit per level.  Level
 M has about p^(2M) balls, but the measure is constant on pieces of each row
 of p^M balls and is evaluated only at their ends, so the measure grows by
-about p per level.  The product grows by p^2 per level, but on a row with
-enough blocks of p samples free of cuts between pieces (every row from
-level 4 at (12, 5)) it multiplies those blocks whole, so from there on it
-takes about p^(2M-1) multiplications, not p^(2M); memory stays small.
-Each level's line gives the ball count and the number of pieces next to
-the time of the product.
+about p per level.  The product samples each ball on its line through the
+origin, so it raises only the p^M + p^(M-1) points of P^1(Z/p^M) and the
+units mod p^M to their masses: the powers grow by p per level, while
+summing the rows along the lines touches every ball once (p^2 times more
+per level) in C-level list operations; memory stays small.  Each level's
+line gives the ball, piece and P^1 point counts next to the time of the
+product.
 
     python3 scripts/poisson_convergence.py [--disc 12] [--p 5] [--levels 4]
 
@@ -62,8 +63,9 @@ def main() -> int:
         balls = args.p ** (2 * level) - args.p ** (2 * level - 2)
         pieces = sum(len(starts)
                      for _, starts, _ in mu_pieces(gamma, args.p, level))
-        print(f"level {level}: error valuation {v}  "
-              f"({balls} balls, {pieces} pieces, {seconds:.2f} s)")
+        points = args.p ** level + args.p ** (level - 1)
+        print(f"level {level}: error valuation {v}  ({balls} balls, "
+              f"{pieces} pieces, {points} P^1 points, {seconds:.2f} s)")
     return 0
 
 

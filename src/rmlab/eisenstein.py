@@ -230,10 +230,6 @@ def divisor_sums(nu: TotallyPositiveElement, chi: tuple,
     deprived of p, as (p) divides no p-coprime divisor: no divisor list is
     built, and no log is taken when two or more local A vanish, nor any
     at all without logs (log_sum is then None)."""
-    n, s, D = nu.n, nu.s, nu.D
-    if n <= 0 or s * s >= n * n * D or (s - n * D) % 2:
-        raise ValueError("nu must be totally positive in the inverse "
-                         "different")
     nu0 = nu.deprived(engine.p)
     mass, expo = _fold_one(nu0.n, nu0.s, chi, engine)
     if logs is None:

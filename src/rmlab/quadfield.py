@@ -689,6 +689,12 @@ class TotallyPositiveElement:
     n: int
     s: int
 
+    def __post_init__(self):
+        n, s = self.n, self.s
+        if n <= 0 or s * s >= n * n * self.D or (s - n * self.D) % 2:
+            raise ValueError("nu must be totally positive in the inverse "
+                             "different")
+
     @property
     def nu(self) -> QuadNum:
         return QuadNum(self.D, Fraction(self.n, 2), Fraction(self.s, 2 * self.D))

@@ -20,10 +20,11 @@ measure is constant; mu_pieces evaluates the identity at two points per
 piece, a few percent of the balls for an automorph (all of them when an
 entry of a prefix of the word reaches p^level).  No float enters the
 measure; mu_DR expands the pieces onto the balls.  The Poisson product
-sums by parts along each row: one running product crosses the row and is
-folded into one accumulator per jump of the measure at the cuts, and away
-from the cuts it multiplies a block of p samples at a time, with the block
-values read from a difference table.
+samples each ball on its line through the origin, so it factors through
+the p^level + p^(level-1) points of P^1(Z/p^level) and the units mod
+p^level, each raised to its mass once; the rows are summed along the lines
+in a frame of residues ordered by discrete logarithm, where multiplying by
+a unit is a rotation.
 
 The realized measure is s(c) = (c^2 - 1)/24 times the normalized mu_DR whose
 value on p Z_p x Z_p^* is phi_DR; the scale is carried on the BallMeasure and
@@ -36,11 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 from math import gcd
+from operator import add, itemgetter
 
-from .padic import PadicContext, PadicScalar, iwasawa_log, padic_exp
-from .quadfield import RMPoint, automorph, check_inert, sqrtD_padic
+from .padic import PadicContext, PadicScalar, _vp, iwasawa_log, padic_exp
+from .quadfield import RMPoint, automorph, check_inert, factor, sqrtD_padic
 
 
 # --------------------------------------------------------------------------
@@ -372,63 +374,58 @@ def mu_DR(gamma, p: int, level: int, c: int | None = None) -> BallMeasure:
 # multiplicative Poisson transform
 # --------------------------------------------------------------------------
 
-def _times_samples(a0: int, a1: int, samples, w: int, rw: int,
-                   m: int) -> tuple:
-    """(a0 + a1 omega) times the product of the samples b0 + w omega for b0
-    in `samples`, in Z[omega]/m, with rw = r w mod m for omega^2 = r."""
-    for b0 in samples:
-        a0, a1 = (a0 * b0 + a1 * rw) % m, (a0 * w + a1 * b0) % m
-    return a0, a1
-
-
-def _block_values(offsets, shift: int, w: int, r: int, m: int,
-                  count: int) -> tuple:
-    """The products B(j) = prod_{o in offsets} ((shift j + o) + w omega) in
-    Z[omega]/m, omega^2 = r, for j < count, as two lists of coordinates
-    congruent to B(j)'s mod m (not reduced).  B is a polynomial in j of
-    degree k = len(offsets), so B(0 .. k) are multiplied out, and every B(j)
-    follows from their forward differences, the k-th of which is constant,
-    by k rounds of prefix sums."""
-    k = len(offsets)
-    rw = r * w % m
-    direct = zip(*(_times_samples(1, 0, [shift * j + o for o in offsets],
-                                  w, rw, m) for j in range(k + 1)))
-    out = []
-    for vals in direct:
-        diffs = []
-        for _ in range(k + 1):
-            diffs.append(vals[0])
-            vals = [b - a for a, b in zip(vals, vals[1:])]
-        # Delta^t B(0 ..) is Delta^t B(0) followed by the prefix sums of
-        # Delta^(t+1) B; each round lengthens the sequence by one
-        seq = [diffs[k]] * max(count - k, 0)
-        for d in reversed(diffs[:k]):
-            seq = accumulate(seq, initial=d)
-        out.append(list(seq)[:count])
-    return tuple(out)
+def _line_frame(p: int, n: int) -> tuple:
+    """(frame, blocks, dlog) for n = p^level: frame lists every residue mod
+    n, block j holding p^j g^k mod n for k < phi(n / p^j), with g a
+    primitive root mod n and the blocks (offset, length) by j ascending,
+    then 0; dlog[g^k mod n] = k.  Multiplication by a unit g^i rotates each
+    block by i, so it is a slice, not a permutation built per unit."""
+    g = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // q, p) != 1 for q in factor(p - 1)))
+    # a primitive root mod p^2 (g, else g + p) is one mod every p^level
+    if pow(g, p - 1, p * p) == 1:
+        g += p
+    units = list(accumulate(range(n - n // p - 1), lambda y, _: y * g % n,
+                            initial=1))
+    dlog = {y: k for k, y in enumerate(units)}
+    frame, blocks, q = [], [], 1
+    while q < n:
+        size = (n - n // p) // q
+        blocks.append((len(frame), size))
+        frame += [q * (y % (n // q)) for y in units[:size]]
+        q *= p
+    return frame + [0], blocks, dlog
 
 
 def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
                 c: int | None = None) -> PadicScalar:
     """Riemann-product approximation of J_DR[tau]: the product over level-M
-    balls of (x tau + y)^{mu(ball)} at integer center sample points, for
+    balls of (x tau + y)^{mu(ball)} at one sample point per ball, for
     gamma_tau the automorph of tau.  Total mass zero makes the product
-    invariant under scaling of the sample points, so the integral is taken
-    against coordinates of 2A tau = -B + sqrt(D), keeping samples integral.
+    invariant under scaling of the samples, so it is taken against
+    theta = 2A tau = -B + sqrt(D), keeping samples integral; a measure of
+    non-zero total mass raises ArithmeticError.
 
-    The measure comes as the constant pieces of its rows (mu_pieces).  With
-    R(b) the product of a row's samples below b, pieces [c_i, c_{i+1}) of
-    values e_i give, by summation by parts,
-        prod_i (R(c_{i+1}) / R(c_i))^{e_i} = prod_i R(c_{i+1})^{e_i - e_{i+1}}
-    (e after the last piece is 0), so one running product crosses the row
-    and is folded, at each cut where mu jumps, into one accumulator per
-    jump; each accumulator is raised to its jump once.  A piece of value 0
-    restarts the running product after it.  The samples y = p j + i of a
-    block j (i from 0, or from 1 when p | x) multiply to a polynomial in j
-    of degree k <= p, so a row with more than k (k + 1) blocks free of cuts
-    reads those blocks from a difference table (_block_values) and
-    multiplies one block at a time; the blocks around a cut go sample by
-    sample.
+    The ball of center (x, y) is sampled at (x, x t), t = y / x mod p^M,
+    when p does not divide x, and at (y u, y), u = x / y mod p^M, when p | x:
+    a point of the ball on the line of (1 : t) or (u : 1) in P^1(Z/p^M).
+    The integrand is homogeneous of degree one, so
+        J = prod_x x^{m_x} prod_t (theta + 2At)^{nu(t)}
+            * prod_y y^{m'_y} prod_u (2A + u theta)^{nu'(u)},
+    with m_x the mass of row x, m'_y that of column y over the rows p | x
+    and nu, nu' the measure summed along each line: p^M + p^(M-1) points
+    and the units mod p^M.  Two sample points of one ball give logs of the
+    integrand that differ by a multiple of p^M, so log J is congruent mod
+    p^M to the product at any sample points, the centers included.  Each
+    row of mu_pieces is read once through _line_frame: a row p does not
+    divide adds to nu rotated by dlog x; a row x = p^j x0 adds its unit
+    columns to m' and, folded mod phi(p^(M-j)), to nu' in reverse rotated
+    by dlog x0.  No table of the balls is kept.  The powers go by summation
+    by parts over the sorted exponents: with e_1 > e_2 > ... the distinct
+    exponents, e after the last 0 and P_k the product of the bases of
+    exponent at least e_k, prod_i b_i^{e_i} = prod_k P_k^{e_k - e_(k+1)},
+    and one running product gives every P_k.  The same step on the pairs
+    (e_k - e_(k+1), P_k) leaves one power per distinct gap.
 
     The raw product against the c-realized measure of the inverse automorph
     is J_DR[tau]^{(c^2-1)/12} up to p^Z and torsion; the returned value is
@@ -448,64 +445,64 @@ def poisson_JDR(tau: RMPoint, level: int, ctx: PadicContext,
         raise ValueError("sample normalization needs p coprime to A")
     (ga, gb), (gc, gd) = automorph(tau.form)
     sq = sqrtD_padic(ctx, D)            # a unit, since p is inert
-    s0, s1 = sq.u0, sq.u1
     m, r = ctx.modulus, ctx.r
-    step = 2 * A
-
-    def mul(x, y):
-        return ((x[0] * y[0] + r * x[1] * y[1]) % m,
-                (x[0] * y[1] + x[1] * y[0]) % m)
-
-    def row_samples(lo, hi, u, prim):
-        """The first coordinates 2Ay + u of a row's samples at y in
-        [lo, hi); a row with p | x (not prim) has none at p | y."""
-        if prim:
-            return range(step * lo + u, step * hi + u, step)
-        return [step * y + u for y in range(lo, hi) if y % p]
 
     n = p ** level
-    groups = {}
-    for x, starts, values in mu_pieces(((gd, -gb), (-gc, ga)), p, level, c):
-        # x * (2A tau) + y * 2A = (2Ay + x (s0 - B)) + x s1 w, w^2 = r;
-        # the w coordinate is constant along a row
-        u, w = x * (s0 - B) % m, x * s1 % m
-        rw = r * w % m
-        prim = x % p != 0
-        # the running product crosses [lo, hi) and is then folded into the
-        # accumulator of the jump
-        walks, lo = [], 0
-        for hi, e, e_next in zip(starts[1:] + [n], values, values[1:] + [0]):
-            if not e:
-                lo = hi
-            elif e != e_next:
-                walks.append((lo, hi, e - e_next))
-                lo = hi
-        k = p if prim else p - 1
-        table = sum(max(hi // p + lo // -p, 0) for lo, hi, _ in walks) > \
-            k * (k + 1)
-        if table:
-            offsets = [step * i + u for i in range(p - k, p)]
-            B0, B1 = _block_values(offsets, step * p, w, r, m,
-                                   walks[-1][1] // p)
-        a0, a1, y = 1, 0, 0
-        for lo, hi, jump in walks:
-            if lo != y:
-                a0, a1 = 1, 0
-            j0, j1 = -(lo // -p), hi // p
-            if table and j1 > j0:
-                a0, a1 = _times_samples(
-                    a0, a1, row_samples(lo, p * j0, u, prim), w, rw, m)
-                for b0, b1 in zip(B0[j0:j1], B1[j0:j1]):
-                    a0, a1 = ((a0 * b0 + r * a1 * b1) % m,
-                              (a0 * b1 + a1 * b0) % m)
-                lo = p * j1
-            a0, a1 = _times_samples(a0, a1, row_samples(lo, hi, u, prim),
-                                    w, rw, m)
-            y = hi
-            groups[jump] = mul(groups.get(jump, (1, 0)), (a0, a1))
+    frame, blocks, dlog = _line_frame(p, n)
+    phi = n - n // p
+    gather = itemgetter(*frame)
+    # nu2 is nu' at the places of frame from phi on: the u with p | u
+    nu, nu2, mass = [0] * n, [0] * n, [0] * phi
+    rows = mu_pieces(((gd, -gb), (-gc, ga)), p, level, c)
+    # rows go in chunks, whose additions to nu are summed in one pass
+    for chunk in iter(lambda: list(islice(rows, 16)), []):
+        rots = [nu]
+        for x, starts, values in chunk:
+            row = [0] * starts[0]
+            for lo, hi, e in zip(starts, starts[1:] + [n], values):
+                row += [e] * (hi - lo)
+            framed = gather(row)
+            if x % p:
+                # nu(t) takes row x at x t
+                i, rot = dlog[x], []
+                for off, size in blocks:
+                    k = off + i % size
+                    rot += framed[k:off + size] + framed[off:k]
+                rots.append(rot + [framed[-1]])
+                mass[i] += sum(row)
+                continue
+            # the balls of row x = p^j x0 are its unit columns y = g^k, on
+            # the line of u = x / y = p^j g^(dlog x0 - k) mod p^M
+            mass = list(map(add, mass, framed[:phi]))
+            if not x:
+                nu2[-1] += sum(framed[:phi])
+                continue
+            j = _vp(x, p)
+            off, size = blocks[j]
+            i = dlog[x // p ** j] % size
+            fold = list(map(sum, zip(*(framed[k:k + size]
+                                       for k in range(0, phi, size)))))
+            nu2[off:off + size] = map(add, nu2[off:off + size],
+                                      fold[i::-1] + fold[:i:-1])
+        nu = list(map(sum, zip(*rots)))
+    if sum(mass):
+        raise ArithmeticError("the measure's total mass is not zero")
+    step, th0, th1 = 2 * A, sq.u0 - B, sq.u1
+    terms = chain(((e, (step * t + th0, th1)) for e, t in zip(nu, frame)),
+                  ((e, (step + u * th0, u * th1))
+                   for e, u in zip(nu2[phi:], frame[phi:])),
+                  ((e, (y, 0)) for e, y in zip(mass, frame[:phi])))
+    for _ in range(2):
+        terms = sorted((term for term in terms if term[0]), key=itemgetter(0),
+                       reverse=True)
+        parts, a0, a1 = [], 1, 0
+        for (e, (b0, b1)), (e_next, _) in zip(terms, terms[1:] + [(0, 0)]):
+            a0, a1 = (a0 * b0 + r * a1 * b1) % m, (a0 * b1 + a1 * b0) % m
+            if e != e_next:
+                parts.append((e - e_next, (a0, a1)))
+        terms = parts
     J = ctx.one()
-    for e, base in groups.items():
+    for e, base in terms:
         J = J * ctx.from_coords(*base) ** e
     assert J.v == 0, "Poisson product must be a p-adic unit"
-    root_log = iwasawa_log(J) / ctx.from_int(exponent)
-    return padic_exp(root_log)
+    return padic_exp(iwasawa_log(J) / ctx.from_int(exponent))

@@ -111,15 +111,15 @@ def test_eis_family_rejects_unknown_pair():
 
 def test_divisor_sums_reject_alpha_of_no_totally_positive_nu():
     # the kernel reads psi((alpha)) as psi(different): alpha = nu sqrt(D)
-    # with nu >> 0 in the inverse different only.  Trace 0 and -2, s^2 past
-    # n^2 D on either side, and s of the wrong parity; (n, s) = (5, 1)
-    # would pass as (1, 0) if it were deprived of p = 5 before the check
+    # with nu >> 0 in the inverse different only, so no other element is
+    # built.  Trace 0 and -2, s^2 past n^2 D on either side, and s of the
+    # wrong parity; (n, s) = (5, 1) would pass as (1, 0) if it were deprived
+    # of p = 5 unchecked
     for n, s in ((0, 0), (-2, 0), (2, 8), (2, -8), (3, 1), (5, 1)):
-        nu = TotallyPositiveElement(D, n, s)
         with pytest.raises(ValueError, match="totally positive"):
-            divisor_sums(nu, CHI, ENGINE, LOGS)
+            divisor_sums(TotallyPositiveElement(D, n, s), CHI, ENGINE, LOGS)
         with pytest.raises(ValueError, match="totally positive"):
-            sigma_psi(nu, CHI, ENGINE)
+            sigma_psi(TotallyPositiveElement(D, n, s), CHI, ENGINE)
 
 
 def test_l_invariant_cancellation():

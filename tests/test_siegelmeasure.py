@@ -217,14 +217,22 @@ def _assembled_mu(gamma, p, level, c=None):
     return BallMeasure(space, acc, measure_scale(c))
 
 
-def _per_ball_poisson(tau, level, ctx, c=None):
+def _sample_point(x, y, p, n):
+    """The point of the ball of center (x, y) mod n = p^level at which
+    poisson_JDR samples it: (x, x t) with t = y / x when p does not divide
+    x, else (y u, y) with u = x / y."""
+    if x % p:
+        return x, x * (y * pow(x, -1, n) % n)
+    return y * (x * pow(y, -1, n) % n), y
+
+
+def _per_ball_product(balls, tau, level, ctx, c=None):
     """poisson_JDR by square-and-multiply of every ball's sample point to
-    its exponent in the assembled measure."""
+    its exponent, for balls (x, y, mu) of the inverse automorph's
+    measure."""
     p = ctx.p
     c = default_c(p) if c is None else c
     A, B, _ = tau.form
-    (ga, gb), (gc, gd) = automorph(tau.form)
-    mu = _assembled_mu(((gd, -gb), (-gc, ga)), p, level, c)
     sq = sqrtD_padic(ctx, tau.disc)
     m, r = ctx.modulus, ctx.r
     s0, s1 = sq.u0 * p ** sq.v % m, sq.u1 * p ** sq.v % m
@@ -234,7 +242,8 @@ def _per_ball_poisson(tau, level, ctx, c=None):
         return ((x[0] * y[0] + r * x[1] * y[1]) % m,
                 (x[0] * y[1] + x[1] * y[0]) % m)
 
-    for x, y, e in zip(mu.space.a, mu.space.b, mu.values):
+    for x, y, e in balls:
+        x, y = _sample_point(x, y, p, p ** level)
         base = ((2 * A * y - B * x + x * s0) % m, (x * s1) % m)
         acc = (1, 0)
         k = abs(e)
@@ -249,6 +258,16 @@ def _per_ball_poisson(tau, level, ctx, c=None):
             den_acc = mul(den_acc, acc)
     J = ctx.from_coords(*num) / ctx.from_coords(*den_acc)
     return padic_exp(iwasawa_log(J) / ctx.from_int(2 * measure_scale(c)))
+
+
+def _per_ball_poisson(tau, level, ctx, c=None):
+    """_per_ball_product over the measure assembled from generator
+    periods."""
+    p = ctx.p
+    (ga, gb), (gc, gd) = automorph(tau.form)
+    mu = _assembled_mu(((gd, -gb), (-gc, ga)), p, level, c)
+    return _per_ball_product(zip(mu.space.a, mu.space.b, mu.values), tau,
+                             level, ctx, c)
 
 
 @pytest.mark.parametrize("p, c_other", [(5, 11), (7, 11), (11, 13)])
@@ -378,7 +397,7 @@ def test_pieces_evaluate_few_balls(monkeypatch):
 
 # the cut set of the pieces depends on the automorph: (D, class, p, levels)
 POISSON_ORACLE_CASES = [(12, 0, 5, 3), (12, 1, 5, 3), (13, 0, 5, 3),
-                        (28, 0, 5, 3), (12, 0, 7, 2)]
+                        (28, 0, 5, 3), (57, 0, 5, 3), (12, 0, 7, 2)]
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
@@ -393,9 +412,10 @@ def test_poisson_matches_per_ball_oracle(level):
 
 
 def _piecewise_poisson(tau, level, ctx, c=None):
-    """poisson_JDR with each piece's samples multiplied into one local
-    product, folded into one accumulator per value of mu: the piecewise
-    loop that summation by parts and the block table replaced."""
+    """The Poisson product at the center of every ball, each piece's
+    samples multiplied into one local product, folded into one accumulator
+    per value of mu: the center-sample reference, which poisson_JDR must
+    match below the level."""
     p = ctx.p
     c = default_c(p) if c is None else c
     A, B, _ = tau.form
@@ -432,89 +452,65 @@ def _piecewise_poisson(tau, level, ctx, c=None):
     return padic_exp(iwasawa_log(J) / ctx.from_int(2 * measure_scale(c)))
 
 
-def _counting_block_values(monkeypatch):
-    """Count the rows that build a block table."""
-    build, calls = siegelmeasure._block_values, []
-
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(siegelmeasure, "_block_values", counted)
-    return calls
-
-
 @pytest.mark.parametrize("D, cls", [(12, 0), (12, 1), (28, 0)])
-def test_poisson_matches_piecewise_oracle_at_level_4(monkeypatch, D, cls):
-    # every row of these automorphs reads its cut-free blocks from a table
-    tables = _counting_block_values(monkeypatch)
+def test_poisson_matches_piecewise_oracle_at_level_4(D, cls):
+    # any sample point of a ball moves log J by a multiple of p^level
     ctx = PadicContext(5, 16)
     tau = NarrowClassGroup(D).rm_representative(cls)
-    assert poisson_JDR(tau, 4, ctx).to_json() == \
-        _piecewise_poisson(tau, 4, ctx).to_json()
-    assert len(tables) == 625
+    diff = (iwasawa_log(poisson_JDR(tau, 4, ctx))
+            - iwasawa_log(_piecewise_poisson(tau, 4, ctx)))
+    assert diff.is_zero or diff.v >= 4
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13])
-def test_block_values_match_direct_products(p):
-    # B(j) = prod_i ((2A (p j + i) + u) + w omega) by prefix sums equals the
-    # direct product, for p | x (i from 1; x = 0 gives u = w = 0) or not
-    ctx = PadicContext(p, 12)
-    m, r = ctx.modulus, ctx.r
-    rng = random.Random(p)
-    step = 2 * rng.choice([a for a in range(1, 40) if a % p])
-    for x in (rng.randrange(1, p), p * rng.randrange(1, p), 0):
-        u, w = x * rng.randrange(m) % m, x * rng.randrange(m) % m
-        first = 0 if x % p else 1
-        offsets = [step * i + u for i in range(first, p)]
-        direct = []
-        for j in range(200):
-            a = (1, 0)
-            for y in range(p * j + first, p * j + p):
-                b0 = step * y + u
-                a = ((a[0] * b0 + r * a[1] * w) % m,
-                     (a[0] * w + a[1] * b0) % m)
-            direct.append(a)
-        for count in range(1, 201):
-            B0, B1 = siegelmeasure._block_values(offsets, step * p, w, r, m,
-                                                 count)
-            assert [(b0 % m, b1 % m) for b0, b1 in zip(B0, B1)] == \
-                direct[:count], (x, count)
+def _edge_rows(last):
+    """Made-up rows of mu_pieces at p = 5, level 4 (rows of 625 balls, or
+    500 when 5 | x), the one ball (2, 624) of value `last`."""
+    return [
+        # pieces of value 0 inside, equal neighbours, one-ball pieces
+        (1, [0, 7, 10, 13, 14, 300, 301, 302], [2, -1, -1, 0, 3, 3, 5, -4]),
+        # 5 | x at valuations 1 (x0 = 1 and 4), 2 and 3; in the first two
+        # a one-ball piece at 10 was dropped and [4, 11) runs over it
+        (5, [0, 4, 11, 200], [1, -2, 3, 0]),
+        (20, [0, 4, 11, 200], [-3, 4, -1, 2]),
+        (25, [0, 1, 333], [5, -2, 1]),
+        (125, [0, 600], [-1, 3]),
+        # x = 0, whose first piece [0, 1) was dropped
+        (0, [1, 2, 400], [-3, 1, 2]),
+        # a cut every third ball, the last piece the one ball 624
+        (2, list(range(0, 625, 3)), [i % 4 - 2 for i in range(208)] + [last]),
+        # the units 1/2 and -1 mod 625, far from 1 in the unit group
+        (313, [0, 123], [0, 6]),
+        (624, [0, 30, 31], [1, -7, 2]),
+        # a row of zeros
+        (9, [0, 30], [0, 0]),
+    ]
+
+
+def _edge_balls(rows):
+    """The balls (x, y, mu) of made-up rows at p = 5, level 4."""
+    for x, starts, values in rows:
+        for lo, hi, e in zip(starts, starts[1:] + [625], values):
+            yield from ((x, y, e) for y in range(lo, hi) if x % 5 or y % 5)
 
 
 def test_summation_by_parts_edge_cases(monkeypatch):
-    # made-up rows at p = 5, level 4 (rows of 625 samples, 125 blocks)
-    # against the piecewise oracle
-    rows = [
-        # a cut inside block 1 (7); cuts on block boundaries (10, 300);
-        # equal values on both sides of 10; two cuts in block 2 (13, 14)
-        # around a piece of value 0; three cuts in block 60
-        (1, [0, 7, 10, 13, 14, 300, 301, 302], [2, -1, -1, 0, 3, 3, 5, -4]),
-        # p | x: the one-point piece at 10 was dropped and [4, 11) runs over
-        # it; the trailing piece of value 0 ends the products at 200
-        (5, [0, 4, 11, 200], [1, -2, 3, 0]),
-        # x = 0, whose first piece [0, 1) was dropped: u = w = 0
-        (0, [1, 2, 400], [-3, 1, 2]),
-        # a cut every third sample: too few cut-free blocks for a table
-        (2, list(range(0, 625, 3)), [i % 4 - 2 for i in range(209)]),
-        # a row of one value, which starts on a value-0 piece
-        (7, [0, 123], [0, 6]),
-        # a row whose every jump is zero: nothing to multiply
-        (9, [0, 30], [0, 0]),
-    ]
+    # made-up rows of total mass zero against the per-ball product; a total
+    # of one raises
+    last = -sum(e for _, _, e in _edge_balls(_edge_rows(0)))
+    rows = _edge_rows(last)
 
     def fake(gamma, p, level, c=None):
         assert (p, level) == (5, 4)
         yield from rows
 
     monkeypatch.setattr(siegelmeasure, "mu_pieces", fake)
-    tables = _counting_block_values(monkeypatch)
     ctx = PadicContext(5, 16)
     tau = NarrowClassGroup(12).rm_representative(0)
     assert poisson_JDR(tau, 4, ctx).to_json() == \
-        _piecewise_poisson(tau, 4, ctx).to_json()
-    # tables for the rows x = 1, 5, 0 and 7, up to their last jump
-    assert [args[-1] for args in tables] == [125, 40, 125, 125]
+        _per_ball_product(_edge_balls(rows), tau, 4, ctx).to_json()
+    rows = _edge_rows(last + 1)
+    with pytest.raises(ArithmeticError, match="total mass"):
+        poisson_JDR(tau, 4, ctx)
 
 
 def test_poisson_builds_no_ball_space(monkeypatch):
