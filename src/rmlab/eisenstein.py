@@ -8,7 +8,9 @@ progression of alpha = nu sqrt(D): each prime power is folded into its
 element's state the moment the sieve divides it out of the norm, psi(P) and
 the rest of a rational prime's data are computed once per field and genus
 character (`_prime_data`), and the one prime left above the sieve takes
-its psi from psi((alpha)) = psi(different).  The kernel runs on one nu in
+its psi from psi((alpha)) = psi(different).  psi is odd (an even psi is
+refused), so the mass, the sum of 1, vanishes at every nu.  The kernel runs
+on one nu in
 `divisor_sums`, where each family coefficient is a closed form in the two
 sums, and on a whole trace level in `diag_coefficient`; the psi-weighted log
 terms are collected as an integer exponent per rational prime, and one
@@ -32,8 +34,8 @@ from .padic import (DualScalar, PadicContext, PadicScalar, _vp, iwasawa_log,
                     sqrt_mod)
 from .quadfield import (IdealDivisorEngine, TotallyPositiveElement,
                         _odd_primes_upto, _split_exponent, check_inert,
-                        embed_quadnum, factor, genus_value, progression_start,
-                        splitting_type, sqrtD_padic, trace_range)
+                        factor, genus_value, progression_start,
+                        splitting_type, trace_range)
 
 # revision of the coefficient kernel: bumped by every change that can move a
 # coefficient's digits below its certified precision or its slack, so that
@@ -124,18 +126,18 @@ def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
     Returns (mass, expo): per element the product of its A, and per q the
     exponent E_q, the sum of C times the product of the element's other
     A, so that the elements' psi-weighted sums of log Nm I add up to
-    sum_q E_q log q.  At a vanishing A only an element with no other one
-    has a log term.  The terms at non-vanishing A are kept for the end
-    only when psi_d = +1: for psi_d = -1 every mass vanishes, as
-    I <-> (alpha)/I pairs the divisors off."""
+    sum_q E_q log q.  psi must be odd, psi_d = -1 (ValueError otherwise):
+    then every mass vanishes, as I <-> (alpha)/I pairs the divisors off,
+    and only an element with exactly one vanishing A has a log term."""
     D, p, group = engine.D, engine.p, engine.group
     d, psi_d = group.genus[chi], chi[group.different_class]
+    if psi_d != -1:
+        raise ValueError("the divisor-sum kernel needs an odd character")
     size = len(svals)
     nnD = n * n * D
     rem = [(nnD - s * s) >> 2 for s in svals]
     mass, zeros, psi = [1] * size, [0] * size, [psi_d] * size
     last_q, last_c = [0] * size, [0] * size
-    kept = [] if psi_d == 1 else None    # (i, q, A, C), A and C non-zero
     if n % p == 0:           # left out: two vanishing A and psi +1
         first = progression_start(svals, 0, p)
         k = len(range(first, size, p))
@@ -184,8 +186,6 @@ def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
                     psi[i] = -psi[i]
                 if A:
                     mass[i] *= A
-                    if kept is not None and C:
-                        kept.append((i, q, A, C))
                 else:
                     zeros[i] += 1
                     last_q[i], last_c[i] = q, C
@@ -195,8 +195,6 @@ def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
             A, C = (2, 1) if psi[i] == 1 else (0, -1)
             if A:
                 mass[i] *= A
-                if kept is not None:
-                    kept.append((i, y, A, C))
             else:
                 zeros[i] += 1
                 last_q[i], last_c[i] = y, C
@@ -206,9 +204,6 @@ def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
         if zeros[i] == 1 and last_c[i]:
             q = last_q[i]
             expo[q] = expo.get(q, 0) + last_c[i] * mass[i]
-    for i, q, A, C in kept or ():
-        if not zeros[i]:
-            expo[q] = expo.get(q, 0) + C * (mass[i] // A)
     return [0 if z else m for m, z in zip(mass, zeros)], expo
 
 
@@ -246,21 +241,15 @@ def sigma_psi(nu: TotallyPositiveElement, chi: tuple,
     return divisor_sums(nu, chi, engine, None)[0]
 
 
-def eis_family_coeff(pair: str, nu: TotallyPositiveElement, chi: tuple,
+def eis_family_coeff(nu: TotallyPositiveElement, chi: tuple,
                      engine: IdealDivisorEngine, ctx: PadicContext,
                      logs: LogCache | None = None) -> DualScalar:
-    """Coefficient of the first-order Eisenstein family, pair in
-    {"1,psi", "psi,1"}: sum over p-coprime I | (nu)*different of
-    eta(cofactor) * phi(I) * (1 + eps * log Nm(I))."""
-    if pair not in ("1,psi", "psi,1"):
-        raise ValueError("unsupported character pair")
+    """Coefficient of the first-order Eisenstein family E(1, psi): sum over
+    p-coprime I | (nu)*different of psi(I) * (1 + eps * log Nm(I)).  E(psi, 1)
+    weights I by psi(cofactor) = psi((alpha)) psi(I), and (alpha) =
+    (nu)(sqrt(D)) is in the class of the different: E(psi, 1) = -E(1, psi)."""
     logs = logs or LogCache(ctx)
     mass, log_sum = divisor_sums(nu, chi, engine, logs)
-    if pair == "psi,1":
-        # psi(cofactor) = psi((alpha)) psi(I) for quadratic psi, and
-        # (alpha) = (nu)(sqrt(D)), nu >> 0, is in the class of the different
-        psi_alpha = chi[engine.group.different_class]
-        mass, log_sum = psi_alpha * mass, log_sum * psi_alpha
     return DualScalar(ctx.from_int(mass), log_sum)
 
 
@@ -271,21 +260,17 @@ def antiparallel_coeff(nu: TotallyPositiveElement, chi: tuple,
     """Coefficient of the anti-parallel cuspidal family:
     sum over I | (nu)*different of
     psi(I)(1 + eps(-log nu + (L1/L) log Nm I + (L2/L) log Nm(cofactor))),
-    extended to p | nu by p-stability."""
+    extended to p | nu by p-stability.  log Nm(cofactor) = log Nm(alpha_0)
+    - log Nm I, and the terms in log nu and log Nm(alpha_0) carry the mass,
+    which vanishes."""
     Ltot = L1 + L2
     if Ltot.is_zero:
         raise ArithmeticError("degenerate total L-invariant")
     logs = logs or LogCache(ctx)
-    nu0 = nu.deprived(engine.p)
     mass, log_sum = divisor_sums(nu, chi, engine, logs)
     r1 = L1 * Ltot.inverse()
     r2 = L2 * Ltot.inverse()
-    # log Nm(cofactor) = log Nm(alpha_0) - log Nm I
-    b = r1 * log_sum - r2 * log_sum
-    if mass:
-        log_nu = iwasawa_log(embed_quadnum(nu0.nu, ctx))
-        b = b + (r2 * logs.log_int(nu0.ideal_norm) - log_nu) * mass
-    return DualScalar(ctx.from_int(mass), b)
+    return DualScalar(ctx.from_int(mass), r1 * log_sum - r2 * log_sum)
 
 
 def eis_combination_coeff(nu: TotallyPositiveElement, chi: tuple,
@@ -297,25 +282,20 @@ def eis_combination_coeff(nu: TotallyPositiveElement, chi: tuple,
     if Ltot.is_zero:
         raise ArithmeticError("degenerate total L-invariant")
     logs = logs or LogCache(ctx)
-    e1 = eis_family_coeff("1,psi", nu, chi, engine, ctx, logs)
-    # E(psi,1) = psi(different) E(1,psi), as in `eis_family_coeff`
-    e2 = e1.scale(ctx.from_int(chi[engine.group.different_class]))
-    r2 = L2 * Ltot.inverse()
-    return (e1 - e2).scale(r2)
+    e1 = eis_family_coeff(nu, chi, engine, ctx, logs)
+    # E(psi,1) = -E(1,psi), as in `eis_family_coeff`
+    return (e1 + e1).scale(L2 * Ltot.inverse())
 
 
 def dual_coeff_Fplus(nu: TotallyPositiveElement, chi: tuple,
                      engine: IdealDivisorEngine, ctx: PadicContext,
                      logs: LogCache | None = None) -> DualScalar:
     """Coefficient of the combined family, free of L-invariants:
-    sum over I | (nu_0)*different of psi(I)(1 - eps log(nu_0 / Nm I))."""
+    sum over I | (nu_0)*different of psi(I)(1 - eps log(nu_0 / Nm I)), whose
+    log nu_0 term carries the mass, which vanishes."""
     logs = logs or LogCache(ctx)
-    nu0 = nu.deprived(engine.p)
     mass, log_sum = divisor_sums(nu, chi, engine, logs)
-    b = log_sum
-    if mass:
-        b = b - iwasawa_log(embed_quadnum(nu0.nu, ctx)) * mass
-    return DualScalar(ctx.from_int(mass), b)
+    return DualScalar(ctx.from_int(mass), log_sum)
 
 
 def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
@@ -324,15 +304,14 @@ def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
     `diag_coefficient` over the p-primitive alpha, those with p not dividing
     s when p | n (all of them otherwise).
 
-    The unit is prod q^{E_q} / prod alpha^{mass}.  The level is stable under
-    nu -> nu', that is alpha_s -> alpha_{-s} = -sigma(alpha_s), which has the
-    same norm, the same local (A, C) at every q and, psi being a genus
-    character, the same psi: nu and nu' add the same summand.  So one
-    integer pass, `_fold` over the s > 0 half, gives every E_q twice, and
-    alpha_s^m alpha_{-s}^m = ((n^2 D - s^2)/4)^m is an integer; the s = 0
-    element, present when nD is even and left out when p | n, is folded
-    alone (`_fold_one`), and only its alpha_0 = n sqrt(D)/2 is a power in
-    Z_{p^2}."""
+    The unit is prod q^{E_q}: the divisor masses of an odd psi vanish, so
+    no alpha enters it, and a non-zero one raises ArithmeticError.  The
+    level is stable under nu -> nu', that is alpha_s -> alpha_{-s} =
+    -sigma(alpha_s), which has the same norm, the same local (A, C) at
+    every q and, psi being a genus character, the same psi: nu and nu' add
+    the same summand.  So one integer pass, `_fold` over the s > 0 half,
+    gives every E_q twice; the s = 0 element, present when nD is even and
+    left out when p | n, is folded alone (`_fold_one`)."""
     D, p, M = engine.D, engine.p, ctx.modulus
     svals = trace_range(n, D)
     half = range(2 - svals.start % 2, svals.stop, 2)
@@ -340,28 +319,22 @@ def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
     odd = _odd_primes_upto(isqrt((n * n * D - half.start ** 2) >> 2))
     mass, expo = _fold(n, half, odd, chi, engine)
     expo = {q: 2 * E for q, E in expo.items()}
-    # the integer bases by exponent: each q at E_q, each pair's norm at -mass
-    bases = {}
-    for i, m in enumerate(mass):
-        if m:
-            N = (n * n * D - half[i] ** 2) >> 2
-            bases[-m] = bases.get(-m, 1) * N % M
-    mass0 = 0
     if 0 in svals and n % p:
         mass0, expo0 = _fold_one(n, 0, chi, engine)
+        mass.append(mass0)
         for q, E in expo0.items():
             expo[q] = expo.get(q, 0) + E
+    if any(mass):
+        raise ArithmeticError(f"a non-zero divisor mass at level {n}")
+    # the primes by exponent, each product raised once
+    bases = {}
     for q, E in expo.items():
         if E:
             bases[E] = bases.get(E, 1) * q % M
     num = 1
     for E, b in bases.items():
         num = num * pow(b, E, M) % M
-    unit = ctx.from_int(num)
-    if mass0:                # alpha_0 = n sqrt(D)/2, a unit: p is inert
-        alpha0 = sqrtD_padic(ctx, D) * n / ctx.from_int(2)
-        unit = unit / alpha0 ** mass0
-    return unit
+    return ctx.from_int(num)
 
 
 def diag_coefficient(n: int, chi: tuple, engine: IdealDivisorEngine,
@@ -369,9 +342,9 @@ def diag_coefficient(n: int, chi: tuple, engine: IdealDivisorEngine,
                      logs: LogCache | None = None) -> PadicScalar:
     """n-th coefficient of the diagonal restriction derivative:
     -sum over Tr(nu)=n, p-coprime I | (nu_0)*different, of
-    psi(I) log_p(nu_0 sqrt(D) / Nm(I)), that is
-    sum over nu of log_sum - mass * log_p(alpha_0) from `divisor_sums`, with
-    alpha_0 = nu_0 sqrt(D), taken as one log of `_level_unit`.
+    psi(I) log_p(nu_0 sqrt(D) / Nm(I)), that is the sum over nu of log_sum
+    from `divisor_sums` (the mass, which weights log_p(nu_0 sqrt(D)),
+    vanishes), taken as one log of `_level_unit`.
 
     The nu of trace n with p | nu are p times those of trace n/p and add the
     same, so for p | n, a_n = a_{n/p} + (the p-primitive sum): every level

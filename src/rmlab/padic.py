@@ -271,14 +271,14 @@ class PadicScalar:
     def __pow__(self, e: int) -> "PadicScalar":
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ctx.one()
-        base = self
+        base, result = self, None
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if e:
+                base = base * base
+        return self.ctx.one() if result is None else result
 
     __rmul__ = __mul__
 

@@ -696,17 +696,9 @@ class TotallyPositiveElement:
                              "different")
 
     @property
-    def nu(self) -> QuadNum:
-        return QuadNum(self.D, Fraction(self.n, 2), Fraction(self.s, 2 * self.D))
-
-    @property
     def alpha(self) -> QuadNum:
         """Generator nu*sqrt(D) of (nu)*(different), in O_F."""
         return QuadNum(self.D, Fraction(self.s, 2), Fraction(self.n, 2))
-
-    @property
-    def ideal_norm(self) -> int:
-        return (self.n * self.n * self.D - self.s * self.s) // 4
 
     def vp(self, p: int) -> int:
         """p-valuation of nu, p inert (equals that of alpha)."""

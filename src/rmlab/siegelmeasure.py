@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain, islice
 from math import gcd
 from operator import add, itemgetter
@@ -93,7 +92,7 @@ def phi_DR(gamma, p: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# ball space and exact generator periods
+# balls and exact generator periods
 # --------------------------------------------------------------------------
 
 def default_c(p: int) -> int:
@@ -105,40 +104,37 @@ def measure_scale(c: int) -> int:
     return (c * c - 1) // 24
 
 
-class BallSpace:
-    """Level-m balls v + p^m Z_p^2 of X_0, indexed by primitive centers
-    (a, b) in [0, p^m)^2 in row order: by a, then by b."""
-
-    def __init__(self, p: int, level: int):
-        self.p, self.level, self.den = p, level, p ** level
-        den = self.den
-        self.a = [a for a in range(den) for b in range(den) if a % p or b % p]
-        self.b = [b for a in range(den) for b in range(den) if a % p or b % p]
-
-
 @dataclass
 class BallMeasure:
-    """Integer-valued measure on level-m balls of X_0; values are s(c)
-    times the normalized mu_DR."""
+    """Integer-valued measure on the level-m balls v + p^m Z_p^2 of X_0,
+    indexed by their primitive centers (a, b) in [0, p^m)^2 in row order:
+    by a, then by b.  Values are s(c) times the normalized mu_DR."""
 
-    space: BallSpace
+    p: int
+    level: int
     values: list
     scale: int
+
+    def _row(self, a: int) -> int:
+        """Index of the first ball of row a: a row holds p^m balls, or
+        p^m - p^(m-1) when p | a."""
+        p, den = self.p, self.p ** self.level
+        return a * den - (a + p - 1) // p * (den // p)
 
     def total(self) -> int:
         return sum(self.values)
 
     def mass_pZxZpx(self) -> int:
-        """Mass of p Z_p x Z_p^* (centers with p | a; then p cannot
+        """Mass of p Z_p x Z_p^* (the rows with p | a; then p cannot
         divide b)."""
-        p = self.space.p
-        return sum(v for a, v in zip(self.space.a, self.values) if a % p == 0)
+        p = self.p
+        return sum(sum(self.values[self._row(a):self._row(a + 1)])
+                   for a in range(0, p ** self.level, p))
 
     def value_at(self, a: int, b: int) -> int:
-        p, den = self.space.p, self.space.den
+        p, den = self.p, self.p ** self.level
         a, b = a % den, b % den
-        # a row holds p^m balls, or p^m - p^(m-1) when p | a
-        idx = a * den - (a + p - 1) // p * (den // p)
+        idx = self._row(a)
         if a % p:
             idx += b
         elif b % p:
@@ -307,8 +303,7 @@ def mu_pieces(gamma, p: int, level: int, c: int | None = None):
     """Yield (a, starts, values) for a = 0 .. p^level - 1: mu_DR(gamma)
     takes the value values[i] on the balls of primitive center (a, b) for
     b in [starts[i], starts[i + 1]), the last piece ending at p^level.
-    Each piece holds at least one primitive center; rows come in BallSpace
-    order."""
+    Each piece holds at least one primitive center."""
     c = _checked_c(p, level, c)
     n = p ** level
     den = 12 * n * n
@@ -351,11 +346,6 @@ def _checked_c(p: int, level: int, c: int | None) -> int:
     return c
 
 
-@lru_cache(maxsize=None)
-def ball_space(p: int, level: int) -> BallSpace:
-    return BallSpace(p, level)
-
-
 def mu_DR(gamma, p: int, level: int, c: int | None = None) -> BallMeasure:
     """The Dedekind-Rademacher measure of gamma in SL2(Z) on level-`level`
     balls, exactly, by the telescoped period identity."""
@@ -367,7 +357,7 @@ def mu_DR(gamma, p: int, level: int, c: int | None = None) -> BallMeasure:
             # less the multiples of p in [lo, hi) when p | a
             values += [v] * (hi - lo if a % p else
                              hi - lo - (hi - 1) // p + (lo - 1) // p)
-    return BallMeasure(ball_space(p, level), values, measure_scale(c))
+    return BallMeasure(p, level, values, measure_scale(c))
 
 
 # --------------------------------------------------------------------------

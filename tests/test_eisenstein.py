@@ -9,8 +9,9 @@ from rmlab.eisenstein import (LogCache, _fold, _level_unit,
                               divisor_sums, dual_coeff_Fplus,
                               eis_combination_coeff, eis_family_coeff,
                               ordinary_projection, sigma_psi)
+from rmlab.gsunits import generating_series
 from rmlab.padic import PadicContext, iwasawa_log
-from rmlab.quadfield import (IdealDivisorEngine, NarrowClassGroup,
+from rmlab.quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
                              TotallyPositiveElement, _odd_primes_upto,
                              _split_exponent, embed_quadnum, enumerate_trace,
                              genus_value, progression_start,
@@ -39,19 +40,41 @@ def test_sigma_psi_conjugation_antisymmetry():
             assert sigma_psi(nu, CHI, ENGINE) == -sigma_psi(conj, CHI, ENGINE)
 
 
+def odd_or_refused(group, *calls):
+    """The odd characters of group, the only ones the kernel takes.  When
+    there is none, each call(chi) is checked to refuse every character."""
+    odd = group.odd_characters()
+    if not odd:
+        for chi in group.characters:
+            for call in calls:
+                with pytest.raises(ValueError, match="odd character"):
+                    call(chi)
+    return odd
+
+
+def nu_of(nu):
+    """nu = alpha / sqrt(D) in Q(sqrt(D))."""
+    return nu.alpha / QuadNum(nu.D, 0, 1)
+
+
 # fields for the kernel-against-divisor-walk checks: (60, 13) has h+ = 4 and
-# two odd characters, (40, 7) has no odd character, and 2 splits in (33, 7),
-# so its n = 4 folds both primes over 2
+# two odd characters, (40, 7) has no odd character, so the kernel refuses
+# both of its characters, and 2 splits in (33, 7), so its n = 4 folds both
+# primes over 2
 KERNEL_FIELDS = [(12, 5), (24, 7), (33, 7), (40, 7), (60, 13)]
 
 
 @pytest.mark.parametrize("disc, p", KERNEL_FIELDS)
 def test_sigma_trivial_character_counts_divisors(disc, p):
-    # sigma_psi is the explicit sum over the divisor walk, which for the
-    # trivial character counts the divisors
+    # sigma_psi is the explicit sum over the divisor walk, which vanishes
+    # for an odd character; the trivial character, whose sum would count
+    # the divisors, is refused
     group = NarrowClassGroup(disc)
     engine = IdealDivisorEngine(group, p)
-    for chi in group.characters:
+    nu1 = enumerate_trace(1, disc)[0]
+    with pytest.raises(ValueError, match="odd character"):
+        sigma_psi(nu1, group.characters[0], engine)
+    for chi in odd_or_refused(group, lambda chi: sigma_psi(nu1, chi, engine)):
         for n in (1, 3, p, 2 * p):
             for nu in enumerate_trace(n, disc):
                 assert sigma_psi(nu, chi, engine) == sum(
@@ -60,20 +83,24 @@ def test_sigma_trivial_character_counts_divisors(disc, p):
 
 @pytest.mark.parametrize("disc, p", KERNEL_FIELDS)
 def test_eis_family_pair_reindexing(disc, p):
-    # (psi,1) at nu is the I -> (nu)d/I reindexing of (1,psi); both, and the
-    # anti-parallel and combined families over (nu_0)d, against the explicit
-    # divisor walk (even characters reach their log nu_0 terms)
+    # E(psi,1) at nu is the I -> (nu)d/I reindexing of E(1,psi), and equals
+    # -E(1,psi); both, and the anti-parallel and combined families over
+    # (nu_0)d, with their log nu_0 and log Nm(alpha_0) terms, against the
+    # explicit divisor walk
     group = NarrowClassGroup(disc)
     engine = IdealDivisorEngine(group, p)
     ctx = PadicContext(p, 20)
     logs = LogCache(ctx)
     L1, L2 = ctx.from_int(3), ctx.from_int(8)
     r1, r2 = L1 / (L1 + L2), L2 / (L1 + L2)
-    for chi in group.characters:
+    nu1 = enumerate_trace(1, disc)[0]
+    for chi in odd_or_refused(
+            group, lambda chi: eis_family_coeff(nu1, chi, engine, ctx),
+            lambda chi: antiparallel_coeff(nu1, chi, engine, ctx, L1, L2),
+            lambda chi: dual_coeff_Fplus(nu1, chi, engine, ctx)):
         for n in (1, 4, p, 2 * p):
             for nu in enumerate_trace(n, disc):
-                e1 = eis_family_coeff("1,psi", nu, chi, engine, ctx, logs)
-                e2 = eis_family_coeff("psi,1", nu, chi, engine, ctx, logs)
+                e1 = eis_family_coeff(nu, chi, engine, ctx, logs)
                 total_class = group.narrow_class_of_ideal(
                     principal_ideal(disc, nu.alpha))
                 a1, b1, a2, b2 = (ctx.zero(),) * 4
@@ -84,29 +111,22 @@ def test_eis_family_pair_reindexing(disc, p):
                     a2 = a2 + chi[cof]
                     b2 = b2 + chi[cof] * logs.log_int(norm)
                 assert e1.a.equals(a1) and e1.b.equals(b1)
-                assert e2.a.equals(a2) and e2.b.equals(b2)
-                # and the reindexed sum is psi(total) times the (1,psi) a-part
-                assert e2.a.equals(e1.a * chi[total_class])
+                assert (-e1).a.equals(a2) and (-e1).b.equals(b2)
                 ap = antiparallel_coeff(nu, chi, engine, ctx, L1, L2, logs)
                 fp = dual_coeff_Fplus(nu, chi, engine, ctx, logs)
                 nu0 = nu.deprived(p)
-                log_nu0 = iwasawa_log(embed_quadnum(nu0.nu, ctx))
+                log_nu0 = iwasawa_log(embed_quadnum(nu_of(nu0), ctx))
+                norm0 = (nu0.n ** 2 * disc - nu0.s ** 2) // 4
                 mass, b_ap, b_fp = ctx.zero(), ctx.zero(), ctx.zero()
                 for norm, cls in engine.divisors(nu0.alpha):
                     x = chi[cls]
                     log_i = logs.log_int(norm)
-                    log_cof = logs.log_int(nu0.ideal_norm // norm)
+                    log_cof = logs.log_int(norm0 // norm)
                     mass = mass + x
                     b_ap = b_ap + (r1 * log_i + r2 * log_cof - log_nu0) * x
                     b_fp = b_fp + (log_i - log_nu0) * x
                 assert ap.a.equals(mass) and ap.b.equals(b_ap)
                 assert fp.a.equals(mass) and fp.b.equals(b_fp)
-
-
-def test_eis_family_rejects_unknown_pair():
-    nu = enumerate_trace(1, D)[0]
-    with pytest.raises(ValueError):
-        eis_family_coeff("psi,psi", nu, CHI, ENGINE, CTX)
 
 
 def test_divisor_sums_reject_alpha_of_no_totally_positive_nu():
@@ -177,18 +197,25 @@ def test_p_stability():
                 assert a0.a.equals(am.a) and a0.b.equals(am.b)
 
 
-def test_diag_series_vanishes_for_norm_minus_one_field():
+def test_diag_series_vanishes_for_norm_minus_one_field(monkeypatch):
     # D = 5 has a unit of norm -1, so the plus/minus RM points pair off and
-    # every coefficient of the diagonal restriction derivative vanishes
+    # no character is odd: the series is zero without a kernel run, and the
+    # kernel refuses the trivial character
     g5 = NarrowClassGroup(5)
     assert g5.odd_characters() == []
-    trivial_chi = g5.characters[0]
+    (trivial_chi,) = g5.characters
     eng5 = IdealDivisorEngine(g5, 7)
     ctx7 = PadicContext(7, 12)
-    logs7 = LogCache(ctx7)
-    for n in range(1, 7):
-        val = diag_coefficient(n, trivial_chi, eng5, ctx7, logs7)
-        assert val.is_zero or val.v >= 9
+    with pytest.raises(ValueError, match="odd character"):
+        diag_coefficient(1, trivial_chi, eng5, ctx7)
+
+    def refuse(*args):
+        raise AssertionError("kernel run")
+
+    monkeypatch.setattr(eisenstein, "_fold", refuse)
+    res = generating_series(g5.rm_representative(0), 7, 6, ctx7, group=g5)
+    assert res.trivial
+    assert all(a.is_zero for a in res.series.coeffs[1:])
 
 
 def diag_oracle(n, chi, engine, ctx, logs):
@@ -210,7 +237,8 @@ def test_diag_coefficient_matches_divisor_sum_oracle(disc, p):
     engine = IdealDivisorEngine(group, p)
     ctx = PadicContext(p, 20)
     logs = LogCache(ctx)
-    for chi in group.characters:
+    for chi in odd_or_refused(
+            group, lambda chi: diag_coefficient(1, chi, engine, ctx)):
         for n in (1, 2, 3, 4, 6, 12, p, 2 * p, p * p):
             oracle = diag_oracle(n, chi, engine, ctx, logs)
             assert diag_coefficient(n, chi, engine, ctx).equals(oracle)
@@ -264,11 +292,13 @@ def record_fold(D, d, n, svals, owner, primes, exps):
     return [0 if z else m for m, z in zip(mass, zeros)], expo
 
 
-# fields for the one-pass kernel against the records: 2 splits in (33, 7),
-# (105, 11), (17, 3) and (41, 3), is inert in (5, 7), (13, 5) and (21, 11)
-# and ramifies in the even D; 7 splits in (44, 7); (40, 7), (5, 7), (13, 5),
-# (8, 5), (17, 3) and (41, 3) have no odd character; (60, 13) and (105, 11)
-# have h+ = 4
+# fields for the one-pass kernel against the records: 2 splits in (33, 7)
+# and (105, 11), is inert in (21, 11) and ramifies in the even D; a split
+# q dividing n splits q^e, e > 1, between its two primes on every field
+# with an odd character (q = 2 in (33, 7) and (105, 11)); 7 splits in
+# (44, 7); (60, 13) and (105, 11) have h+ = 4.  (40, 7), (5, 7), (13, 5),
+# (8, 5), (17, 3) and (41, 3) have no odd character, and the kernel refuses
+# each of their characters
 FOLD_FIELDS = [(12, 5), (12, 7), (24, 7), (33, 7), (40, 7), (60, 13),
                (28, 5), (5, 7), (13, 5), (21, 11), (8, 5), (105, 11),
                (17, 3), (41, 3), (44, 7)]
@@ -282,12 +312,14 @@ def test_fold_matches_record_oracle(disc, p):
     # the identity that gives the kernel the psi of its last prime
     group = NarrowClassGroup(disc)
     engine = IdealDivisorEngine(group, p)
+    chars = odd_or_refused(group, lambda chi: _fold(
+        1, trace_range(1, disc), _odd_primes_upto(disc), chi, engine))
     for n in sorted({*range(1, 31), p * p, 2 * p ** 3, 50, 98, 169}):
         skip = 0 if n % p else p
         svals, owner, primes, exps = sieve_trace(n, disc, skip)
         kept = [i for i, s in enumerate(svals) if not skip or s % skip]
         odd = _odd_primes_upto(isqrt((n * n * disc - n * disc % 2) // 4))
-        for chi in group.characters:
+        for chi in chars:
             d = group.genus[chi]
             mass, expo = record_fold(disc, d, n, svals, owner, primes, exps)
             if skip:
@@ -308,8 +340,7 @@ def test_prime_table_keeps_characters_apart(disc, p):
     # each fold must read the entries of its own genus character only
     group = NarrowClassGroup(disc)
     engine = IdealDivisorEngine(group, p)
-    chi1, chi2 = [chi for chi in group.characters
-                  if group.genus[chi] != 1][:2]
+    chi1, chi2 = group.odd_characters()
     for n in (12, 2 * p, p * p):
         skip = 0 if n % p else p
         svals, owner, primes, exps = sieve_trace(n, disc, skip)
@@ -352,9 +383,8 @@ def full_level_unit(n, chi, engine, ctx):
     return unit, mass
 
 
-# the inert fields of FOLD_FIELDS with p >= 5, and three more whose even
-# characters give non-zero masses, so that the paired norms and alpha_0
-# are reached
+# the inert fields of FOLD_FIELDS with p >= 5, and three more with an odd
+# character
 MIRROR_FIELDS = [(disc, p) for disc, p in FOLD_FIELDS
                  if p >= 5 and splitting_type(disc, p) == "inert"] \
     + [(57, 5), (88, 5), (76, 7)]
@@ -367,12 +397,67 @@ def test_mirrored_level_equals_full_level(disc, p):
     group = NarrowClassGroup(disc)
     engine = IdealDivisorEngine(group, p)
     ctx = PadicContext(p, 20)
+    chars = odd_or_refused(
+        group, lambda chi: _level_unit(1, chi, engine, ctx))
     for n in sorted({*range(1, 31), p * p, 2 * p ** 3, 50, 98, 169}):
-        for chi in group.characters:
+        for chi in chars:
             full, mass = full_level_unit(n, chi, engine, ctx)
             assert all(m == mass[-1 - i] for i, m in enumerate(mass)), \
                 (n, chi)
             assert _level_unit(n, chi, engine, ctx).equals(full), (n, chi)
+
+
+@pytest.mark.parametrize("disc, p", [(12, 5), (40, 7), (13, 5)])
+def test_kernel_refuses_even_characters(disc, p):
+    # the kernel is written for odd psi, whose masses vanish: every entry
+    # point refuses an even character, the trivial one of D = 12 and each
+    # of (40, 7) and (13, 5), which have no odd character
+    group = NarrowClassGroup(disc)
+    engine = IdealDivisorEngine(group, p)
+    ctx = PadicContext(p, 12)
+    logs = LogCache(ctx)
+    L1, L2 = ctx.from_int(3), ctx.from_int(8)
+    even = [chi for chi in group.characters
+            if chi[group.different_class] == 1]
+    assert even == (group.characters if disc != 12 else [(1, 1)])
+    for chi in even:
+        for nu in enumerate_trace(2, disc):
+            for call in (
+                    lambda: divisor_sums(nu, chi, engine, logs),
+                    lambda: sigma_psi(nu, chi, engine),
+                    lambda: eis_family_coeff(nu, chi, engine, ctx, logs),
+                    lambda: antiparallel_coeff(nu, chi, engine, ctx,
+                                               L1, L2, logs),
+                    lambda: dual_coeff_Fplus(nu, chi, engine, ctx, logs),
+                    lambda: eis_combination_coeff(nu, chi, engine, ctx,
+                                                  L1, L2, logs)):
+                with pytest.raises(ValueError, match="odd character"):
+                    call()
+        for n in (1, 2, p, 2 * p):
+            with pytest.raises(ValueError, match="odd character"):
+                diag_coefficient(n, chi, engine, ctx, logs)
+        assert not logs.levels
+
+
+@pytest.mark.parametrize("at_zero", [False, True])
+def test_level_unit_refuses_a_nonzero_mass(at_zero, monkeypatch):
+    # a mass of an odd psi vanishes; one that does not would need an alpha
+    # in the unit, so it is an error, not a term left out.  The mass 1 is
+    # planted on the first s > 0 element, or on the s = 0 element only,
+    # which `_level_unit` folds alone (D = 12: nD is even)
+    fold = eisenstein._fold
+
+    def planted(n, svals, *args):
+        mass, expo = fold(n, svals, *args)
+        if (svals.start == 0) == at_zero:
+            mass[0] = 1
+        return mass, expo
+
+    assert 0 in trace_range(1, D)
+    _level_unit(1, CHI, ENGINE, CTX)
+    monkeypatch.setattr(eisenstein, "_fold", planted)
+    with pytest.raises(ArithmeticError, match="mass"):
+        _level_unit(1, CHI, ENGINE, CTX)
 
 
 @pytest.mark.parametrize("disc, p", [(12, 5), (33, 7), (60, 13)])
@@ -380,7 +465,7 @@ def test_telescoped_level_equals_fresh_level(disc, p):
     group = NarrowClassGroup(disc)
     engine = IdealDivisorEngine(group, p)
     ctx = PadicContext(p, 24)
-    for chi in group.characters:
+    for chi in group.odd_characters():
         logs = LogCache(ctx)
         for n in (1, 2):
             for m in range(4 if p < 13 else 3):
@@ -389,7 +474,7 @@ def test_telescoped_level_equals_fresh_level(disc, p):
                 assert shared.equals(fresh)
     # a kept a_n is what a_{np} builds on: a planted value moves it
     logs = LogCache(ctx)
-    chi = group.characters[-1]
+    chi = group.odd_characters()[-1]
     below = diag_coefficient(1, chi, engine, ctx, logs)
     logs.levels[(disc, p, chi, 1)] = below + ctx.one()
     telescoped = diag_coefficient(p, chi, engine, ctx, logs)
@@ -410,34 +495,31 @@ def test_divisor_sums_reduce_no_form(disc, p, monkeypatch):
 
     monkeypatch.setattr(NarrowClassGroup, "narrow_class_of_ideal", refuse)
     nus = [nu for n in (1, 2, p, 6) for nu in enumerate_trace(n, disc)]
-    for chi in group.characters:
+    for chi in group.odd_characters():
         logs = LogCache(ctx)
         for n in (1, 2, 6, p, p * p):
             diag_coefficient(n, chi, engine, ctx)
             diag_coefficient(n, chi, engine, ctx, logs)
         for nu in nus:
             sigma_psi(nu, chi, engine)
-            eis_family_coeff("psi,1", nu, chi, engine, ctx, logs)
+            eis_family_coeff(nu, chi, engine, ctx, logs)
 
 
 def test_diag_coefficient_rejects_split_p():
     g21 = NarrowClassGroup(21)
     with pytest.raises(ValueError, match="not inert"):
-        diag_coefficient(1, g21.characters[0], IdealDivisorEngine(g21, 5),
-                         PadicContext(5, 8))
+        diag_coefficient(1, g21.odd_characters()[0],
+                         IdealDivisorEngine(g21, 5), PadicContext(5, 8))
 
 
 def test_sqrtD_normalization_immaterial():
     # replacing log(nu0 sqrt(D)/Nm I) by log(nu0/Nm I) changes nothing,
     # because sum(psi(I)) over each trace level vanishes
-    logsq = iwasawa_log(
-        embed_quadnum(enumerate_trace(1, D)[0].alpha
-                      * enumerate_trace(1, D)[0].nu.inverse(), CTX))
     for n in (1, 2, 3):
         a = diag_coefficient(n, CHI, ENGINE, CTX, LOGS)
         alt = CTX.zero()
         for nu in enumerate_trace(n, D):
-            lognu = iwasawa_log(embed_quadnum(nu.nu, CTX))
+            lognu = iwasawa_log(embed_quadnum(nu_of(nu), CTX))
             for norm, cls in ENGINE.divisors(nu.alpha):
                 alt = alt - CHI[cls] * (lognu - LOGS.log_int(norm))
         assert a.equals(alt, 16)

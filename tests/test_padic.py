@@ -132,6 +132,32 @@ def test_inverse_and_pow(seed):
     assert (x ** -2).equals((x * x).inverse())
 
 
+def test_pow_is_the_repeated_product_with_fewest_multiplications(
+        monkeypatch):
+    # square-and-multiply from the lowest set bit: value and slack of the
+    # repeated product, with (bit length - 1) squarings and (set bits - 1)
+    # products
+    x = CTX.from_coords(3, 7, 2)._with_slack(4)
+    for e in range(-5, 65):
+        base = x if e >= 0 else x.inverse()
+        product = CTX.one()
+        for _ in range(abs(e)):
+            product = product * base
+        assert (x ** e).to_json() == product.to_json(), e
+    calls = []
+    mul = PadicScalar.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(PadicScalar, "__mul__", counting)
+    for e in range(1, 65):
+        calls.clear()
+        x ** e
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 64))
 def test_frobenius_automorphism(seed):

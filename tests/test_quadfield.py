@@ -648,12 +648,13 @@ def test_enumerate_trace_exact_set():
             elts = enumerate_trace(n, D)
             seen = set()
             for e in elts:
-                nu = e.nu
+                alpha = e.alpha
+                nu = alpha / QuadNum(D, 0, 1)
                 assert nu + nu.conj() == QuadNum(D, n, 0)   # the trace
                 assert nu.sign() == nu.conj().sign() == 1
-                alpha = e.alpha
                 assert alpha.coords_in_order() is not None  # in the different^-1
-                assert e.ideal_norm == -alpha.norm()  # Nm(sqrt(D)) < 0
+                # Nm(sqrt(D)) < 0
+                assert (n * n * D - e.s * e.s) // 4 == -alpha.norm()
                 seen.add(e.s)
             # completeness: every legal s is present
             smax = isqrt(n * n * D)

@@ -8,10 +8,9 @@ import pytest
 from rmlab import siegelmeasure
 from rmlab.padic import PadicContext, iwasawa_log, padic_exp
 from rmlab.quadfield import NarrowClassGroup, automorph, sqrtD_padic
-from rmlab.siegelmeasure import (BallMeasure, BallSpace, ball_space,
-                                 dedekind_sum, default_c, measure_scale,
-                                 mu_DR, phi_DR, poisson_JDR, rademacher_phi,
-                                 sl2_word)
+from rmlab.siegelmeasure import (BallMeasure, dedekind_sum, default_c,
+                                 measure_scale, mu_DR, phi_DR, poisson_JDR,
+                                 rademacher_phi, sl2_word)
 
 
 def _matmul(x, y):
@@ -148,29 +147,38 @@ def _word_matrix(factor):
     return ((-1, 0), (0, -1))
 
 
-def _perm(space, gamma):
-    """Index permutation v -> v * gamma mod p^level of the balls of
-    `space`."""
+@lru_cache(maxsize=None)
+def centers(p, level):
+    """The primitive centers (a, b) in [0, p^level)^2 of the level-`level`
+    balls, in the order of `BallMeasure.values`: by a, then by b."""
+    den = p ** level
+    return tuple((a, b) for a in range(den) for b in range(den)
+                 if a % p or b % p)
+
+
+def _perm(p, level, gamma):
+    """Index permutation v -> v * gamma mod p^level of the balls."""
     (g00, g01), (g10, g11) = gamma
-    den = space.den
-    pos = {(a, b): i for i, (a, b) in enumerate(zip(space.a, space.b))}
+    den = p ** level
+    pos = {v: i for i, v in enumerate(centers(p, level))}
     return [pos[(a * g00 + b * g10) % den, (a * g01 + b * g11) % den]
-            for a, b in zip(space.a, space.b)]
+            for a, b in centers(p, level)]
 
 
 def _acted(mu, gamma):
     """mu|gamma: (mu|gamma)(B_v) = mu(B_{v gamma^{-1}})."""
-    return BallMeasure(mu.space,
-                       [mu.values[i] for i in _perm(mu.space, _inv(gamma))],
+    return BallMeasure(mu.p, mu.level,
+                       [mu.values[i]
+                        for i in _perm(mu.p, mu.level, _inv(gamma))],
                        mu.scale)
 
 
 @lru_cache(maxsize=None)
-def _factor_measure(space, factor, c):
-    """Exact period of the generator `factor` on every ball of `space`:
+def _factor_measure(p, level, factor, c):
+    """Exact period of the generator `factor` on every level-`level` ball:
     (K(v f) - K(v) + c^2 E_f(v) - E_f(<cv>)) / 12 n^2, with K and E_f as in
     the comment above siegelmeasure._numerators."""
-    n = space.den
+    n = p ** level
     if factor[0] == "T":
         q = factor[1]
 
@@ -189,7 +197,7 @@ def _factor_measure(space, factor, c):
 
     (g00, g01), (g10, g11) = _word_matrix(factor)
     out = []
-    for x, y in zip(space.a, space.b):
+    for x, y in centers(p, level):
         num = (K((x * g00 + y * g10) % n, (x * g01 + y * g11) % n) - K(x, y)
                + c * c * E(x, y) - E(c * x % n, c * y % n))
         val, rem = divmod(num, 12 * n * n)
@@ -202,19 +210,18 @@ def _assembled_mu(gamma, p, level, c=None):
     """mu_DR(gamma) assembled from the generator periods of sl2_word(gamma)
     by the cocycle law mu(g h) = mu(h)|g^{-1} + mu(g)."""
     c = default_c(p) if c is None else c
-    space = ball_space(p, level)
-    den = space.den
-    acc = [0] * len(space.a)
+    den = p ** level
+    acc = [0] * len(centers(p, level))
     g_acc = ((1, 0), (0, 1))
     for factor in sl2_word(gamma):
-        vals = _factor_measure(space, factor, c)
+        vals = _factor_measure(p, level, factor, c)
         # (mu(f)|g_acc^{-1})(B_v) = mu(f)(B_{v g_acc})
-        acc = [x + vals[i] for x, i in zip(acc, _perm(space, g_acc))]
+        acc = [x + vals[i] for x, i in zip(acc, _perm(p, level, g_acc))]
         f = _word_matrix(factor)
         g_acc = tuple(
             tuple((sum(g_acc[i][k] * f[k][j] for k in range(2))) % den
                   for j in range(2)) for i in range(2))
-    return BallMeasure(space, acc, measure_scale(c))
+    return BallMeasure(p, level, acc, measure_scale(c))
 
 
 def _sample_point(x, y, p, n):
@@ -266,8 +273,9 @@ def _per_ball_poisson(tau, level, ctx, c=None):
     p = ctx.p
     (ga, gb), (gc, gd) = automorph(tau.form)
     mu = _assembled_mu(((gd, -gb), (-gc, ga)), p, level, c)
-    return _per_ball_product(zip(mu.space.a, mu.space.b, mu.values), tau,
-                             level, ctx, c)
+    return _per_ball_product(
+        ((a, b, v) for (a, b), v in zip(centers(p, level), mu.values)), tau,
+        level, ctx, c)
 
 
 @pytest.mark.parametrize("p, c_other", [(5, 11), (7, 11), (11, 13)])
@@ -514,10 +522,12 @@ def test_summation_by_parts_edge_cases(monkeypatch):
 
 
 def test_poisson_builds_no_ball_space(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("ball space built")
-    monkeypatch.setattr(siegelmeasure, "ball_space", refuse)
-    monkeypatch.setattr(BallSpace, "__init__", refuse)
+    # the product reads the rows of mu_pieces: no list of one value per
+    # ball, which mu_DR builds, is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("ball measure built")
+    monkeypatch.setattr(siegelmeasure, "mu_DR", refuse)
+    monkeypatch.setattr(BallMeasure, "__init__", refuse)
     ctx = PadicContext(5, 10)
     group = NarrowClassGroup(12)
     poisson_JDR(group.rm_representative(group.identity), 2, ctx)
@@ -562,16 +572,16 @@ def _c_glog(x, y, den, z, c):
             - qa * 1j * cmath.pi * (1 - cb))
 
 
-def _float_periods(space, gamma, c):
+def _float_periods(p, level, gamma, c):
     """Periods (1/2 pi i)(log _cg_v(z) - log _cg_{v gamma}(gamma^{-1} z)) at
     a sample point, rounded to integers after checking they are within 1e-4
     of one."""
     (a, b), (cc, d) = gamma
-    den = space.den
+    den = p ** level
     z = 0.13 + 1.07j
     ginv_z = (d * z - b) / (-cc * z + a)
     out = []
-    for x, y in zip(space.a, space.b):
+    for x, y in centers(p, level):
         x2, y2 = (x * a + y * cc) % den, (x * b + y * d) % den
         val = (_c_glog(x, y, den, z, c)
                - _c_glog(x2, y2, den, ginv_z, c)) / (2j * cmath.pi)
@@ -587,10 +597,9 @@ def test_exact_periods_match_float_siegel_logs(p, c):
     # Siegel-unit logs on every ball, for each kind of generator
     factors = [("S",), ("-I",)] + [("T", q) for q in (1, -1, 3, -7)]
     for level in (1, 2):
-        space = ball_space(p, level)
         for factor in factors:
-            assert list(_factor_measure(space, factor, c)) == \
-                _float_periods(space, _word_matrix(factor), c), factor
+            assert list(_factor_measure(p, level, factor, c)) == \
+                _float_periods(p, level, _word_matrix(factor), c), factor
 
 
 def test_measure_totals_and_level_mass():
@@ -642,8 +651,7 @@ def test_measure_refinement_additivity():
         exact = g[1][0] == 0
         m1 = mu_DR(g, 5, 1)
         m2 = mu_DR(g, 5, 2)
-        sp1 = ball_space(5, 1)
-        for a, b in zip(sp1.a, sp1.b):
+        for a, b in centers(5, 1):
             children = sum(
                 m2.value_at(a + 5 * i, b + 5 * j)
                 for i in range(5) for j in range(5))
@@ -658,9 +666,9 @@ def test_measure_value_at_rejects_imprimitive_center():
     # every primitive center, reduced mod p^level, reads its own ball
     for p, level in ((5, 2), (7, 1), (3, 3)):
         m = mu_DR(((2, 1), (5, 3)), p, level, c=5 if p != 5 else 7)
-        sp, den = m.space, m.space.den
+        den = p ** level
         assert [m.value_at(a - den, b + 2 * den)
-                for a, b in zip(sp.a, sp.b)] == m.values
+                for a, b in centers(p, level)] == m.values
         with pytest.raises(ValueError):
             m.value_at(p * den, -p)
 
