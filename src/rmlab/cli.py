@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import __version__
@@ -43,11 +44,12 @@ EXIT_CRITERION = 3
 
 def read_toml_subset(path: str) -> dict:
     """Minimal TOML reader: top-level (or flattened [section]) key = value
-    pairs with integer, string, or bare-word values; comments with #."""
+    pairs with integer, string, or bare-word values; comments with #,
+    outside a quoted value."""
     out = {}
     with open(path) as fh:
         for raw in fh:
-            line = raw.split("#", 1)[0].strip()
+            line = re.match(r'(?:[^"#]|"[^"]*"?)*', raw).group().strip()
             if not line or line.startswith("["):
                 continue
             if "=" not in line:
@@ -334,7 +336,7 @@ def cmd_fit(args) -> tuple:
             coeffs[n] = scalar_of(ctx, c)
         except ValueError as exc:
             raise ValueError(f"coefficient {n} is invalid: {exc}") from exc
-    series = QSeries(tuple(coeffs), args.p)
+    series = QSeries(tuple(coeffs))
     fit = fit_to_basis(series, basis_for_level(args.p, series.n_max), ctx)
     return {"fit": fit_report(fit)}, EXIT_OK
 

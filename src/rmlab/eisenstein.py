@@ -2,27 +2,25 @@
 real quadratic field, their diagonal restrictions, and ordinary projection.
 
 Every coefficient is a psi-weighted sum over the p-coprime ideal divisors I of
-(nu)*(different), of 1 and of log Nm I.  One kernel, `_fold`, evaluates both
-by the product formula, without listing divisors, in one pass over a
-progression of alpha = nu sqrt(D): each prime power is folded into its
-element's state the moment the sieve divides it out of the norm, psi(P) and
-the rest of a rational prime's data are computed once per field and genus
-character (`_prime_data`), and the one prime left above the sieve takes
-its psi from psi((alpha)) = psi(different).  psi is odd (an even psi is
-refused), so the mass, the sum of 1, vanishes at every nu.  The kernel runs
-on one nu in
-`divisor_sums`, where each family coefficient is a closed form in the two
-sums, and on a whole trace level in `diag_coefficient`; the psi-weighted log
-terms are collected as an integer exponent per rational prime, and one
-p-adic log is taken per coefficient.  A level is sieved over s >= 0 only:
-nu and its conjugate nu' add the same summand, as psi, a genus character,
-takes one value on conjugate primes.  Because the nu of trace n p divisible
-by p are p times those of trace n, every level with p | n is the level n/p
-plus its p-primitive nu.  The ordinary projection of the diagonal
-restriction derivative is the limit of its coefficients at indices n * p^m,
-extrapolated by iterated Shanks steps (`accelerated_ordinary_projection`);
-plain stabilization at n * p^{2m} (`ordinary_projection`) is kept as a
-check.
+(nu)*(different), of 1 and of log Nm I.  psi is odd (an even psi is refused),
+so the first, the mass, vanishes at every nu.  One kernel, `_fold`, checks it
+and evaluates the second by the product formula, without listing divisors, in
+one pass over a progression of alpha = nu sqrt(D): each prime power is folded
+into its element's state the moment the sieve divides it out of the norm,
+psi(P) and the rest of a rational prime's data are computed once per field and
+genus character (`_prime_data`), and the one prime left above the sieve takes
+its psi from psi((alpha)) = psi(different).  The kernel runs on one nu in
+`divisor_sums`, the log sum of each family coefficient, and on a whole trace
+level in `diag_coefficient`; the psi-weighted log terms are collected as an
+integer exponent per rational prime, and one p-adic log is taken per
+coefficient.  A level is sieved over s >= 0 only: nu and its conjugate nu' add
+the same summand, as psi, a genus character, takes one value on conjugate
+primes.  Because the nu of trace n p divisible by p are p times those of trace
+n, every level with p | n is the level n/p plus its p-primitive nu.  The
+ordinary projection of the diagonal restriction derivative is the limit of its
+coefficients at indices n * p^m, extrapolated by iterated Shanks steps
+(`accelerated_ordinary_projection`); plain stabilization at n * p^{2m}
+(`ordinary_projection`) is kept as a check.
 """
 
 from __future__ import annotations
@@ -102,33 +100,34 @@ def _prime_data(D: int, d: int, q: int) -> tuple:
 
 
 def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
-          engine: IdealDivisorEngine) -> tuple:
+          engine: IdealDivisorEngine) -> dict:
     """The product formula on every alpha = (s + n sqrt(D))/2, s in svals
     (a range of step 2, each alpha = nu sqrt(D) with nu >> 0), each q^e
     folded into the element's state as the sieve divides it out of the
     norm (n^2 D - s^2)/4.  When p | n the s divisible by p, whose alpha
-    the inert p divides, are left out: no mass, no log.
+    the inert p divides, are left out: no log.
 
     psi = chi is read once per q, as the genus character of its d
     (`genus_value`), with the rest of q's data, from `_PRIMES`, where it is
     computed once per (D, d, q); psi_d is its value on the different.  Per
-    element the state is the product of its non-zero local A (`_local`),
-    its count of vanishing A, the (q, C) of its last vanishing A, and psi_d
-    times prod psi(P)^e over the primes found so far.  2 is divided out of
-    every norm, and each q of odd_primes (ascending) out of the
-    s = +-n sqrt(D) (mod q), or s = 0 (mod q) when q divides nD.
+    element the state is w, the product of its non-zero local A (`_local`)
+    times the C of its first vanishing A; at, the q of that A (0 until one
+    vanishes, -1 once a second one does, or when the element is left
+    out); and psi_d times prod psi(P)^e over the primes found so far.  2 is
+    divided out of every norm, and each q of odd_primes (ascending) out of
+    the s = +-n sqrt(D) (mod q), or s = 0 (mod q) when q divides nD.
     odd_primes holds every odd prime factor of the norms up to the square
     root of the largest one, so what is left above 1 is one prime P,
     e = 1, and psi(P) is the running product, because psi((alpha)) =
     psi(different); an element with nothing left must end with the
     product +1.
 
-    Returns (mass, expo): per element the product of its A, and per q the
-    exponent E_q, the sum of C times the product of the element's other
-    A, so that the elements' psi-weighted sums of log Nm I add up to
-    sum_q E_q log q.  psi must be odd, psi_d = -1 (ValueError otherwise):
-    then every mass vanishes, as I <-> (alpha)/I pairs the divisors off,
-    and only an element with exactly one vanishing A has a log term."""
+    Returns {q: E_q}, E_q the sum of w over the elements whose one
+    vanishing A is at q, so that the elements' psi-weighted sums of
+    log Nm I add up to sum_q E_q log q.  psi must be odd, psi_d = -1
+    (ValueError otherwise): then every mass, the product of an element's
+    A, vanishes, as I <-> (alpha)/I pairs the divisors off, and an element
+    whose A all survive raises ArithmeticError."""
     D, p, group = engine.D, engine.p, engine.group
     d, psi_d = group.genus[chi], chi[group.different_class]
     if psi_d != -1:
@@ -136,13 +135,12 @@ def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
     size = len(svals)
     nnD = n * n * D
     rem = [(nnD - s * s) >> 2 for s in svals]
-    mass, zeros, psi = [1] * size, [0] * size, [psi_d] * size
-    last_q, last_c = [0] * size, [0] * size
-    if n % p == 0:           # left out: two vanishing A and psi +1
+    w, at, psi = [1] * size, [0] * size, [psi_d] * size
+    if n % p == 0:           # left out: nothing to divide, psi +1
         first = progression_start(svals, 0, p)
         k = len(range(first, size, p))
-        rem[first::p], psi[first::p], zeros[first::p] = \
-            [1] * k, [1] * k, [2] * k
+        rem[first::p], psi[first::p], at[first::p] = \
+            [1] * k, [1] * k, [-1] * k
     table = _PRIMES.setdefault((D, d), {})
     for q in [2] + odd_primes:
         data = table.get(q)
@@ -185,60 +183,61 @@ def _fold(n: int, svals: range, odd_primes: list, chi: tuple,
                 if flip and e & 1:
                     psi[i] = -psi[i]
                 if A:
-                    mass[i] *= A
+                    w[i] *= A
+                elif at[i]:
+                    at[i] = -1
                 else:
-                    zeros[i] += 1
-                    last_q[i], last_c[i] = q, C
+                    w[i] *= C
+                    at[i] = q
     expo = {}
     for i, y in enumerate(rem):
+        q = at[i]
         if y > 1:                # one prime above the sieve, e = 1
-            A, C = (2, 1) if psi[i] == 1 else (0, -1)
-            if A:
-                mass[i] *= A
-            else:
-                zeros[i] += 1
-                last_q[i], last_c[i] = y, C
+            if psi[i] == 1:      # (A, C) = (2, 1)
+                w[i] *= 2
+            else:                # (A, C) = (0, -1)
+                q = -1 if q else y
+                w[i] = -w[i]
         elif psi[i] != 1:
             raise ArithmeticError(
                 f"psi((alpha)) is not psi(different) at s = {svals[i]}")
-        if zeros[i] == 1 and last_c[i]:
-            q = last_q[i]
-            expo[q] = expo.get(q, 0) + last_c[i] * mass[i]
-    return [0 if z else m for m, z in zip(mass, zeros)], expo
+        if not q:
+            raise ArithmeticError(
+                f"a non-zero divisor mass at s = {svals[i]}")
+        if q > 0 and w[i]:
+            expo[q] = expo.get(q, 0) + w[i]
+    return expo
 
 
-def _fold_one(n: int, s: int, chi: tuple,
-              engine: IdealDivisorEngine) -> tuple:
-    """`_fold` on the one alpha = (s + n sqrt(D))/2, from the odd primes of
-    its norm.  Returns (mass, expo)."""
-    odd = [q for q in factor((n * n * engine.D - s * s) >> 2) if q > 2]
-    (mass,), expo = _fold(n, range(s, s + 2, 2), odd, chi, engine)
-    return mass, expo
+def _fold_one(nu: TotallyPositiveElement, chi: tuple,
+              engine: IdealDivisorEngine) -> dict:
+    """`_fold` on nu deprived of p, from the odd primes up to the square
+    root of its norm: as in a level, a prime above it is not sieved."""
+    nu0 = nu.deprived(engine.p)
+    n, s = nu0.n, nu0.s
+    norm = (n * n * engine.D - s * s) >> 2
+    odd = [q for q in factor(norm) if 2 < q and q * q <= norm]
+    return _fold(n, range(s, s + 2, 2), odd, chi, engine)
 
 
 def divisor_sums(nu: TotallyPositiveElement, chi: tuple,
-                 engine: IdealDivisorEngine,
-                 logs: LogCache | None) -> tuple:
-    """(mass, log_sum) with mass = sum psi(I) and
-    log_sum = sum psi(I) log Nm I over the p-coprime divisors I of
-    (nu)*different, nu >> 0, by the product formula of `_fold` on nu
-    deprived of p, as (p) divides no p-coprime divisor: no divisor list is
-    built, and no log is taken when two or more local A vanish, nor any
-    at all without logs (log_sum is then None)."""
-    nu0 = nu.deprived(engine.p)
-    mass, expo = _fold_one(nu0.n, nu0.s, chi, engine)
-    if logs is None:
-        return mass, None
+                 engine: IdealDivisorEngine, logs: LogCache) -> PadicScalar:
+    """sum psi(I) log Nm I over the p-coprime divisors I of
+    (nu)*different, nu >> 0, by the product formula of `_fold_one`: no
+    divisor list is built, and no log is taken when two or more local A
+    vanish."""
     log_sum = logs.ctx.zero()
-    for q, E in expo.items():
+    for q, E in _fold_one(nu, chi, engine).items():
         log_sum = log_sum + logs.log_int(q) * E
-    return mass, log_sum
+    return log_sum
 
 
 def sigma_psi(nu: TotallyPositiveElement, chi: tuple,
               engine: IdealDivisorEngine) -> int:
-    """Sum of psi(I) over p-coprime divisors I of (nu) * different."""
-    return divisor_sums(nu, chi, engine, None)[0]
+    """Sum of psi(I) over p-coprime divisors I of (nu) * different: 0 for
+    odd psi (I <-> (alpha)/I), once the fold of nu has checked it."""
+    _fold_one(nu, chi, engine)
+    return 0
 
 
 def eis_family_coeff(nu: TotallyPositiveElement, chi: tuple,
@@ -249,8 +248,7 @@ def eis_family_coeff(nu: TotallyPositiveElement, chi: tuple,
     weights I by psi(cofactor) = psi((alpha)) psi(I), and (alpha) =
     (nu)(sqrt(D)) is in the class of the different: E(psi, 1) = -E(1, psi)."""
     logs = logs or LogCache(ctx)
-    mass, log_sum = divisor_sums(nu, chi, engine, logs)
-    return DualScalar(ctx.from_int(mass), log_sum)
+    return DualScalar(ctx.zero(), divisor_sums(nu, chi, engine, logs))
 
 
 def antiparallel_coeff(nu: TotallyPositiveElement, chi: tuple,
@@ -267,10 +265,10 @@ def antiparallel_coeff(nu: TotallyPositiveElement, chi: tuple,
     if Ltot.is_zero:
         raise ArithmeticError("degenerate total L-invariant")
     logs = logs or LogCache(ctx)
-    mass, log_sum = divisor_sums(nu, chi, engine, logs)
+    log_sum = divisor_sums(nu, chi, engine, logs)
     r1 = L1 * Ltot.inverse()
     r2 = L2 * Ltot.inverse()
-    return DualScalar(ctx.from_int(mass), r1 * log_sum - r2 * log_sum)
+    return DualScalar(ctx.zero(), r1 * log_sum - r2 * log_sum)
 
 
 def eis_combination_coeff(nu: TotallyPositiveElement, chi: tuple,
@@ -294,8 +292,7 @@ def dual_coeff_Fplus(nu: TotallyPositiveElement, chi: tuple,
     sum over I | (nu_0)*different of psi(I)(1 - eps log(nu_0 / Nm I)), whose
     log nu_0 term carries the mass, which vanishes."""
     logs = logs or LogCache(ctx)
-    mass, log_sum = divisor_sums(nu, chi, engine, logs)
-    return DualScalar(ctx.from_int(mass), log_sum)
+    return DualScalar(ctx.zero(), divisor_sums(nu, chi, engine, logs))
 
 
 def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
@@ -304,28 +301,23 @@ def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,
     `diag_coefficient` over the p-primitive alpha, those with p not dividing
     s when p | n (all of them otherwise).
 
-    The unit is prod q^{E_q}: the divisor masses of an odd psi vanish, so
-    no alpha enters it, and a non-zero one raises ArithmeticError.  The
-    level is stable under nu -> nu', that is alpha_s -> alpha_{-s} =
-    -sigma(alpha_s), which has the same norm, the same local (A, C) at
-    every q and, psi being a genus character, the same psi: nu and nu' add
-    the same summand.  So one integer pass, `_fold` over the s > 0 half,
-    gives every E_q twice; the s = 0 element, present when nD is even and
-    left out when p | n, is folded alone (`_fold_one`)."""
-    D, p, M = engine.D, engine.p, ctx.modulus
+    The unit is prod q^{E_q}: the divisor masses of an odd psi vanish
+    (`_fold` checks it), so no alpha enters it.  The level is stable under
+    nu -> nu', that is alpha_s -> alpha_{-s} = -sigma(alpha_s), which has
+    the same norm, the same local (A, C) at every q and, psi being a genus
+    character, the same psi: nu and nu' add the same summand.  So one
+    integer pass, `_fold` over the s > 0 half, gives every E_q twice; the
+    s = 0 element, present when nD is even and left out when p | n, is
+    folded alone with the same primes."""
+    D, M = engine.D, ctx.modulus
     svals = trace_range(n, D)
     half = range(2 - svals.start % 2, svals.stop, 2)
-    # the largest norm of the half is at its least s
-    odd = _odd_primes_upto(isqrt((n * n * D - half.start ** 2) >> 2))
-    mass, expo = _fold(n, half, odd, chi, engine)
-    expo = {q: 2 * E for q, E in expo.items()}
-    if 0 in svals and n % p:
-        mass0, expo0 = _fold_one(n, 0, chi, engine)
-        mass.append(mass0)
-        for q, E in expo0.items():
+    # every norm is at most n^2 D / 4, the norm at s = 0
+    odd = _odd_primes_upto(isqrt(n * n * D >> 2))
+    expo = {q: 2 * E for q, E in _fold(n, half, odd, chi, engine).items()}
+    if 0 in svals and n % engine.p:
+        for q, E in _fold(n, range(0, 2, 2), odd, chi, engine).items():
             expo[q] = expo.get(q, 0) + E
-    if any(mass):
-        raise ArithmeticError(f"a non-zero divisor mass at level {n}")
     # the primes by exponent, each product raised once
     bases = {}
     for q, E in expo.items():

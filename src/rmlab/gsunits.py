@@ -66,7 +66,7 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
     check_inert(D, p)
     group = group or NarrowClassGroup(D)
     if has_norm_minus_one(D):
-        zero = QSeries((None,) + (ctx.zero(),) * n_max, p)
+        zero = QSeries((None,) + (ctx.zero(),) * n_max)
         fit = fit_to_basis(zero, basis_for_level(p, n_max), ctx)
         return GSeriesResult(zero, {}, fit, fit.a0, True, {})
     if group.h != 2:
@@ -91,7 +91,7 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
     for n in range(1, n_max + 1):
         n0 = n // p ** _vp(n, p)
         coeffs[n] = stabilized[n0] * sign
-    series = QSeries(tuple(coeffs), p)
+    series = QSeries(tuple(coeffs))
     fit = fit_to_basis(series, basis_for_level(p, n_max), ctx)
     return GSeriesResult(series, certs, fit, fit.a0, False, stabilized)
 

@@ -18,7 +18,6 @@ generates the quadratic extension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import exp, gcd, inf, log
 
 from .padic import PadicScalar
@@ -62,9 +61,9 @@ def _round_div(a: int, b: int) -> int:
     return q
 
 
-def _lovasz_ok(d, lam, k, num, den) -> bool:
-    # B_k >= (delta - mu^2) B_{k-1}, times d_k d_{k-1} > 0
-    return den * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= num * d[k] ** 2
+def _lovasz_ok(d, lam, k) -> bool:
+    # B_k >= (delta - mu^2) B_{k-1} at delta = 99/100, times d_k d_{k-1} > 0
+    return 100 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) >= 99 * d[k] ** 2
 
 
 def gram_det(basis) -> int:
@@ -73,15 +72,12 @@ def gram_det(basis) -> int:
     return _integral_gram_schmidt(basis)[0][-1]
 
 
-def lll_reduce(basis, delta: Fraction = Fraction(99, 100)):
+def lll_reduce(basis):
     """LLL-reduce a list of integer rows; exact integer arithmetic
     throughout (Cohen, Alg. 2.6.7).
 
     Returns a new list of rows spanning the same lattice, satisfying the
-    size-reduction and Lovasz conditions at parameter delta."""
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
-    num, den = Fraction(delta).as_integer_ratio()
+    size-reduction and Lovasz conditions at parameter delta = 99/100."""
     b = [list(row) for row in basis]
     n = len(b)
     d, lam = _integral_gram_schmidt(b)
@@ -95,7 +91,7 @@ def lll_reduce(basis, delta: Fraction = Fraction(99, 100)):
                 lam[k][j] -= q * d[j + 1]
                 for i in range(j):
                     lam[k][i] -= q * lam[j][i]
-        if _lovasz_ok(d, lam, k, num, den):
+        if _lovasz_ok(d, lam, k):
             k += 1
             continue
         # swap rows k-1 and k, updating d and lam in place (SWAPI)
@@ -112,13 +108,12 @@ def lll_reduce(basis, delta: Fraction = Fraction(99, 100)):
     return b
 
 
-def is_lll_reduced(basis, delta: Fraction = Fraction(99, 100)) -> bool:
-    num, den = Fraction(delta).as_integer_ratio()
+def is_lll_reduced(basis) -> bool:
     d, lam = _integral_gram_schmidt(basis)
     for k in range(1, len(basis)):
         if any(2 * abs(lam[k][j]) > d[j + 1] for j in range(k)):
             return False
-        if not _lovasz_ok(d, lam, k, num, den):
+        if not _lovasz_ok(d, lam, k):
             return False
     return True
 
@@ -130,8 +125,6 @@ def is_lll_reduced(basis, delta: Fraction = Fraction(99, 100)) -> bool:
 @dataclass
 class AlgdepResult:
     coefficients: tuple | None   # c_0, ..., c_d (low to high), or None
-    degree: int                  # requested degree bound
-    budget: int                  # p-adic congruence precision
     height: int | None           # max |c_i| of the accepted polynomial
     margin: float                # second-shortest / shortest row length
 
@@ -186,6 +179,8 @@ def algdep_padic(x: PadicScalar, degree: int, budget: int,
     outcome, reported with coefficients None."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     ctx = x.ctx
     m = ctx.p ** budget
     # residue coordinates of 1, x, ..., x^degree
@@ -229,5 +224,5 @@ def algdep_padic(x: PadicScalar, degree: int, budget: int,
         height = max(abs(v) for v in c)
         if height > height_bound:
             continue
-        return AlgdepResult(c, degree, budget, height, margin)
-    return AlgdepResult(None, degree, budget, None, margin)
+        return AlgdepResult(c, height, margin)
+    return AlgdepResult(None, None, margin)

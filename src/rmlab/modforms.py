@@ -23,7 +23,6 @@ class QSeries:
     """
 
     coeffs: tuple
-    level: int
 
     @property
     def n_max(self) -> int:
@@ -43,7 +42,7 @@ def e2p_series(p: int, n_max: int) -> QSeries:
     if p < 5:
         raise ValueError("level must be a prime >= 5")
     coeffs = [p - 1] + [24 * sigma_p(n, p) for n in range(1, n_max + 1)]
-    return QSeries(tuple(coeffs), p)
+    return QSeries(tuple(coeffs))
 
 
 def eta_cusp_series(p: int, n_max: int) -> QSeries:
@@ -63,7 +62,7 @@ def eta_cusp_series(p: int, n_max: int) -> QSeries:
                 for k in range(N - 1, m - 1, -1):
                     poly[k] -= poly[k - m]
     coeffs = [0] + poly[:n_max]
-    return QSeries(tuple(coeffs[:n_max + 1]), p)
+    return QSeries(tuple(coeffs[:n_max + 1]))
 
 
 # --------------------------------------------------------------------------

@@ -28,12 +28,11 @@ from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
 
 @dataclass(frozen=True)
 class WeightedRMPoint:
-    """An RM point w with opposite-sign real embeddings, its intersection
-    weight, and the witness that produced it."""
+    """An RM point w with opposite-sign real embeddings and its
+    intersection weight."""
 
     w: QuadNum
     weight: int          # +1 iff w > 0 > w', -1 iff w < 0 < w'
-    provenance: tuple    # ("ideal", norm_I, s) or ("coset", delta, form)
 
     def __post_init__(self):
         assert self.w.sign() * self.w.conj().sign() < 0
@@ -63,8 +62,7 @@ def rm_plus_set(tau: RMPoint, n: int, p: int,
         alpha = elt.alpha  # nu * sqrt(D), generates (nu) * different
         for norm, cls in engine.divisors(alpha):
             if cls == required:
-                out.append(WeightedRMPoint(alpha * Fraction(1, norm), 1,
-                                           ("ideal", norm, elt.s)))
+                out.append(WeightedRMPoint(alpha * Fraction(1, norm), 1))
     return out
 
 
@@ -73,7 +71,7 @@ def rm_minus_set(tau: RMPoint, n: int, p: int,
                  engine: IdealDivisorEngine | None = None) -> list:
     """RM_n^-(tau) = -RM_n^+(-tau); weight -1 points."""
     plus = rm_plus_set(tau.negate(), n, p, group, engine)
-    return [WeightedRMPoint(-pt.w, -1, pt.provenance) for pt in plus]
+    return [WeightedRMPoint(-pt.w, -1) for pt in plus]
 
 
 def log_Tn_Jw(tau: RMPoint, n: int, p: int, ctx: PadicContext,
@@ -199,7 +197,7 @@ def rm_set_by_cosets(tau: RMPoint, n: int, p: int) -> list:
         for w in _crossing_points(pt, D):
             w0 = _strip_p(w, p)
             weight = 1 if w0.sign() > 0 else -1
-            out.append(WeightedRMPoint(w0, weight, ("coset", delta, pt.form)))
+            out.append(WeightedRMPoint(w0, weight))
     return out
 
 

@@ -252,6 +252,15 @@ def test_integer_list_flags_name_the_flag(capsys, argv, flag):
     assert rep["error"].startswith(f"{flag} must be ")
 
 
+@pytest.mark.parametrize("budget", ["0", "-2"])
+def test_algdep_budget_below_one_exits_2(capsys, budget):
+    # at budget 0 the constant polynomial 1 would pass as a relation
+    code, rep = run(capsys, ["--p", "5", "algdep", "--value", "1,0,0",
+                             "--budget", budget])
+    assert code == EXIT_INVALID
+    assert rep["error"] == "budget must be at least 1"
+
+
 def test_algdep_infinite_margin_is_null(capsys):
     # the two shortest rows' length ratio passes the float range; JSON has
     # no token for infinity, so the report says null
@@ -310,6 +319,14 @@ def test_read_toml_subset(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ValueError):
         read_toml_subset(str(bad))
+
+
+def test_read_toml_subset_keeps_a_hash_inside_quotes(tmp_path):
+    path = tmp_path / "c.toml"
+    path.write_text('out = "/tmp/a#b.json"  # where the report goes\n'
+                    'name = "#x" # "quoted" comment\n')
+    assert read_toml_subset(str(path)) == {"out": "/tmp/a#b.json",
+                                           "name": "#x"}
 
 
 def test_recognize_unit_flagship_small(capsys):

@@ -219,14 +219,10 @@ def test_diag_series_vanishes_for_norm_minus_one_field(monkeypatch):
 
 
 def diag_oracle(n, chi, engine, ctx, logs):
-    # the per-element sum: divisor_sums of each nu_0, one log each
+    # the per-element sum: divisor_sums of each nu, one log each
     total = ctx.zero()
     for nu in enumerate_trace(n, engine.D):
-        nu0 = nu.deprived(engine.p)
-        mass, log_sum = divisor_sums(nu0, chi, engine, logs)
-        total = total + log_sum
-        if mass:
-            total = total - iwasawa_log(embed_quadnum(nu0.alpha, ctx)) * mass
+        total = total + divisor_sums(nu, chi, engine, logs)
     return total
 
 
@@ -254,7 +250,9 @@ def _geometric(x, e):
 def record_fold(D, d, n, svals, owner, primes, exps):
     """Oracle for `_fold`: the product formula on the records of
     `sieve_trace`, one record (i, q, e) at a time, psi(P) a Legendre
-    symbol per q (`genus_value`).  Returns (mass, expo) as `_fold` does."""
+    symbol per q (`genus_value`).  Returns (mass, expo): per element the
+    product of its local A, and per q the exponent E_q that `_fold`
+    returns."""
     chis = {}
     rec_a, rec_c = [], []
     zeros = [0] * len(svals)
@@ -306,10 +304,11 @@ FOLD_FIELDS = [(12, 5), (12, 7), (24, 7), (33, 7), (40, 7), (60, 13),
 
 @pytest.mark.parametrize("disc, p", FOLD_FIELDS)
 def test_fold_matches_record_oracle(disc, p):
-    # per element mass and per q exponent E_q, for every character, on the
-    # levels n <= 30 and a few with high prime powers, the p | s left out
-    # when p | n; and psi((alpha)) = psi(different) on every record set,
-    # the identity that gives the kernel the psi of its last prime
+    # per q exponent E_q, for every character, on the levels n <= 30 and a
+    # few with high prime powers, the p | s left out when p | n; the masses
+    # vanish, so `_fold` raises on none; and psi((alpha)) = psi(different)
+    # on every record set, the identity that gives the kernel the psi of
+    # its last prime
     group = NarrowClassGroup(disc)
     engine = IdealDivisorEngine(group, p)
     chars = odd_or_refused(group, lambda chi: _fold(
@@ -322,11 +321,8 @@ def test_fold_matches_record_oracle(disc, p):
         for chi in chars:
             d = group.genus[chi]
             mass, expo = record_fold(disc, d, n, svals, owner, primes, exps)
-            if skip:
-                first = progression_start(svals, 0, p)
-                mass[first::p] = [0] * len(range(first, len(svals), p))
-            assert _fold(n, svals, odd, chi, engine) == (mass, expo), \
-                (n, chi)
+            assert not any(mass[i] for i in kept), (n, chi)
+            assert _fold(n, svals, odd, chi, engine) == expo, (n, chi)
             psi = [chi[group.different_class]] * len(svals)
             for i, q, e in zip(owner, primes, exps):
                 if splitting_type(disc, q) != "inert" and e % 2:
@@ -348,23 +344,23 @@ def test_prime_table_keeps_characters_apart(disc, p):
         eisenstein._PRIMES.clear()
         for chi in (chi1, chi2, chi1):
             d = group.genus[chi]
-            mass, expo = record_fold(disc, d, n, svals, owner, primes, exps)
-            if skip:
-                first = progression_start(svals, 0, p)
-                mass[first::p] = [0] * len(range(first, len(svals), p))
-            assert _fold(n, svals, odd, chi, engine) == (mass, expo), \
-                (n, chi)
+            _, expo = record_fold(disc, d, n, svals, owner, primes, exps)
+            assert _fold(n, svals, odd, chi, engine) == expo, (n, chi)
 
 
 def full_level_unit(n, chi, engine, ctx):
-    """Oracle for `_level_unit`: one `_fold` over the whole of
-    trace_range(n, D), both nu and nu', and the unit
-    prod q^{E_q} / prod alpha^{mass} with every alpha a power in Z_{p^2}.
-    Returns (unit, mass)."""
-    D, M = engine.D, ctx.modulus
-    svals = trace_range(n, D)
-    odd = _odd_primes_upto(isqrt((n * n * D - n * D % 2) >> 2))
-    mass, expo = _fold(n, svals, odd, chi, engine)
+    """Oracle for `_level_unit`: `record_fold` over the whole of
+    trace_range(n, D), both nu and nu', the p | s left out when p | n, and
+    the unit prod q^{E_q} / prod alpha^{mass} with every alpha a power in
+    Z_{p^2}.  Returns (unit, mass)."""
+    D, p, M = engine.D, engine.p, ctx.modulus
+    skip = 0 if n % p else p
+    svals, owner, primes, exps = sieve_trace(n, D, skip)
+    mass, expo = record_fold(D, engine.group.genus[chi], n, svals, owner,
+                             primes, exps)
+    if skip:
+        first = progression_start(svals, 0, p)
+        mass[first::p] = [0] * len(range(first, len(svals), p))
     num = 1
     for q, E in expo.items():
         if E:
@@ -442,22 +438,19 @@ def test_kernel_refuses_even_characters(disc, p):
 @pytest.mark.parametrize("at_zero", [False, True])
 def test_level_unit_refuses_a_nonzero_mass(at_zero, monkeypatch):
     # a mass of an odd psi vanishes; one that does not would need an alpha
-    # in the unit, so it is an error, not a term left out.  The mass 1 is
-    # planted on the first s > 0 element, or on the s = 0 element only,
-    # which `_level_unit` folds alone (D = 12: nD is even)
-    fold = eisenstein._fold
-
-    def planted(n, svals, *args):
-        mass, expo = fold(n, svals, *args)
-        if (svals.start == 0) == at_zero:
-            mass[0] = 1
-        return mass, expo
-
-    assert 0 in trace_range(1, D)
-    _level_unit(1, CHI, ENGINE, CTX)
-    monkeypatch.setattr(eisenstein, "_fold", planted)
-    with pytest.raises(ArithmeticError, match="mass"):
-        _level_unit(1, CHI, ENGINE, CTX)
+    # in the unit, so it is an error, not a term left out.  A surviving
+    # local A is planted in the prime table: at n = 1 on 2^1, which divides
+    # only the norms 2 of s = +-2, or at n = 3 on 3^3, which divides only
+    # the norm 27 of s = 0, the element `_level_unit` folds alone
+    n, key = (3, (3, 3)) if at_zero else (1, 2)
+    assert (0 in trace_range(n, D)) and n % P
+    _level_unit(n, CHI, ENGINE, CTX)
+    table = eisenstein._PRIMES[D, GROUP.genus[CHI]]
+    A, C = table[key][-2:]
+    assert A == 0 and C
+    monkeypatch.setitem(table, key, table[key][:-2] + (1, C))
+    with pytest.raises(ArithmeticError, match="non-zero divisor mass"):
+        _level_unit(n, CHI, ENGINE, CTX)
 
 
 @pytest.mark.parametrize("disc, p", [(12, 5), (33, 7), (60, 13)])

@@ -87,9 +87,7 @@ def assert_matches_reference(basis):
     return True
 
 
-def test_lll_rejects_bad_delta_and_dependent_rows():
-    with pytest.raises(ValueError):
-        lll_reduce([[1, 0], [0, 1]], Fraction(1, 5))
+def test_lll_rejects_dependent_rows():
     with pytest.raises(ValueError):
         lll_reduce([[1, 2], [2, 4]])
 
@@ -214,6 +212,10 @@ def test_algdep_rejects_bad_inputs():
         algdep_padic(CTX.from_int(3), 1, 45)  # beyond working precision
     with pytest.raises(ValueError):
         algdep_padic(CTX.from_rational(Fraction(1, 5)), 1, 30)
+    # no congruence at all: at budget 0 every polynomial would vanish
+    for budget in (0, -2):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            algdep_padic(CTX.from_int(1), 1, budget)
 
 
 def test_algdep_not_found_is_reported():
@@ -267,9 +269,9 @@ def test_algdep_margin_past_float_range():
 def test_lll_matches_reference_on_algdep_lattices(monkeypatch):
     lattices = []
 
-    def record(basis, delta=Fraction(99, 100)):
+    def record(basis):
         lattices.append(basis)
-        return lll_reduce(basis, delta)
+        return lll_reduce(basis)
 
     monkeypatch.setattr(lattice, "lll_reduce", record)
     rng = random.Random(3)

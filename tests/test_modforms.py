@@ -12,7 +12,7 @@ def _padic_series(ctx, *terms):
     n_max = min(s.n_max for _, s in terms)
     return QSeries((None,) + tuple(
         ctx.from_int(sum(c * s[n] for c, s in terms))
-        for n in range(1, n_max + 1)), terms[0][1].level)
+        for n in range(1, n_max + 1)))
 
 
 def test_e2p_pinned_values():
@@ -116,7 +116,7 @@ def test_fit_planted_two_dimensional():
 def test_fit_skips_unknown_coefficients():
     coeffs = [None if n % 5 == 0 else 24 * sigma_p(n, 5) * 2
               for n in range(21)]
-    s = QSeries(tuple(coeffs), 5)
+    s = QSeries(tuple(coeffs))
     fit = fit_to_basis(s, [e2p_series(5, 20)], CTX)
     assert fit.coefficients[0].equals(CTX.from_int(2))
     assert fit.certified
@@ -125,7 +125,7 @@ def test_fit_skips_unknown_coefficients():
 def test_fit_negative_control_flags_perturbation():
     coeffs = list(_padic_series(CTX, (1, e2p_series(5, 20))).coeffs)
     coeffs[13] = coeffs[13] + CTX.from_int(5 ** 3)
-    fit = fit_to_basis(QSeries(tuple(coeffs), 5), [e2p_series(5, 20)], CTX)
+    fit = fit_to_basis(QSeries(tuple(coeffs)), [e2p_series(5, 20)], CTX)
     assert not fit.certified
     bad = [n for n, v in fit.residuals.items() if v is not None]
     assert bad == [13]
@@ -142,6 +142,6 @@ def test_fit_underdetermined_basis_fails_certification():
 
 
 def test_fit_requires_overdetermination():
-    s = QSeries((None, CTX.from_int(24)), 5)
+    s = QSeries((None, CTX.from_int(24)))
     with pytest.raises(ValueError):
         fit_to_basis(s, [e2p_series(5, 1)], CTX)

@@ -91,11 +91,11 @@ def test_norm_minus_one_field_cancels():
 
 def test_weighted_point_validates_sign_convention():
     w = QuadNum(12, 1, Fraction(1, 2))  # 1 + sqrt(12)/2 > 0 > conj
-    WeightedRMPoint(w, 1, ("test",))
+    WeightedRMPoint(w, 1)
     with pytest.raises(AssertionError):
-        WeightedRMPoint(w, -1, ("test",))
+        WeightedRMPoint(w, -1)
     with pytest.raises(AssertionError):
-        WeightedRMPoint(QuadNum(12, 4, 1), 1, ("test",))  # totally positive
+        WeightedRMPoint(QuadNum(12, 4, 1), 1)  # totally positive
 
 
 # --- double-coset oracle ------------------------------------------------------
