@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every command emits a single JSON report (schema "rmlab/1") to stdout or
---out.  Exit codes: 0 success, 1 computational failure, 2 invalid instance,
-3 a requested certification criterion failed.
+--out.  Exit codes: 0 success, 1 computational failure, 2 invalid instance
+or a path that cannot be read or written, 3 a requested certification
+criterion failed.
 
 Configuration comes from flags, optionally defaulted by a TOML file
 (--config); flags always win.  Stabilized series coefficients are cached as
@@ -21,8 +22,9 @@ import sys
 
 from . import __version__
 from .eisenstein import KERNEL_REVISION
-from .gsunits import (generating_series, recognition_budget, recognize,
-                      unit_from_constant_term, valuation_predictions)
+from .gsunits import (_flag_budget, generating_series, recognition_budget,
+                      recognize, unit_from_constant_term,
+                      valuation_predictions)
 from .lattice import algdep_padic
 from .modforms import QSeries, basis_for_level, fit_to_basis
 from .padic import PadicContext, PadicScalar, iwasawa_log
@@ -215,12 +217,6 @@ def stabilized_coefficients(args, tau: RMPoint, group: NarrowClassGroup,
     return res
 
 
-def series_from_args(args) -> tuple:
-    """(context, group, RM point, GSeriesResult) for the instance."""
-    ctx, group, tau = instance_from_args(args)
-    return ctx, group, tau, stabilized_coefficients(args, tau, group, ctx)
-
-
 def fit_report(fit) -> dict:
     return {
         "a0": fit.a0.to_json(),
@@ -237,7 +233,8 @@ def fit_report(fit) -> dict:
 # --------------------------------------------------------------------------
 
 def cmd_gtau(args) -> tuple:
-    ctx, group, tau, res = series_from_args(args)
+    ctx, group, tau = instance_from_args(args)
+    res = stabilized_coefficients(args, tau, group, ctx)
     report = {
         "form": list(tau.form),
         "coefficients": {str(n): res.series.coeffs[n].to_json()
@@ -250,7 +247,8 @@ def cmd_gtau(args) -> tuple:
 
 
 def cmd_verify(args) -> tuple:
-    ctx, group, tau, res = series_from_args(args)
+    ctx, group, tau = instance_from_args(args)
+    res = stabilized_coefficients(args, tau, group, ctx)
     fit = res.fit
     bar = args.threshold if args.threshold is not None else args.prec - 5
     ok = fit.min_residual_valuation is None \
@@ -265,9 +263,12 @@ def cmd_verify(args) -> tuple:
 
 
 def cmd_recognize(args) -> tuple:
-    if args.degree < 1:         # before the series, which takes seconds
+    # a bad --degree, --budget or --prec is refused before the long series
+    if args.degree < 1:
         raise ValueError("degree must be at least 1")
-    ctx, group, tau, res = series_from_args(args)
+    ctx, group, tau = instance_from_args(args)
+    _flag_budget(ctx, args.budget)
+    res = stabilized_coefficients(args, tau, group, ctx)
     tau_class = group.class_of_rm_point(tau)
     candidates = unit_from_constant_term(res.a0, group, tau_class, ctx)
     rec = recognize(candidates, group, tau_class, ctx, degree=args.degree,
@@ -445,15 +446,9 @@ HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        apply_config(args)
-    except (OSError, ValueError) as exc:
-        print(json.dumps({"schema": SCHEMA, "error": str(exc),
-                          "exit_code": EXIT_INVALID}))
-        return EXIT_INVALID
+def run_command(args) -> int:
+    """Run the command and write its report; OSError when --out cannot be
+    written."""
     base = {
         "schema": SCHEMA,
         "version": __version__,
@@ -465,7 +460,7 @@ def main(argv=None) -> int:
     }
     try:
         report, code = HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:   # a bad path, or bad input
         report, code = {"error": str(exc)}, EXIT_INVALID
     except ArithmeticError as exc:
         report, code = {"error": str(exc)}, EXIT_COMPUTE
@@ -478,6 +473,18 @@ def main(argv=None) -> int:
     else:
         print(text)
     return code
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        apply_config(args)
+        return run_command(args)
+    except (OSError, ValueError) as exc:   # --config, or the --out write
+        print(json.dumps({"schema": SCHEMA, "error": str(exc),
+                          "exit_code": EXIT_INVALID}))
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

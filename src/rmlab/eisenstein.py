@@ -65,11 +65,11 @@ def _geometric(x: int, e: int) -> tuple:
 
 def _local(D: int, q: int, x: int, e: int, n: int, s: int) -> tuple:
     """The local (A, C) = (sum_{k <= e} psi(P)^k, sum_{k <= e} k psi(P)^k)
-    of the P^e over q dividing alpha = (s + n sqrt(D))/2, q^e exactly
-    dividing its norm, x = psi(P) = `genus_value`: an inert q gives
+    of the P^e over q dividing alpha = (s + n sqrt(D))/2, q^e, e >= 2,
+    exactly dividing its norm, x = psi(P) = `genus_value`: an inert q gives
     P = (q), narrowly principal, with Nm P = q^2, so its C counts twice;
     the two primes over a split q dividing alpha fold into one factor."""
-    if e == 1 or D % q == 0:             # one prime P, Nm P = q
+    if D % q == 0:                       # one prime P, Nm P = q
         return _geometric(x, e)
     if splitting_type(D, q) == "inert":    # P = (q), Nm P = q^2
         A, C = _geometric(1, e // 2)
@@ -279,20 +279,16 @@ def eis_combination_coeff(nu: TotallyPositiveElement, chi: tuple,
     Ltot = L1 + L2
     if Ltot.is_zero:
         raise ArithmeticError("degenerate total L-invariant")
-    logs = logs or LogCache(ctx)
     e1 = eis_family_coeff(nu, chi, engine, ctx, logs)
     # E(psi,1) = -E(1,psi), as in `eis_family_coeff`
     return (e1 + e1).scale(L2 * Ltot.inverse())
 
 
-def dual_coeff_Fplus(nu: TotallyPositiveElement, chi: tuple,
-                     engine: IdealDivisorEngine, ctx: PadicContext,
-                     logs: LogCache | None = None) -> DualScalar:
-    """Coefficient of the combined family, free of L-invariants:
-    sum over I | (nu_0)*different of psi(I)(1 - eps log(nu_0 / Nm I)), whose
-    log nu_0 term carries the mass, which vanishes."""
-    logs = logs or LogCache(ctx)
-    return DualScalar(ctx.zero(), divisor_sums(nu, chi, engine, logs))
+# F+, free of L-invariants, sums psi(I)(1 - eps log(nu_0 / Nm I)) over
+# I | (nu_0)*different: it is E(1, psi) at odd psi, as its log nu_0 term
+# carries the mass, which vanishes, and the p-coprime divisors of
+# (nu)*different are those of (nu_0)*different.
+dual_coeff_Fplus = eis_family_coeff
 
 
 def _level_unit(n: int, chi: tuple, engine: IdealDivisorEngine,

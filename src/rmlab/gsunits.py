@@ -142,10 +142,8 @@ def unit_from_constant_term(a0: PadicScalar, group: NarrowClassGroup,
         raise ArithmeticError("zero constant term: trivial unit")
     if a0.v < 1:
         raise ArithmeticError("constant term outside exponential domain")
-    pinned = 12 * valuation_predictions(group, tau_class)[group.identity]
-    if pinned.denominator != 1:
-        raise ArithmeticError("non-integral pinned valuation")
-    pinned = int(pinned)
+    # an integer: `partial_zeta_zero` is (sum b - 3m) / 12
+    pinned = int(12 * valuation_predictions(group, tau_class)[group.identity])
     p = ctx.p
     base = padic_exp(a0 * 12) * ctx.from_rational(Fraction(p) ** pinned)
     gen = _teichmuller_generator(ctx)
@@ -192,10 +190,7 @@ def is_reciprocal_up_to_p_power(coeffs, p: int) -> bool:
     total = sum(slopes)
     if (2 * total) % d != 0:
         return False
-    s = Fraction(2 * total, d)
-    if s.denominator != 1:
-        return False
-    s = int(s)
+    s = int(2 * total / d)
     # x^d f(p^s / x) has coefficients c_{d-i} p^{s (d-i)}
     lhs = [coeffs[d - i] * Fraction(p) ** (s * (d - i))
            for i in range(d + 1)]
@@ -290,15 +285,33 @@ class RecognitionResult:
                 and self.reciprocal_ok)
 
 
+def _refuse_below_1(budget: int, bound: str) -> int:
+    if budget < 1:
+        raise ValueError(f"{bound} leaves a recognition budget of {budget}; "
+                         "it must be at least 1")
+    return budget
+
+
+def _flag_budget(ctx: PadicContext, cap: int) -> int:
+    """min(cap, prec - 6), the part of `recognition_budget` that --budget
+    and --prec set, known before the series; refused below 1."""
+    budget = min(cap, ctx.prec - 6)
+    return _refuse_below_1(budget, f"--budget {cap}" if budget == cap
+                           else f"--prec {ctx.prec}")
+
+
 def recognition_budget(fit: FitResult, ctx: PadicContext,
                        cap: int = 20) -> int:
     """The p-adic digits recognition may ask of a_0: at most `cap`, six
     below the working precision, and two below the fit's least residual
-    valuation, the certificate of the digits a_0 is good to."""
-    budget = min(cap, ctx.prec - 6)
-    if fit.min_residual_valuation is not None:
-        budget = min(budget, fit.min_residual_valuation - 2)
-    return budget
+    valuation, the certificate of the digits a_0 is good to.  ValueError,
+    naming the bound that sets it, when that leaves fewer than 1."""
+    budget = _flag_budget(ctx, cap)
+    least = fit.min_residual_valuation
+    if least is None or budget <= least - 2:
+        return budget
+    return _refuse_below_1(least - 2, "the fit's least residual valuation "
+                           f"{least}")
 
 
 def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,

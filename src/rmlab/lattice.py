@@ -206,9 +206,9 @@ def algdep_padic(x: PadicScalar, degree: int, budget: int,
     reduced = lll_reduce(rows)
     order = sorted(reduced, key=lambda r: _dot(r, r))
     n0, n1 = _dot(order[0], order[0]), _dot(order[1], order[1])
-    # log takes integers of any size; past the float range the ratio is inf
+    # n0 > 0 (full rank); log takes any integer; inf past the float range
     try:
-        margin = exp((log(n1) - log(n0)) / 2) if n0 else inf
+        margin = exp((log(n1) - log(n0)) / 2)
     except OverflowError:
         margin = inf
 

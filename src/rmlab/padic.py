@@ -251,8 +251,7 @@ class PadicScalar:
         c0 = (self.u0 * other.u0 + r * self.u1 * other.u1) % M
         c1 = (self.u0 * other.u1 + self.u1 * other.u0) % M
         slack = max(self.slack, other.slack)
-        if c0 == 0 and c1 == 0:  # can only happen via slack-laden inputs
-            return ctx.zero()
+        # unit parts are non-zero in the field F_{p^2}, and so is their product
         return PadicScalar(ctx, self.v + other.v, c0, c1, slack)
 
     def inverse(self) -> "PadicScalar":
@@ -308,8 +307,7 @@ class PadicScalar:
             digits = min(self.effective_prec(), other.effective_prec())
         if d.is_zero:
             return True
-        base = min(x.v for x in (self, other) if not x.is_zero) \
-            if not (self.is_zero and other.is_zero) else 0
+        base = min(x.v for x in (self, other) if not x.is_zero)
         return d.v >= base + digits
 
     def __eq__(self, other) -> bool:

@@ -716,8 +716,6 @@ def trace_range(n: int, D: int) -> range:
     if n <= 0:
         return range(0)
     smax = isqrt(n * n * D)
-    if smax * smax == n * n * D:
-        smax -= 1
     start = -smax
     if (start - n * D) % 2:
         start += 1

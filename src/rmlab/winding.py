@@ -158,9 +158,7 @@ def _crossing_points(point: RMPoint, D: int):
     for B in range(-s, s + 1):
         if (B * B - Dp) % 4:
             continue
-        AC = (B * B - Dp) // 4  # negative since B^2 < Dp
-        if AC == 0:
-            continue
+        AC = (B * B - Dp) // 4  # negative: B^2 < Dp = k^2 D, not a square
         for A in range(1, -AC + 1):
             if AC % A:
                 continue

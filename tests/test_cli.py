@@ -222,6 +222,22 @@ def test_fit_from_file(capsys, tmp_path, source):
         assert rep["fit"]["certified"]
 
 
+@pytest.mark.parametrize("command, flag, name", [
+    ("fit", "--series", "none.json"), ("fit", "--series", "."),
+    ("gtau", "--out", "none/g.json"), ("gtau", "--cache-dir", "file")])
+def test_bad_path_exits_2_naming_it(capsys, tmp_path, command, flag, name):
+    # a path that cannot be read or written is bad input, not a traceback:
+    # a missing file, a directory, a file in a missing directory, and a
+    # file where a directory must be
+    (tmp_path / "file").write_text("")
+    path = tmp_path / name
+    code, rep = run(capsys, ["--disc", "12", "--p", "5", "--prec", "8",
+                             "--nmax", "3", "--depth", "2", command, flag,
+                             str(path)])
+    assert code == rep["exit_code"] == EXIT_INVALID
+    assert str(path) in rep["error"]
+
+
 def test_algdep_command(capsys):
     code, rep = run(capsys, ["--p", "5", "--prec", "24",
                              "algdep", "--value", "7,0,0",
@@ -349,14 +365,21 @@ def test_recognize_unit_budget_held_below_certificates(capsys):
 
 
 def test_recognize_unit_degree_0_exits_2(capsys, monkeypatch):
-    # refused before the series, which at the defaults takes seconds
+    # refused before the series, which at the defaults takes seconds, as is
+    # a recognition budget below 1 that --budget or --prec sets
     def no_series(*args, **kwargs):
         raise AssertionError("the series was computed")
 
     monkeypatch.setattr(rmlab.cli, "generating_series", no_series)
-    code, rep = run(capsys, ["recognize-unit", "--degree", "0"])
-    assert code == EXIT_INVALID
-    assert rep["error"] == "degree must be at least 1"
+    for flags, error in (
+            (["--degree", "0"], "degree must be at least 1"),
+            (["--budget", "0"], "--budget 0 leaves a recognition budget of "
+                                "0; it must be at least 1"),
+            (["--prec", "6"], "--prec 6 leaves a recognition budget of 0; "
+                              "it must be at least 1")):
+        code, rep = run(capsys, ["recognize-unit"] + flags)
+        assert code == EXIT_INVALID
+        assert rep["error"] == error
 
 
 def test_corrupt_cache_line_is_recomputed(capsys, tmp_path):

@@ -27,19 +27,6 @@ CTX = PadicContext(P, 20)
 LOGS = LogCache(CTX)
 
 
-def test_sigma_psi_diagonal_vanishing():
-    for n in range(1, 41):
-        assert sum(sigma_psi(nu, CHI, ENGINE)
-                   for nu in enumerate_trace(n, D)) == 0
-
-
-def test_sigma_psi_conjugation_antisymmetry():
-    for n in (1, 2, 3, 5):
-        for nu in enumerate_trace(n, D):
-            conj = TotallyPositiveElement(D, nu.n, -nu.s)
-            assert sigma_psi(nu, CHI, ENGINE) == -sigma_psi(conj, CHI, ENGINE)
-
-
 def odd_or_refused(group, *calls):
     """The odd characters of group, the only ones the kernel takes.  When
     there is none, each call(chi) is checked to refuse every character."""

@@ -189,6 +189,15 @@ def test_recognition_budget():
     assert recognition_budget(exact, ctx, 30) == 26
 
 
+def test_recognition_budget_below_1_names_its_bound():
+    # the --budget and --prec bounds are named in tests/test_cli.py
+    ctx = PadicContext(5, 32)
+    fit = FitResult([], ctx.zero(), {2: 2, 3: 25}, 2, True)
+    with pytest.raises(ValueError, match="^the fit's least residual "
+                       "valuation 2 leaves a recognition budget of 0; "):
+        recognition_budget(fit, ctx)
+
+
 # --------------------------------------------------------------------------
 # polynomial diagnostics
 # --------------------------------------------------------------------------
