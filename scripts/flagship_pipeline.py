@@ -10,22 +10,24 @@ Gross-Stark unit by p-adic lattice reduction.
                                          [--budget 20]
 
 The recognition budget is `gsunits.recognition_budget` with --budget as its
-cap.  By the script's own `total` line, the defaults run in about 0.1 s and
---nmax 30 --prec 32 --depth 4, the full-precision run, in about 1.3 s (one
-Intel Xeon core).
+cap; a --budget or --prec that leaves it below 1 exits 2 with a one-line
+message on stderr before the series.  By the script's own `total` line, the
+defaults run in about 0.1 s and --nmax 30 --prec 32 --depth 4, the
+full-precision run, in about 1.3 s (one Intel Xeon core).
 """
 
 import argparse
+import sys
 import time
 
-from rmlab.gsunits import (generating_series, l_invariants_from_unit,
-                           recognition_budget, recognize,
-                           unit_from_constant_term)
+from rmlab.gsunits import (_flag_budget, generating_series,
+                           l_invariants_from_unit, recognition_budget,
+                           recognize, unit_from_constant_term)
 from rmlab.padic import PadicContext
 from rmlab.quadfield import NarrowClassGroup
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--nmax", type=int, default=10)
     ap.add_argument("--prec", type=int, default=24)
@@ -33,7 +35,12 @@ def main():
     ap.add_argument("--budget", type=int, default=20)
     args = ap.parse_args()
 
-    ctx = PadicContext(5, args.prec)
+    try:
+        ctx = PadicContext(5, args.prec)
+        _flag_budget(ctx, args.budget)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     group = NarrowClassGroup(12)
     tau = group.rm_representative(group.identity)
     print(f"D = 12, p = 5, prec = {args.prec}, n_max = {args.nmax}, "
@@ -69,7 +76,8 @@ def main():
         print(f"  L_1 = {L1}")
         print(f"  L_2 = {L2}")
     print(f"\ntotal {time.time() - t0:.1f} s")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -151,7 +151,6 @@ def cache_append(cache_dir: str | None, D: int, p: int, prec: int,
                  depth: int, items: dict):
     if not cache_dir or not items:
         return
-    os.makedirs(cache_dir, exist_ok=True)
     text = "".join(json.dumps({
         "disc": D, "p": p, "n": n, "version": __version__,
         "kernel": KERNEL_REVISION, "prec": prec, "depth": depth,
@@ -207,8 +206,12 @@ def instance_from_args(args) -> tuple:
 def stabilized_coefficients(args, tau: RMPoint, group: NarrowClassGroup,
                             ctx: PadicContext):
     """generating_series for the instance over the coefficient cache:
-    cached values are reused and freshly computed ones appended."""
+    cached values are reused and freshly computed ones appended.  The cache
+    directory is made first, so that a bad one is refused before the
+    series."""
     D, p, prec, depth = args.disc, args.p, args.prec, args.depth
+    if args.cache_dir:
+        os.makedirs(args.cache_dir, exist_ok=True)
     res = generating_series(tau, p, args.nmax, ctx, m_max=depth, group=group,
                             known=cache_load(args.cache_dir, D, p, prec,
                                              depth))
@@ -448,7 +451,9 @@ HANDLERS = {
 
 def run_command(args) -> int:
     """Run the command and write its report; OSError when --out cannot be
-    written."""
+    written, raised before the command runs."""
+    if args.out:
+        open(args.out, "a").close()   # not truncated: --series may read it
     base = {
         "schema": SCHEMA,
         "version": __version__,
@@ -471,7 +476,7 @@ def run_command(args) -> int:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        print(text, flush=True)   # a closed pipe raises here, not at exit
     return code
 
 
@@ -481,6 +486,9 @@ def main(argv=None) -> int:
     try:
         apply_config(args)
         return run_command(args)
+    except BrokenPipeError:   # the reader closed stdout: write no more,
+        sys.stdout = None     # not even at exit
+        return EXIT_INVALID
     except (OSError, ValueError) as exc:   # --config, or the --out write
         print(json.dumps({"schema": SCHEMA, "error": str(exc),
                           "exit_code": EXIT_INVALID}))

@@ -88,63 +88,44 @@ def _to_padic(x, ctx: PadicContext) -> PadicScalar:
 def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext) -> FitResult:
     """Fit s (constant term unknown) to the basis q-expansions.
 
-    Solves an exact square subsystem on the first len(basis) usable indices,
-    then reports every remaining known coefficient's residual valuation.
+    One Gauss-Jordan elimination on the rows [b_1(n) ... b_k(n) | a_n] of
+    the known n.  Each step pivots on the basis entry of least valuation
+    among the rows not yet pivoted, ties going to the smaller n and then
+    the smaller column, and clears that column from every other row
+    (Caruso, arXiv:1701.06794, section 3).  The pivot rows, in pivot order,
+    give the coefficients; each row left over ends as its residual
+    a_n - sum c_j b_j(n).
     """
     k = len(basis)
     known = [n for n in range(1, s.n_max + 1) if s.coeffs[n] is not None]
     if len(known) < k + 1:
         raise ValueError("not enough known coefficients to overdetermine")
-    bmat = {n: [_to_padic(b.coeffs[n], ctx) for b in basis] for n in known}
-    # square subsystem: greedily accept rows that extend the exact rank,
-    # each reduced with its right-hand side
-    solve_idx = []
-    reduced = []  # rows [basis values | a_n] in echelon form, with pivots
-    for n in known:
-        row = bmat[n] + [_to_padic(s.coeffs[n], ctx)]
-        for prow, pcol in reduced:
-            if not row[pcol].is_zero:
-                f = row[pcol] * prow[pcol].inverse()
-                row = [x - f * y for x, y in zip(row, prow)]
-        pivots = [j for j, x in enumerate(row[:k]) if not x.is_zero]
-        if not pivots:
-            continue
-        pcol = min(pivots, key=lambda j: row[j].v)
-        reduced.append((row, pcol))
-        solve_idx.append(n)
-        if len(solve_idx) == k:
-            break
-    if len(solve_idx) < k:
-        raise ArithmeticError("no nonsingular subsystem found")
-    # back-substitution, last pivot first: each row vanishes at the pivots
-    # of the rows before it
-    coeffs = [None] * k
-    for row, pcol in reversed(reduced):
-        rhs = row[k]
-        for j, c in enumerate(coeffs):
-            if c is not None:
-                rhs = rhs - row[j] * c
-        coeffs[pcol] = rhs * row[pcol].inverse()
-    residuals = {}
-    min_val = None
-    for n in known:
-        if n in solve_idx:
-            continue
-        pred = ctx.zero()
-        for c, bn in zip(coeffs, bmat[n]):
-            pred = pred + c * bn
-        r = _to_padic(s.coeffs[n], ctx) - pred
-        if r.is_zero:
-            residuals[n] = None
-        else:
-            residuals[n] = r.v
-            min_val = r.v if min_val is None else min(min_val, r.v)
-    a0 = ctx.zero()
-    for c, b in zip(coeffs, basis):
-        a0 = a0 + c * _to_padic(b.coeffs[0], ctx)
+    rows = {n: [_to_padic(b.coeffs[n], ctx) for b in basis]
+            + [_to_padic(s.coeffs[n], ctx)] for n in known}
+    pivots = {}   # n -> pivot column; pivoted columns are zero elsewhere
+    for _ in range(k):
+        entries = [(row[j].v, n, j) for n, row in rows.items()
+                   if n not in pivots for j in range(k)
+                   if not row[j].is_zero]
+        if not entries:
+            raise ArithmeticError("no nonsingular subsystem found")
+        _, n, j = min(entries)
+        prow, inv = rows[n], rows[n][j].inverse()
+        for m, row in rows.items():
+            if m != n and not row[j].is_zero:
+                f = row[j] * inv
+                rows[m] = [x - f * y for x, y in zip(row, prow)]
+        pivots[n] = j
+    pivot_row = {j: rows[n] for n, j in pivots.items()}
+    coeffs = [pivot_row[j][k] / pivot_row[j][j] for j in range(k)]
+    residuals = {n: row[k].v for n, row in rows.items() if n not in pivots}
+    min_val = min((v for v in residuals.values() if v is not None),
+                  default=None)
+    a0 = sum((c * _to_padic(b.coeffs[0], ctx)
+              for c, b in zip(coeffs, basis)), ctx.zero())
     certified = min_val is None or min_val >= ctx.prec - 5
     return FitResult(coeffs, a0, residuals, min_val, certified,
-                     tuple(solve_idx))
+                     tuple(pivots))
 
 
 def basis_for_level(p: int, n_max: int) -> list:

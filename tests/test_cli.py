@@ -22,6 +22,15 @@ def run(capsys, argv):
     return code, json.loads(out)
 
 
+@pytest.fixture
+def no_series(monkeypatch):
+    """The CLI's generating_series replaced by one that fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series was computed")
+
+    monkeypatch.setattr(rmlab.cli, "generating_series", refuse)
+
+
 def test_schema_and_envelope(capsys):
     code, rep = run(capsys, ["--p", "5", "phi-dr", "--gamma", "1,1,0,1"])
     assert code == EXIT_OK
@@ -225,10 +234,11 @@ def test_fit_from_file(capsys, tmp_path, source):
 @pytest.mark.parametrize("command, flag, name", [
     ("fit", "--series", "none.json"), ("fit", "--series", "."),
     ("gtau", "--out", "none/g.json"), ("gtau", "--cache-dir", "file")])
-def test_bad_path_exits_2_naming_it(capsys, tmp_path, command, flag, name):
+def test_bad_path_exits_2_naming_it(capsys, no_series, tmp_path, command,
+                                    flag, name):
     # a path that cannot be read or written is bad input, not a traceback:
     # a missing file, a directory, a file in a missing directory, and a
-    # file where a directory must be
+    # file where a directory must be; each is refused before the series
     (tmp_path / "file").write_text("")
     path = tmp_path / name
     code, rep = run(capsys, ["--disc", "12", "--p", "5", "--prec", "8",
@@ -236,6 +246,24 @@ def test_bad_path_exits_2_naming_it(capsys, tmp_path, command, flag, name):
                              str(path)])
     assert code == rep["exit_code"] == EXIT_INVALID
     assert str(path) in rep["error"]
+
+
+def test_closed_stdout_exits_2_without_a_second_write(monkeypatch):
+    # `rmlab gtau | head -1`: the reader has gone, so the report's write
+    # fails once, and nothing else is written or raised
+    writes = []
+
+    class ClosedPipe:
+        def write(self, text):
+            writes.append(text)
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["--p", "5", "phi-dr", "--gamma", "1,1,0,1"]) == EXIT_INVALID
+    assert len(writes) == 1 and '"phi_DR": 8' in writes[0]
 
 
 def test_algdep_command(capsys):
@@ -364,13 +392,9 @@ def test_recognize_unit_budget_held_below_certificates(capsys):
     assert rep["polynomial"] == [5, -6, 5]
 
 
-def test_recognize_unit_degree_0_exits_2(capsys, monkeypatch):
+def test_recognize_unit_degree_0_exits_2(capsys, no_series):
     # refused before the series, which at the defaults takes seconds, as is
     # a recognition budget below 1 that --budget or --prec sets
-    def no_series(*args, **kwargs):
-        raise AssertionError("the series was computed")
-
-    monkeypatch.setattr(rmlab.cli, "generating_series", no_series)
     for flags, error in (
             (["--degree", "0"], "degree must be at least 1"),
             (["--budget", "0"], "--budget 0 leaves a recognition budget of "

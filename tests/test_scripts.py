@@ -43,6 +43,15 @@ def test_poisson_script_rejects_unsupported_field():
     assert out.stderr == "error: only narrow class number 1 or 2 supported\n"
 
 
+def test_flagship_script_refuses_budget_before_the_series():
+    out = run_python([os.path.join(SCRIPTS, "flagship_pipeline.py"),
+                      "--prec", "6"])
+    assert out.returncode == 2
+    assert out.stderr == ("error: --prec 6 leaves a recognition budget of "
+                          "0; it must be at least 1\n")
+    assert "series computed" not in out.stdout
+
+
 def test_readme_quick_start():
     with open(os.path.join(ROOT, "README.md")) as fh:
         block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
