@@ -13,18 +13,20 @@ S and -I on each ball has a closed form from the transformation laws of
 Siegel functions (Kubert-Lang, Modular Units, Ch. 2).  Summed over a word
 for gamma by the cocycle law  mu(g h) = mu(h)|g^{-1} + mu(g), these closed
 forms telescope into one integer identity for mu_DR(gamma) on each ball,
-evaluated along the orbit of the ball's center under the word.  Along a row
-of balls every floor in the identity is the floor of a linear form in b, so
-the row splits at the b where one of them changes into pieces on which the
-measure is constant; mu_pieces evaluates the identity at two points per
-piece, a few percent of the balls for an automorph (all of them when an
-entry of a prefix of the word reaches p^level).  No float enters the
-measure; mu_DR expands the pieces onto the balls.  The Poisson product
-samples each ball on its line through the origin, so it factors through
-the p^level + p^(level-1) points of P^1(Z/p^level) and the units mod
-p^level, each raised to its mass once; the rows are summed along the lines
-in a frame of residues ordered by discrete logarithm, where multiplying by
-a unit is a rotation.
+evaluated along the orbit of the ball's center under the word.  Every floor
+in the identity is the floor of a linear form in the center, and the
+measure is constant on each cell, where all these floors are fixed.  The
+b where a floor changes cut each row of balls into pieces, each inside one
+cell; mu_pieces evaluates the identity once per cell, at one or two points
+of the first piece of it met: 498 points for the 322 cells at (12, 5) at
+every level from 3 to 5 (each ball is its own piece when an entry of a
+prefix of the word reaches p^level).  No float enters the measure; mu_DR
+expands the pieces onto the balls.  The Poisson product samples each ball
+on its line through the origin, so it factors through the
+p^level + p^(level-1) points of P^1(Z/p^level) and the units mod p^level,
+each raised to its mass once; the rows are summed along the lines in a
+frame of residues ordered by discrete logarithm, where multiplying by a
+unit is a rotation.
 
 The realized measure is s(c) = (c^2 - 1)/24 times the normalized mu_DR whose
 value on p Z_p x Z_p^* is phi_DR; the scale is carried on the BallMeasure and
@@ -258,15 +260,20 @@ def _numerators(word, n: int, c: int, a: int, bs) -> list:
 # b.  It is even constant: divided by n^2 the identity is a function of
 # v = (a, b)/n alone, with the same floors at every level, and it takes
 # integer values at the dense points of p-power denominator on the segment
-# between the piece's ends.  So each piece is evaluated at its first two
-# points, and the two values must agree.  A form of b-slope beta changes
-# floor about |beta| times in [0, n); one with |beta| >= n changes floor at
-# every b, which makes every b its own piece.
+# between the piece's ends.  The same holds on the piece's whole cell, the
+# v at which every form, those with beta = 0 included, has the floors it has
+# on the piece: an intersection of strips k <= l(v) < k + 1, so convex, on
+# which the identity is affine in v and integral at the dense p-power
+# points.  So mu is a function of the vector of floors, and each cell is
+# evaluated once, at the first two points of the first piece of it met (the
+# two values must agree), or at its one point.  A form of b-slope beta
+# changes floor about |beta| times in [0, n); one with |beta| >= n changes
+# floor at every b, which makes every b its own piece.
 
-def _forms(word, n: int, c: int):
-    """The forms (alpha / a, beta) whose floors along a row make the cuts,
-    for gamma the product of `word`; None when some |beta| >= n, so that
-    every b is a cut.  Forms constant along the row (beta = 0) make none."""
+def _forms(word, c: int) -> list:
+    """The forms (alpha / a, beta) whose floors fix the cells and, along a
+    row, make the cuts, for gamma the product of `word`, sorted.  Those with
+    beta = 0 are constant along a row and make no cut."""
     prefixes = [((1, 0), (0, 1))]
     for f in word:
         (m0, m1), (m2, m3) = prefixes[-1]
@@ -277,11 +284,8 @@ def _forms(word, n: int, c: int):
         else:
             m0, m1, m2, m3 = -m0, -m1, -m2, -m3
         prefixes.append(((m0, m1), (m2, m3)))
-    forms = {(k * m[0][j], k * m[1][j])
-             for m in prefixes for j in (0, 1) for k in (1, c)}
-    if any(abs(beta) >= n for _, beta in forms):
-        return None
-    return sorted(form for form in forms if form[1])
+    return sorted({(k * m[0][j], k * m[1][j])
+                   for m in prefixes for j in (0, 1) for k in (1, c)})
 
 
 def _row_cuts(forms, a: int, n: int) -> list:
@@ -308,31 +312,49 @@ def mu_pieces(gamma, p: int, level: int, c: int | None = None):
     n = p ** level
     den = 12 * n * n
     word = sl2_word(gamma)
-    forms = _forms(word, n, c)
-    every_b = list(range(n))
+    forms = _forms(word, c)
+    flat = [m0 for m0, beta in forms if not beta]
+    sloped = [form for form in forms if form[1]]
+    every_b = list(range(n)) if max(abs(f[1]) for f in sloped) >= n else None
+    # the value of each cell met so far, by the floors of the flat forms,
+    # then by those of the sloped forms
+    cells = {}
     for a in range(n):
         prim = a % p != 0
-        cuts = every_b if forms is None else _row_cuts(forms, a, n)
-        # a one-point piece off the primitive centers is dropped; the piece
-        # before it then runs over it, which adds no primitive center
-        starts, samples, pairs = [], [], []
-        for lo, hi in zip(cuts, cuts[1:] + [n]):
-            if hi - lo > 1:
-                samples += (lo, lo + 1)
-            elif prim or lo % p:
-                samples.append(lo)
-            else:
+        cuts = every_b or _row_cuts(sloped, a, n)
+        ends = cuts[1:] + [n]
+        lasts = [hi - 1 for hi in ends]
+        firsts = []
+        for m0, beta in sloped:
+            alpha = a * m0
+            firsts.append([(alpha + beta * b) // n for b in cuts])
+            # floors are monotone along a row, so a piece whose first and
+            # last points share their floors lies in one cell (a check left
+            # out when every piece is one point)
+            assert lasts == cuts or firsts[-1] == [
+                (alpha + beta * b) // n for b in lasts], \
+                "a piece crosses a cut"
+        known = cells.setdefault(tuple(a * m0 // n for m0 in flat), {})
+        starts, keys, new = [], [], {}
+        for lo, hi, key in zip(cuts, ends, zip(*firsts)):
+            # a one-point piece off the primitive centers is dropped; the
+            # piece before it then runs over it, adding no primitive center
+            if hi - lo == 1 and not prim and lo % p == 0:
                 continue
             starts.append(lo)
-            pairs.append(hi - lo > 1)
-        nums = iter(_numerators(word, n, c, a, samples))
-        values = []
-        for pair in pairs:
-            u = next(nums)
-            assert u % den == 0, "period not integral"
-            assert not pair or next(nums) == u, "measure not constant on piece"
-            values.append(u // den)
-        yield a, starts, values
+            keys.append(key)
+            if key not in known:
+                new.setdefault(key, (lo, lo + 1) if hi - lo > 1 else (lo,))
+        if new:
+            nums = iter(_numerators(word, n, c, a,
+                                    [b for bs in new.values() for b in bs]))
+            for key, bs in new.items():
+                u = next(nums)
+                assert u % den == 0, "period not integral"
+                assert len(bs) == 1 or next(nums) == u, \
+                    "measure not constant on piece"
+                known[key] = u // den
+        yield a, starts, [known[key] for key in keys]
 
 
 def _checked_c(p: int, level: int, c: int | None) -> int:

@@ -43,6 +43,16 @@ def test_poisson_script_rejects_unsupported_field():
     assert out.stderr == "error: only narrow class number 1 or 2 supported\n"
 
 
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_poisson_script_refuses_levels_below_one(levels):
+    out = run_python([os.path.join(SCRIPTS, "poisson_convergence.py"),
+                      "--levels", levels])
+    assert out.returncode == 2
+    assert out.stderr == (f"error: --levels {levels} gives no level; it "
+                          "must be at least 1\n")
+    assert out.stdout == ""
+
+
 def test_flagship_script_refuses_budget_before_the_series():
     out = run_python([os.path.join(SCRIPTS, "flagship_pipeline.py"),
                       "--prec", "6"])

@@ -390,7 +390,9 @@ def test_pieces_match_per_ball_rows(case):
 
 
 def test_pieces_evaluate_few_balls(monkeypatch):
-    # at (12, 5) level 4 the 375,000 balls form 14,451 pieces
+    # at (12, 5) level 4 the 375,000 balls form 13,473 pieces, but the
+    # measure takes 322 cells, the same at every level: each is evaluated
+    # once, at one or two points
     evaluate, seen = siegelmeasure._numerators, []
 
     def counted(word, n, c, a, bs):
@@ -398,9 +400,31 @@ def test_pieces_evaluate_few_balls(monkeypatch):
         return evaluate(word, n, c, a, bs)
 
     monkeypatch.setattr(siegelmeasure, "_numerators", counted)
-    rows = list(siegelmeasure.mu_pieces(_inverse_automorph(12, 0), 5, 4))
-    assert len(rows) == 625 and len(seen) == 625
-    assert sum(seen) < 37_500
+    gamma = _inverse_automorph(12, 0)
+    for level in (4, 5):
+        seen.clear()
+        rows = list(siegelmeasure.mu_pieces(gamma, 5, level))
+        assert len(rows) == 5 ** level
+        assert sum(seen) <= 2 * 322
+
+
+def test_measure_is_a_function_of_its_cell():
+    # the floors of the forms of _forms fix the measure: one value per floor
+    # vector, the same at every level
+    for D, cls, p in PIECE_CASES:
+        gamma = _inverse_automorph(D, cls)
+        word = sl2_word(gamma)
+        for c in (default_c(p), 11 if p != 11 else 13):
+            forms, pairs = siegelmeasure._forms(word, c), set()
+            # the other c to level 3 would take seconds more at p = 7
+            for level in (1, 2, 3) if p < 11 and c == default_c(p) else (1, 2):
+                n = p ** level
+                for a, bs, values in _mu_rows(gamma, p, level, c):
+                    floors = ([(a * m0 + beta * b) // n for b in bs]
+                              if beta else [a * m0 // n] * len(bs)
+                              for m0, beta in forms)
+                    pairs.update(zip(zip(*floors), values))
+            assert len(dict(pairs)) == len(pairs), (D, cls, p, c)
 
 
 # the cut set of the pieces depends on the automorph: (D, class, p, levels)
