@@ -13,19 +13,25 @@ time, and the run ends with the process's peak resident memory.
 
     python3 scripts/acceleration_profile.py [--disc 12] [--p 5] [--n 1]
                                             [--depth 4] [--prec 32]
+
+A field, prime or precision the kernel does not support, or a field with a
+unit of norm -1 (it has no odd character), exits 2 with a one-line message
+on stderr before the first level.
 """
 
 import argparse
 import resource
+import sys
 import time
 
 from rmlab.eisenstein import (LogCache, accelerated_ordinary_projection,
                               diag_coefficient)
 from rmlab.padic import PadicContext
-from rmlab.quadfield import IdealDivisorEngine, NarrowClassGroup, trace_range
+from rmlab.quadfield import (IdealDivisorEngine, NarrowClassGroup,
+                             check_inert, trace_range)
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--disc", type=int, default=12)
     ap.add_argument("--p", type=int, default=5)
@@ -38,10 +44,19 @@ def main():
     if args.depth < 2:
         ap.error("--depth must be at least 2")
 
-    ctx = PadicContext(args.p, args.prec)
-    group = NarrowClassGroup(args.disc)
+    try:
+        ctx = PadicContext(args.p, args.prec)
+        group = NarrowClassGroup(args.disc)
+        check_inert(args.disc, args.p)
+        chis = group.odd_characters()
+        if not chis:
+            raise ValueError(f"Q(sqrt({args.disc})) has a unit of norm -1 "
+                             "and so no odd character")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     engine = IdealDivisorEngine(group, args.p)
-    chi = group.odd_characters()[0]
+    chi = chis[0]
     logs = LogCache(ctx)
     terms = []
 
@@ -65,7 +80,8 @@ def main():
     # ru_maxrss is in KiB on Linux
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"\npeak RSS {peak:.1f} MiB")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -20,9 +20,9 @@ import argparse
 import sys
 import time
 
-from rmlab.gsunits import (_flag_budget, generating_series,
-                           l_invariants_from_unit, recognition_budget,
-                           recognize, unit_from_constant_term)
+from rmlab.gsunits import (generating_series, l_invariants_from_unit,
+                           recognition_budget, recognize,
+                           unit_from_constant_term)
 from rmlab.padic import PadicContext
 from rmlab.quadfield import NarrowClassGroup
 
@@ -37,7 +37,7 @@ def main() -> int:
 
     try:
         ctx = PadicContext(5, args.prec)
-        _flag_budget(ctx, args.budget)
+        recognition_budget(None, ctx, args.budget)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,9 +22,8 @@ import sys
 
 from . import __version__
 from .eisenstein import KERNEL_REVISION
-from .gsunits import (_flag_budget, generating_series, recognition_budget,
-                      recognize, unit_from_constant_term,
-                      valuation_predictions)
+from .gsunits import (generating_series, recognition_budget, recognize,
+                      unit_from_constant_term, valuation_predictions)
 from .lattice import algdep_padic
 from .modforms import QSeries, basis_for_level, fit_to_basis
 from .padic import PadicContext, PadicScalar, iwasawa_log
@@ -270,7 +269,7 @@ def cmd_recognize(args) -> tuple:
     if args.degree < 1:
         raise ValueError("degree must be at least 1")
     ctx, group, tau = instance_from_args(args)
-    _flag_budget(ctx, args.budget)
+    recognition_budget(None, ctx, args.budget)
     res = stabilized_coefficients(args, tau, group, ctx)
     tau_class = group.class_of_rm_point(tau)
     candidates = unit_from_constant_term(res.a0, group, tau_class, ctx)

@@ -201,52 +201,41 @@ def is_reciprocal_up_to_p_power(coeffs, p: int) -> bool:
     return all(l == lam * c for l, c in zip(lhs, coeffs))
 
 
-def _polydivmod(f: list, g: list, q: int) -> tuple:
-    """(quotient, remainder) of f by the monic g over F_q, coefficients low
-    to high; the remainder reduced mod q and without leading zeros."""
-    rem, dg = f[:], len(g) - 1
-    quo = [0] * max(len(f) - dg, 0)
-    for i in range(len(quo) - 1, -1, -1):
-        c = quo[i] = rem[i + dg] % q
-        for j in range(dg):
-            rem[i + j] -= c * g[j]
-    rem = [c % q for c in rem[:dg]]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quo, rem
-
-
-def _monic(f: list, q: int) -> list:
-    inv = pow(f[-1], -1, q)
-    return [c * inv % q for c in f]
+def _mulmod(u: list, v: list, f: list, q: int) -> list:
+    """u * v mod the monic f over F_q, coefficients low to high; the
+    remainder has len(f) - 1 coefficients."""
+    prod = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            prod[i + j] += a * b
+    d = len(f) - 1
+    for i in range(len(prod) - 1, d - 1, -1):
+        c = prod[i] % q
+        for j in range(d):
+            prod[i - d + j] -= c * f[j]
+    return [c % q for c in prod[:d]]
 
 
 def _splits_mod(coeffs, q: int) -> bool:
     """True if the polynomial (low to high, leading coefficient prime to q)
     is a product of linear factors mod q, counted with multiplicity.  The
-    roots in F_q of the monic f are those of g = gcd(f, x^q - x), with x^q
-    taken mod f by square-and-multiply (H. Cohen, GTM 138, 3.4): g = 1
-    leaves a factor of degree > 1, else f / g is tested the same way, with
-    x^q reduced mod it, until it is linear or constant."""
-    f = _monic([c % q for c in coeffs], q)
+    monic f of degree d is one exactly when it divides (x^q - x)^d: x^q - x
+    is the product of the x - r over F_q, no factor of degree > 1 divides
+    a power of it, and no root recurs more than d times (H. Cohen, GTM 138,
+    3.4).  x^q is taken mod f by square-and-multiply; a constant f, the
+    empty product, leaves the empty remainder."""
+    inv = pow(coeffs[-1], -1, q)
+    f = [c * inv % q for c in coeffs]
     xq = [1]                     # x^q mod f
     for bit in bin(q)[2:]:
-        sq = [0] * (2 * len(xq) - 1)
-        for i, a in enumerate(xq):
-            for j, b in enumerate(xq):
-                sq[i + j] += a * b
-        xq = _polydivmod([0] + sq if bit == "1" else sq, f, q)[1]
-    while len(f) > 2:
-        x_q_minus_x = xq + [0] * (2 - len(xq))
-        x_q_minus_x[1] -= 1
-        a, b = f, _polydivmod(x_q_minus_x, f, q)[1]
-        while b:                 # Euclid: a ends as the gcd
-            a, b = b, _polydivmod(a, _monic(b, q), q)[1]
-        if len(a) == 1:
-            return False
-        f = _polydivmod(f, _monic(a, q), q)[0]
-        xq = _polydivmod(xq, f, q)[1]
-    return True
+        xq = _mulmod(xq, [0] + xq if bit == "1" else xq, f, q)
+    x_q_minus_x = xq + [0] * (2 - len(xq))
+    x_q_minus_x[1] -= 1
+    d = len(f) - 1
+    rem = [1][:d]                # 1 mod f
+    for _ in range(d):
+        rem = _mulmod(rem, x_q_minus_x, f, q)
+    return not any(rem)
 
 
 def splitting_fraction(coeffs, group: NarrowClassGroup,
@@ -285,33 +274,23 @@ class RecognitionResult:
                 and self.reciprocal_ok)
 
 
-def _refuse_below_1(budget: int, bound: str) -> int:
+def recognition_budget(fit: FitResult | None, ctx: PadicContext,
+                       cap: int = 20) -> int:
+    """The p-adic digits recognition may ask of a_0: the least of `cap`, six
+    below the working precision and, given a fit with a residual, two below
+    its least residual valuation, the certificate of the digits a_0 is good
+    to.  With fit None (before the series) only the first two count.
+    ValueError, naming the first least bound, when that is below 1."""
+    bounds = [(cap, f"--budget {cap}"), (ctx.prec - 6, f"--prec {ctx.prec}")]
+    least = fit.min_residual_valuation if fit else None
+    if least is not None:
+        bounds.append((least - 2, "the fit's least residual valuation "
+                       f"{least}"))
+    budget, bound = min(bounds, key=lambda b: b[0])
     if budget < 1:
         raise ValueError(f"{bound} leaves a recognition budget of {budget}; "
                          "it must be at least 1")
     return budget
-
-
-def _flag_budget(ctx: PadicContext, cap: int) -> int:
-    """min(cap, prec - 6), the part of `recognition_budget` that --budget
-    and --prec set, known before the series; refused below 1."""
-    budget = min(cap, ctx.prec - 6)
-    return _refuse_below_1(budget, f"--budget {cap}" if budget == cap
-                           else f"--prec {ctx.prec}")
-
-
-def recognition_budget(fit: FitResult, ctx: PadicContext,
-                       cap: int = 20) -> int:
-    """The p-adic digits recognition may ask of a_0: at most `cap`, six
-    below the working precision, and two below the fit's least residual
-    valuation, the certificate of the digits a_0 is good to.  ValueError,
-    naming the bound that sets it, when that leaves fewer than 1."""
-    budget = _flag_budget(ctx, cap)
-    least = fit.min_residual_valuation
-    if least is None or budget <= least - 2:
-        return budget
-    return _refuse_below_1(least - 2, "the fit's least residual valuation "
-                           f"{least}")
 
 
 def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,

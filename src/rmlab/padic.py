@@ -447,17 +447,16 @@ def padic_exp(x: PadicScalar) -> PadicScalar:
 
 
 def teichmuller(x: PadicScalar) -> PadicScalar:
-    """The (p^2-1)-st root of unity congruent to x mod p; needs v(x) = 0."""
+    """The (p^2-1)-st root of unity congruent to x mod p; needs v(x) = 0.
+    With z = omega(x) (1 + p y) the unit part, (1 + p y)^(p^k) = 1 mod
+    p^(k+1), and omega(x)^(p^k) = omega(x) for even k, as p^2 = 1 mod
+    p^2 - 1: so omega(x) is z^(p^k) for the least even k >= N.  An odd k
+    would give the Frobenius conjugate."""
     if x.is_zero or x.v != 0:
         raise ValueError("teichmuller needs a unit")
     ctx = x.ctx
     z = PadicScalar(ctx, 0, x.u0, x.u1, x.slack)
-    for _ in range(ctx.prec + 1):
-        nxt = z ** (ctx.p ** 2)
-        if nxt.equals(z, ctx.prec - z.slack):
-            return nxt
-        z = nxt
-    return z
+    return z ** ctx.p ** (ctx.prec + ctx.prec % 2)
 
 
 def sqrt_rational(ctx: PadicContext, q) -> PadicScalar:

@@ -42,7 +42,8 @@ from itertools import accumulate, chain, islice
 from math import gcd
 from operator import add, itemgetter
 
-from .padic import PadicContext, PadicScalar, _vp, iwasawa_log, padic_exp
+from .padic import (PadicContext, PadicScalar, _vp, is_prime, iwasawa_log,
+                    padic_exp)
 from .quadfield import RMPoint, automorph, check_inert, factor, sqrtD_padic
 
 
@@ -85,8 +86,10 @@ def rademacher_phi(gamma) -> int:
 def phi_DR(gamma, p: int) -> int:
     """The Dedekind-Rademacher homomorphism on Gamma_0(p): the period of
     2 E2^(p), equal to 2 (Phi(gamma_p) - Phi(gamma)) with gamma_p the
-    conjugate by diag(p, 1)."""
+    conjugate by diag(p, 1).  ValueError unless p is a prime."""
     (a, b), (c, d) = gamma
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     if c % p:
         raise ValueError("lower-left entry must be divisible by p")
     gamma_p = ((a, p * b), (c // p, d))

@@ -117,31 +117,24 @@ def _matmul(M, N):
 
 def double_coset_reps(tau: RMPoint, n: int):
     """Representatives of SL2(Z) \\ M2(Z)_n / Stab(tau), as HNF matrices."""
-    f = tau.form
-    g = automorph(f)
-    ginv = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
+    g = automorph(tau.form)
     hnfs = [((a, b), (0, n // a))
             for a in range(1, n + 1) if n % a == 0
             for b in range(n // a)]
     remaining = set(hnfs)
     reps = []
     while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        steps = 0
-        while frontier:
-            steps += 1
-            if steps > 10000:
-                raise ArithmeticError("automorph orbit failed to close")
-            cur = frontier.pop()
-            for m in (g, ginv):
-                nxt = _hnf2(_matmul(cur, m))
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
+        # delta -> hnf(delta g) permutes the HNFs (hnf(delta g^-1) undoes
+        # it), so the orbit of <g> is the cycle through its least member
+        start = cur = min(remaining)
+        for _ in hnfs:
+            remaining.discard(cur)
+            cur = _hnf2(_matmul(cur, g))
+            if cur == start:
+                break
+        else:
+            raise ArithmeticError("automorph orbit failed to close")
         reps.append(start)
-        remaining -= orbit
     return reps
 
 

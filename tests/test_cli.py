@@ -40,6 +40,15 @@ def test_schema_and_envelope(capsys):
     assert rep["phi_DR"] == 8 == phi_DR(((1, 1), (0, 1)), 5)
 
 
+@pytest.mark.parametrize("p", ["0", "1", "-5", "4"])
+def test_phi_dr_refuses_a_p_that_is_not_prime(capsys, p):
+    # 20 is divisible by each: a p of 0 divided by zero, and -5 and 1
+    # printed a number with exit 0
+    code, rep = run(capsys, ["--p", p, "phi-dr", "--gamma", "1,0,20,1"])
+    assert code == EXIT_INVALID
+    assert rep["error"] == f"p = {p} is not a prime"
+
+
 def _top_level_modules_after(stmt):
     """Top-level names outside the standard library in sys.modules after
     running `stmt` in a fresh interpreter."""

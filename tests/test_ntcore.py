@@ -211,6 +211,22 @@ def test_splits_mod_matches_root_stripping():
     assert min(seen.values()) >= 150
 
 
+def test_splits_mod_constants_and_root_powers():
+    # a constant is the empty product; (x - r)^d divides (x^q - x)^d and
+    # no lower power, and one irreducible quadratic factor spoils it
+    for coeffs, q in (([1], 2), ([-25], 3), ([-24], 29), ([7], 1321)):
+        assert _splits_mod(coeffs, q)
+    for q, quad in ((2, [1, 1, 1]), (3, [1, 0, 1]), (1321, [-7, 0, 1])):
+        assert splits_by_roots(quad, q) is False
+        for d in range(1, 7):
+            for r in (0, 1, q - 1):
+                power = [1]
+                for _ in range(d):
+                    power = _mul(power, [-r, 1])
+                assert _splits_mod(power, q), (r, d, q)
+                assert not _splits_mod(_mul(power, quad), q), (r, d, q)
+
+
 def test_odd_primes_upto_cuts_one_sieve():
     # bounds up and down, across the sieve's doubling, and below 3
     for m in (100, 7, 2, 1000, 3, 257, 5000, 2600, 0):

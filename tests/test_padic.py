@@ -282,6 +282,34 @@ def test_teichmuller_properties():
         assert iwasawa_log(z).is_zero or iwasawa_log(z).v >= 14
 
 
+def fixed_point_teichmuller(x):
+    """Oracle for `teichmuller`: iterate z -> z^(p^2) from the unit part of
+    x until it stops moving at its effective precision."""
+    ctx = x.ctx
+    z = PadicScalar(ctx, 0, x.u0, x.u1, x.slack)
+    for _ in range(ctx.prec + 1):
+        nxt = z ** (ctx.p ** 2)
+        if nxt.equals(z, ctx.prec - z.slack):
+            return nxt
+        z = nxt
+    return z
+
+
+def test_teichmuller_is_the_fixed_point():
+    # odd precisions too: an odd power of p would give the Frobenius
+    # conjugate; with slack the loop may stop early in the slack digits
+    rng = random.Random(29)
+    for p in (5, 7, 11, 13, 17):
+        for prec in (1, 2, 3, 8, 15, 20, 31, 44):
+            ctx = PadicContext(p, prec)
+            for _ in range(4):
+                x = rand_scalar(ctx, rng, unit=True)
+                assert (teichmuller(x).to_json()
+                        == fixed_point_teichmuller(x).to_json()), (x, prec)
+                x = x._with_slack(rng.randrange(prec))
+                assert teichmuller(x).equals(fixed_point_teichmuller(x))
+
+
 def test_log_kills_torsion_times_p_power():
     rng = random.Random(19)
     x = rand_scalar(CTX, rng, unit=True)

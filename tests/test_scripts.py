@@ -53,6 +53,20 @@ def test_poisson_script_refuses_levels_below_one(levels):
     assert out.stdout == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--p", "3"], "p must be a prime >= 5, got 3"),
+    (["--p", "13"], "p = 13 is not inert in Q(sqrt(12))"),
+    (["--disc", "13"], "Q(sqrt(13)) has a unit of norm -1 and so no odd "
+     "character"),
+], ids=["p3", "p13", "disc13"])
+def test_acceleration_script_refuses_unsupported_input(args, message):
+    out = run_python([os.path.join(SCRIPTS, "acceleration_profile.py")]
+                     + args)
+    assert out.returncode == 2
+    assert out.stderr == f"error: {message}\n"
+    assert out.stdout == ""
+
+
 def test_flagship_script_refuses_budget_before_the_series():
     out = run_python([os.path.join(SCRIPTS, "flagship_pipeline.py"),
                       "--prec", "6"])

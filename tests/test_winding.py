@@ -6,7 +6,8 @@ import pytest
 
 from rmlab.padic import PadicContext, iwasawa_log
 from rmlab.quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
-                             embed_quadnum)
+                             automorph, embed_quadnum,
+                             is_fundamental_discriminant)
 from rmlab.winding import (WeightedRMPoint, _hnf2, _matmul, double_coset_reps,
                            log_Tn_Jw, log_Tn_Jw_by_cosets, rm_minus_set,
                            rm_plus_set, rm_set_by_cosets)
@@ -131,6 +132,43 @@ def test_n1_coset_space_is_identity():
     g, _ = group_engine(12, 5)
     tau = g.rm_representative(0)
     assert double_coset_reps(tau, 1) == [((1, 0), (0, 1))]
+
+
+def bfs_coset_reps(tau, n):
+    """Oracle for `double_coset_reps`: the orbits of <g> on the HNFs of
+    determinant n, each found by a search along delta -> hnf(delta g) and
+    delta -> hnf(delta g^-1) and represented by its least member."""
+    g = automorph(tau.form)
+    ginv = ((g[1][1], -g[0][1]), (-g[1][0], g[0][0]))
+    remaining = {((a, b), (0, n // a)) for a in range(1, n + 1) if n % a == 0
+                 for b in range(n // a)}
+    reps = []
+    while remaining:
+        start = min(remaining)
+        orbit, frontier = {start}, [start]
+        while frontier:
+            cur = frontier.pop()
+            for m in (g, ginv):
+                nxt = _hnf2(_matmul(cur, m))
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    frontier.append(nxt)
+        reps.append(start)
+        remaining -= orbit
+    return reps
+
+
+def test_double_coset_reps_match_the_orbit_search():
+    # 25 fundamental discriminants, every class, tau and -tau, n = 1..24
+    discs = [D for D in range(5, 200) if is_fundamental_discriminant(D)][:25]
+    for D in discs:
+        group = NarrowClassGroup(D)
+        for i in range(group.h):
+            tau = group.rm_representative(i)
+            for t in (tau, tau.negate()):
+                for n in range(1, 25):
+                    assert double_coset_reps(t, n) == bfs_coset_reps(t, n), \
+                        (D, i, t.form, n)
 
 
 def test_coset_oracle_matches_ideal_route():
