@@ -11,7 +11,8 @@ Gross-Stark unit by p-adic lattice reduction.
 
 The recognition budget is `gsunits.recognition_budget` with --budget as its
 cap; a --budget or --prec that leaves it below 1 exits 2 with a one-line
-message on stderr before the series.  By the script's own `total` line, the
+message on stderr before the series, and so does an --nmax or --depth too
+small to fit the series (--nmax 1, --depth 1).  By the script's own `total` line, the
 defaults run in about 0.1 s and --nmax 30 --prec 32 --depth 4, the
 full-precision run, in about 1.3 s (one Intel Xeon core).
 """
@@ -48,8 +49,12 @@ def main() -> int:
     print(f"RM point: {tau}")
 
     t0 = time.time()
-    res = generating_series(tau, 5, args.nmax, ctx, m_max=args.depth,
-                            group=group)
+    try:
+        res = generating_series(tau, 5, args.nmax, ctx, m_max=args.depth,
+                                group=group)
+    except ValueError as exc:   # too few coefficients or levels to fit
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"\nseries computed in {time.time() - t0:.1f} s")
     for n, cert in sorted(res.certificates.items()):
         print(f"  a_{n}: stabilized to {cert.stabilized_at} digits "

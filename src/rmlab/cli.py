@@ -27,7 +27,7 @@ from .gsunits import (generating_series, recognition_budget, recognize,
 from .lattice import algdep_padic
 from .modforms import QSeries, basis_for_level, fit_to_basis
 from .padic import PadicContext, PadicScalar, iwasawa_log
-from .quadfield import NarrowClassGroup, RMPoint
+from .quadfield import NarrowClassGroup, RMPoint, has_norm_minus_one
 from .siegelmeasure import phi_DR, poisson_JDR
 from .winding import log_Tn_Jw
 
@@ -265,11 +265,15 @@ def cmd_verify(args) -> tuple:
 
 
 def cmd_recognize(args) -> tuple:
-    # a bad --degree, --budget or --prec is refused before the long series
+    # a bad --degree, --budget or --prec, or a field with no odd character,
+    # is refused before the long series
     if args.degree < 1:
         raise ValueError("degree must be at least 1")
     ctx, group, tau = instance_from_args(args)
     recognition_budget(None, ctx, args.budget)
+    if has_norm_minus_one(group.D):     # the series is 0: no unit to find
+        raise ValueError(f"Q(sqrt({group.D})) has a unit of norm -1 and so "
+                         "no odd character")
     res = stabilized_coefficients(args, tau, group, ctx)
     tau_class = group.class_of_rm_point(tau)
     candidates = unit_from_constant_term(res.a0, group, tau_class, ctx)

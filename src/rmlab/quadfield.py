@@ -2,12 +2,13 @@
 
 Indefinite form reduction and cycles, the narrow class group with Dirichlet
 composition in closed form and its genus characters psi(P) = (d / Nm P),
-D = d * (D/d), read at rational primes (`genus_value`), Pell/automorph
-machinery, exact elements a + b*sqrt(D), prime ideals and the factorization
-of principal ideals into them, totally-positive trace enumeration with the
-progression helpers of the divisor-sum kernel's sieve (`eisenstein._fold`),
-and partial zeta values at s = 0 (reduced-cycle formula, with a Shintani cone
-sum as the independent oracle).
+D = d * (D/d), read at rational primes (`genus_value`), exact elements
+a + b*sqrt(D), prime ideals and the factorization of principal ideals into
+them, totally-positive trace enumeration with the progression helpers of the
+divisor-sum kernel's sieve (`eisenstein._fold`), and partial zeta values at
+s = 0 (reduced-cycle formula, with a Shintani cone sum as the independent
+oracle).  Matrices act on RM points through their forms (`apply_sl2`), so
+the minus continued fraction and the fundamental automorph walk forms.
 
 `factor` (trial division) serves the integers met outside that sieve:
 discriminants, group orders and the norms factored into prime ideals by
@@ -113,26 +114,17 @@ class QuadNum:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def _scaled_floor(self) -> tuple:
-        """(floor(L * self), L) under sqrt(D) > 0, with L the least common
-        denominator of a and b: floor(B sqrt(D)) for an integer B != 0 is
-        isqrt(B^2 D), or minus it minus one when B < 0, D not a square."""
+    def sign(self) -> int:
+        """Sign under the embedding sqrt(D) > 0, exactly: for b != 0 the
+        element is irrational, so positive exactly when floor(L * self) >= 0,
+        L the common denominator of a and b, where floor(B sqrt(D)) is
+        isqrt(B^2 D), or minus it minus one when B < 0."""
+        if self.b == 0:
+            return (self.a > 0) - (self.a < 0)
         L = lcm(self.a.denominator, self.b.denominator)
         A, B = int(self.a * L), int(self.b * L)
         r = isqrt(B * B * self.D)
-        return A + (r if B >= 0 else -r - 1), L
-
-    def sign(self) -> int:
-        """Sign under the embedding sqrt(D) > 0, exactly: for b != 0 the
-        element is irrational, so positive exactly when its floor is >= 0."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        return 1 if self._scaled_floor()[0] >= 0 else -1
-
-    def floor(self) -> int:
-        """Exact floor under sqrt(D) > 0."""
-        f, L = self._scaled_floor()
-        return f // L
+        return 1 if A + (r if B > 0 else -r - 1) >= 0 else -1
 
     def coords_in_order(self):
         """Coordinates (u, v) with self = u + v*omega, or None if not in O_F."""
@@ -228,22 +220,10 @@ def reduce_cycle(f: Form) -> list:
     return cyc
 
 
-def cycle_matrix(f: Form):
-    """Matrix of one trip around the reduced cycle of f (an automorph of the
-    reduced starting form)."""
-    g = reduce_form(f)
-    M = ((1, 0), (0, 1))
-    h = g
-    while True:
-        h, m = rho_step(h)
-        M = ((M[0][1], -M[0][0] + m * M[0][1]),
-             (M[1][1], -M[1][0] + m * M[1][1]))
-        if h == g:
-            return M
-
-
 def apply_sl2(f: Form, M) -> Form:
-    """f composed with M: g(x, y) = f((x, y) * M^T)... g = f o M."""
+    """The form g(x, y) = f(ax + by, cx + dy) for M = [[a, b], [c, d]].
+    For det M > 0 the root of g is M^-1 w = (dw - b)/(a - cw), w the root
+    of f: the one way a matrix acts on an RM point."""
     A, B, C = f
     (a, b), (c, d) = M
     A2 = A * a * a + B * a * c + C * c * c
@@ -307,13 +287,13 @@ def all_reduced_forms(D: int) -> list:
 
 @lru_cache(maxsize=None)
 def pell_fundamental(D: int):
-    """Least (t, u), t, u > 0, with t^2 - D u^2 = 4, via the principal cycle."""
+    """Least (t, u), t, u > 0, with t^2 - D u^2 = 4, read off the automorph
+    [[(t - Bu)/2, -Cu], [Au, (t + Bu)/2]] of the first periodic form
+    (A, B, C), A > 0, of the principal form's minus continued fraction."""
     check_fundamental(D)
-    f = reduce_form(principal_form(D))
-    M = cycle_matrix(f)
+    _, forms, M = minus_cf_cycle(principal_form(D))
     t = abs(M[0][0] + M[1][1])
-    u = abs(M[1][0]) // abs(f[0]) if f[0] != 0 else 0
-    # M[1][0] = A*u for the automorph of f
+    u = abs(M[1][0]) // forms[0][0]
     assert t * t - D * u * u == 4 and u > 0
     return t, u
 
@@ -371,37 +351,8 @@ class RMPoint:
     def disc(self) -> int:
         return form_disc(self.form)
 
-    def value(self) -> QuadNum:
-        return QuadNum(self.disc, Fraction(-self.B, 2 * self.A),
-                       Fraction(1, 2 * self.A))
-
     def negate(self) -> "RMPoint":
         return RMPoint(-self.A, self.B, -self.C)
-
-    @staticmethod
-    def from_value(w: QuadNum) -> "RMPoint":
-        """The unique primitive form with w = (−B + sqrt(D))/(2A)."""
-        assert w.b != 0
-        D = w.D
-        # A = 1/(2b), B = -a/b, C = -(A w^2 + B w); clear by a positive
-        # rational to a primitive integral triple (positivity keeps the root)
-        A = Fraction(1, 2) / w.b
-        B = -w.a / w.b
-        Cq = -(w * w * A + w * B)
-        assert Cq.b == 0
-        C = Cq.a
-        L = lcm(A.denominator, B.denominator, C.denominator)
-        Ai, Bi, Ci = int(A * L), int(B * L), int(C * L)
-        g = gcd(gcd(Ai, Bi), Ci)
-        pt = RMPoint(Ai // g, Bi // g, Ci // g)
-        # disc(pt) = k^2 * D with k >= 1; w is the +sqrt root exactly when
-        # its sqrt(D)-coordinate and the leading coefficient share a sign
-        assert pt.disc % D == 0
-        k2 = pt.disc // D
-        assert isqrt(k2) ** 2 == k2
-        assert (w * w * pt.A + w * pt.B + QuadNum(D, pt.C, 0)).is_zero()
-        assert (w.b > 0) == (pt.A > 0)
-        return pt
 
 
 # --------------------------------------------------------------------------
@@ -787,27 +738,38 @@ def embed_quadnum(x: QuadNum, ctx: PadicContext) -> PadicScalar:
 # partial zeta values at s = 0
 # --------------------------------------------------------------------------
 
-def minus_cf_cycle(w: QuadNum):
-    """Period ((b_0, ..., b_{m-1})) of the minus continued fraction of w."""
-    seen = {}
-    path = []
-    while w not in seen:
-        seen[w] = len(path)
-        b = w.floor() + 1  # ceiling of an irrational
-        path.append((w, b))
-        w = (QuadNum(w.D, b, 0) - w).inverse()
-    start = seen[w]
-    return [b for (_, b) in path[start:]], [x for (x, _) in path[start:]]
+def minus_cf_cycle(f: Form):
+    """Period of the minus continued fraction of the root w of f: the
+    (b_0, ..., b_{m-1}), the periodic forms and their product M of the
+    [[b_i, -1], [1, 0]], the automorph of the first periodic form.
+
+    The step w -> 1/(b - w), b the ceiling of w, is the form f(bx - y, x)
+    = (f(b, 1), -2Ab - B, A).  w = (-B + sqrt(D))/(2A) is irrational, so its
+    ceiling is its floor plus one, read off s = isqrt(D)."""
+    s = isqrt(form_disc(f))
+    seen, path = {}, []
+    while f not in seen:
+        seen[f] = len(path)
+        A, B, _ = f
+        b = ((s - B) // (2 * A) if A > 0 else (B - s - 1) // (-2 * A)) + 1
+        path.append((f, b))
+        f = apply_sl2(f, ((b, -1), (1, 0)))
+    period = path[seen[f]:]
+    M = ((1, 0), (0, 1))
+    for _, b in period:
+        M = ((b * M[0][0] + M[0][1], -M[0][0]),
+             (b * M[1][0] + M[1][1], -M[1][0]))
+    return [b for _, b in period], [g for g, _ in period], M
 
 
 def partial_zeta_zero(group: NarrowClassGroup, class_idx: int) -> Fraction:
-    """Zeta value at 0 of a narrow class, by the reduced-cycle formula."""
-    tau = group.rm_representative(class_idx).value()
-    bs, ws = minus_cf_cycle(tau)
-    # the periodic w's are SL2(Z)-equivalent to tau, so the cycle is that of
-    # the requested class; guard anyway
-    chk = group.class_of_rm_point(RMPoint.from_value(ws[0]))
-    assert chk == class_idx
+    """Zeta value at 0 of a narrow class: sum(b_i - 3)/12 over the period of
+    the minus continued fraction of its representative (D. Zagier, Math.
+    Ann. 213, 1975)."""
+    bs, forms, _ = minus_cf_cycle(group.representative(class_idx))
+    # the periodic forms are properly equivalent to the representative, so
+    # the cycle is that of the requested class; guard anyway
+    assert group.class_of_form(forms[0]) == class_idx
     return Fraction(sum(bs) - 3 * len(bs), 12)
 
 

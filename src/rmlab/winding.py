@@ -21,7 +21,7 @@ from math import gcd, isqrt
 
 from .padic import PadicContext, PadicScalar, _vp, iwasawa_log
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
-                        RMPoint, _ext_gcd, automorph, check_inert,
+                        RMPoint, _ext_gcd, apply_sl2, automorph, check_inert,
                         embed_quadnum, enumerate_trace, is_primitive,
                         reduce_cycle, reduce_form)
 
@@ -176,16 +176,23 @@ def _strip_p(w: QuadNum, p: int) -> QuadNum:
     return w * Fraction(1, p) ** vp if vp else w
 
 
+def _translate(tau: RMPoint, delta) -> RMPoint:
+    """The RM point (a tau + b)/d for delta = [[a, b], [0, d]]: the root of
+    the form of tau under ad * delta^-1, made primitive."""
+    (a, b), (_, d) = delta
+    f = apply_sl2(tau.form, ((d, -b), (0, a)))
+    g = gcd(*f)
+    return RMPoint(*(c // g for c in f))
+
+
 def rm_set_by_cosets(tau: RMPoint, n: int, p: int) -> list:
-    """Oracle route: weighted RM points from the double-coset formula."""
+    """Oracle route: weighted RM points from the double-coset formula, the
+    translates (a tau + b)/d of tau by the coset representatives."""
     D = tau.disc
     _check_instance(D, n, p)
     out = []
     for delta in double_coset_reps(tau, n):
-        (a, b), (_, d) = delta
-        val = (tau.value() * a + QuadNum(D, b, 0)) * Fraction(1, d)
-        pt = RMPoint.from_value(val)
-        for w in _crossing_points(pt, D):
+        for w in _crossing_points(_translate(tau, delta), D):
             w0 = _strip_p(w, p)
             weight = 1 if w0.sign() > 0 else -1
             out.append(WeightedRMPoint(w0, weight))

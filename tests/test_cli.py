@@ -415,6 +415,17 @@ def test_recognize_unit_degree_0_exits_2(capsys, no_series):
         assert rep["error"] == error
 
 
+def test_recognize_unit_refuses_a_field_with_a_unit_of_norm_minus_one(
+        capsys, no_series):
+    # Q(sqrt(13)) has no odd character, so its series is 0 and there is no
+    # unit to recognize: an invalid instance, not a computational failure
+    code, rep = run(capsys, ["--disc", "13", "--nmax", "4", "--depth", "2",
+                             "recognize-unit"])
+    assert code == EXIT_INVALID
+    assert rep["error"] == ("Q(sqrt(13)) has a unit of norm -1 and so no "
+                            "odd character")
+
+
 def test_corrupt_cache_line_is_recomputed(capsys, tmp_path):
     argv = ["--disc", "12", "--p", "5", "--prec", "12", "--nmax", "4",
             "--depth", "2", "--cache-dir", str(tmp_path), "gtau"]

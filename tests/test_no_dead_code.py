@@ -39,9 +39,6 @@ TEST_ONLY = {
     "siegelmeasure.BallMeasure.value_at":
         "the measure tests check distribution and the primitivity guard "
         "one ball at a time",
-    "quadfield.apply_sl2":
-        "the form tests check reduction steps, automorphs and the Moebius "
-        "action of SL2(Z) with it",
 }
 
 

@@ -2,7 +2,7 @@ import random
 from array import array
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -12,7 +12,7 @@ from rmlab.padic import PadicContext, hensel_lift
 from rmlab.quadfield import (IdealF, IdealDivisorEngine, NarrowClassGroup,
                              QuadNum, RMPoint, all_reduced_forms, apply_sl2,
                              automorph, check_inert, compose_forms,
-                             cycle_matrix, embed_quadnum, enumerate_trace,
+                             embed_quadnum, enumerate_trace,
                              factor_alpha, form_disc, genus_value,
                              has_norm_minus_one,
                              is_fundamental_discriminant,
@@ -25,6 +25,7 @@ from rmlab.quadfield import (_ext_gcd, _odd_primes_upto, _split_exponent,
                              _split_root, progression_start)
 
 DISCS = [5, 8, 12, 13, 21, 24, 28, 33, 40, 44, 56, 57, 60, 61]
+FUNDAMENTAL_500 = [D for D in range(5, 500) if is_fundamental_discriminant(D)]
 
 
 def rand_quadnum(D, rng, integral=False, nonzero=True):
@@ -45,6 +46,74 @@ def rand_sl2(rng, size=5):
         c, d = rng.randrange(-size, size + 1), rng.randrange(-size, size + 1)
         if a * d - b * c == 1:
             return ((a, b), (c, d))
+
+
+# --- oracles: the same facts through QuadNum values and the Gauss cycle ------
+
+def quadnum_floor(x):
+    """Oracle: the exact floor of x under sqrt(D) > 0, from the floor of
+    L * x with L the common denominator of its coordinates."""
+    L = lcm(x.a.denominator, x.b.denominator)
+    A, B = int(x.a * L), int(x.b * L)
+    r = isqrt(B * B * x.D)
+    return (A + (r if B >= 0 else -r - 1)) // L
+
+
+def quadnum_minus_cf_cycle(w):
+    """Oracle for `minus_cf_cycle`: (bs, ws) of the period of the minus
+    continued fraction, walked on the values w -> 1/(b - w)."""
+    seen, path = {}, []
+    while w not in seen:
+        seen[w] = len(path)
+        b = quadnum_floor(w) + 1  # ceiling of an irrational
+        path.append((w, b))
+        w = (QuadNum(w.D, b, 0) - w).inverse()
+    start = seen[w]
+    return [b for (_, b) in path[start:]], [x for (x, _) in path[start:]]
+
+
+def rm_value(tau):
+    """The RM point tau = (-B + sqrt(D))/(2A) as a QuadNum."""
+    return QuadNum(tau.disc, Fraction(-tau.B, 2 * tau.A),
+                   Fraction(1, 2 * tau.A))
+
+
+def form_of_value(w):
+    """Oracle: the unique primitive form (A, B, C) with
+    w = (-B + k sqrt(D))/(2A), k >= 1, from the rational coefficients of
+    A w^2 + B w + C = 0 with A = 1/(2b) and B = -a/b, cleared by a positive
+    rational (which keeps the root)."""
+    assert w.b != 0
+    D = w.D
+    A = Fraction(1, 2) / w.b
+    B = -w.a / w.b
+    Cq = -(w * w * A + w * B)
+    assert Cq.b == 0
+    C = Cq.a
+    L = lcm(A.denominator, B.denominator, C.denominator)
+    Ai, Bi, Ci = int(A * L), int(B * L), int(C * L)
+    g = gcd(gcd(Ai, Bi), Ci)
+    pt = RMPoint(Ai // g, Bi // g, Ci // g)
+    assert pt.disc % D == 0
+    k2 = pt.disc // D
+    assert isqrt(k2) ** 2 == k2
+    assert (w * w * pt.A + w * pt.B + QuadNum(D, pt.C, 0)).is_zero()
+    assert (w.b > 0) == (pt.A > 0)
+    return pt
+
+
+def gauss_cycle_matrix(f):
+    """Oracle automorph: the matrix of one trip around the reduced (Gauss)
+    cycle of f, an automorph of the reduced starting form."""
+    g = reduce_form(f)
+    M = ((1, 0), (0, 1))
+    h = g
+    while True:
+        h, m = rho_step(h)
+        M = ((M[0][1], -M[0][0] + m * M[0][1]),
+             (M[1][1], -M[1][0] + m * M[1][1]))
+        if h == g:
+            return M
 
 
 # --- discriminants and exact elements ---------------------------------------
@@ -79,7 +148,7 @@ def test_quadnum_sign_and_floor_match_floats():
             fx = float(x)
             if abs(fx) > 1e-9:
                 assert x.sign() == (1 if fx > 0 else -1)
-                assert x.floor() == int(fx // 1)
+                assert quadnum_floor(x) == int(fx // 1)
     # a case floats get nervous about: 1 + b*sqrt(D) with b ~ -1/sqrt(D)
     x = QuadNum(5, 1, Fraction(-161, 360))  # (161/360)^2*5 = 129605/129600 > 1
     assert x.sign() == -1
@@ -101,7 +170,7 @@ def test_sign_and_floor_are_exact(D, a, b):
     # floor bracketed by two exact signs
     x = QuadNum(D, a, b)
     assert x.sign() == sign_by_squares(x)
-    f = x.floor()
+    f = quadnum_floor(x)
     assert sign_by_squares(x - QuadNum(D, f, 0)) >= 0
     assert sign_by_squares(x - QuadNum(D, f + 1, 0)) < 0
 
@@ -152,7 +221,7 @@ def test_reduce_form_reaches_cycle():
 def test_cycle_matrix_is_automorph():
     for D in (12, 21, 40, 61):
         f = reduce_form(principal_form(D))
-        M = cycle_matrix(f)
+        M = gauss_cycle_matrix(f)
         assert M[0][0] * M[1][1] - M[0][1] * M[1][0] == 1
         assert apply_sl2(f, M) == f
         assert M != ((1, 0), (0, 1))
@@ -172,6 +241,15 @@ def test_pell_fundamental_against_brute_force():
         assert pell_fundamental(D) == _pell_brute(D)
     assert pell_fundamental(61) == (1523, 195)
     assert pell_fundamental(57) == (302, 40)
+
+
+def test_pell_fundamental_matches_the_gauss_cycle():
+    # the minus continued fraction's automorph against the reduced cycle's
+    for D in FUNDAMENTAL_500:
+        f = reduce_form(principal_form(D))
+        M = gauss_cycle_matrix(f)
+        t, u = abs(M[0][0] + M[1][1]), abs(M[1][0]) // abs(f[0])
+        assert pell_fundamental(D) == (t, u), D
 
 
 def test_automorph_stabilizes_forms():
@@ -313,16 +391,16 @@ def test_rm_point_roundtrip():
         g = NarrowClassGroup(D)
         for i in range(g.h):
             tau = g.rm_representative(i)
-            assert RMPoint.from_value(tau.value()) == tau
+            assert form_of_value(rm_value(tau)) == tau
             assert g.class_of_rm_point(tau) == i
             M = rand_sl2(rng)
             (a, b), (c, d) = M
             # forms transform by M^-1 under the Moebius action of M
             moved = RMPoint(*apply_sl2(tau.form, ((d, -b), (-c, a))))
             assert g.class_of_rm_point(moved) == i
-            w = tau.value()
+            w = rm_value(tau)
             expected = (w * a + QuadNum(D, b, 0)) / (w * c + QuadNum(D, d, 0))
-            assert moved.value() == expected
+            assert rm_value(moved) == expected
 
 
 def test_negation_multiplies_by_different_class():
@@ -332,7 +410,7 @@ def test_negation_multiplies_by_different_class():
             tau = g.rm_representative(i)
             assert (g.class_of_rm_point(tau.negate())
                     == g.compose(i, g.different_class))
-            assert tau.negate().value() == -tau.value()
+            assert rm_value(tau.negate()) == -rm_value(tau)
 
 
 # --- ideals -------------------------------------------------------------------
@@ -730,13 +808,26 @@ def test_embed_ramified_rejected():
 def test_minus_cf_is_periodic_and_equivalent():
     for D in (12, 40, 61):
         g = NarrowClassGroup(D)
-        tau = g.rm_representative(g.identity).value()
-        bs, ws = minus_cf_cycle(tau)
+        bs, forms, M = minus_cf_cycle(g.representative(g.identity))
         assert all(b >= 2 for b in bs)
-        w = ws[0]
+        f = forms[0]
         for b in bs:
-            w = (QuadNum(D, b, 0) - w).inverse()
-        assert w == ws[0]
+            f = apply_sl2(f, ((b, -1), (1, 0)))
+        assert f == forms[0]
+        assert M[0][0] * M[1][1] - M[0][1] * M[1][0] == 1
+
+
+def test_minus_cf_walk_matches_the_quadnum_walk():
+    # the walk on forms against the walk on values: the same b's, the roots
+    # of the periodic forms are the periodic w's, and M fixes the first form
+    for D in FUNDAMENTAL_500:
+        g = NarrowClassGroup(D)
+        for i in range(g.h):
+            f = g.representative(i)
+            bs, forms, M = minus_cf_cycle(f)
+            assert (bs, [rm_value(RMPoint(*h)) for h in forms]) == \
+                quadnum_minus_cf_cycle(rm_value(RMPoint(*f))), (D, i)
+            assert apply_sl2(forms[0], M) == forms[0]
 
 
 ZETA_TABLE = {

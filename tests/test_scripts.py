@@ -76,6 +76,17 @@ def test_flagship_script_refuses_budget_before_the_series():
     assert "series computed" not in out.stdout
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--nmax", "1"], "not enough known coefficients to overdetermine"),
+    (["--depth", "1"], "need at least three terms to extrapolate"),
+], ids=["nmax1", "depth1"])
+def test_flagship_script_refuses_a_series_too_short_to_fit(args, message):
+    out = run_python([os.path.join(SCRIPTS, "flagship_pipeline.py")] + args)
+    assert out.returncode == 2
+    assert out.stderr == f"error: {message}\n"
+    assert "series computed" not in out.stdout
+
+
 def test_readme_quick_start():
     with open(os.path.join(ROOT, "README.md")) as fh:
         block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]

@@ -8,9 +8,11 @@ from rmlab.padic import PadicContext, iwasawa_log
 from rmlab.quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
                              automorph, embed_quadnum,
                              is_fundamental_discriminant)
-from rmlab.winding import (WeightedRMPoint, _hnf2, _matmul, double_coset_reps,
-                           log_Tn_Jw, log_Tn_Jw_by_cosets, rm_minus_set,
-                           rm_plus_set, rm_set_by_cosets)
+from rmlab.winding import (WeightedRMPoint, _hnf2, _matmul, _translate,
+                           double_coset_reps, log_Tn_Jw, log_Tn_Jw_by_cosets,
+                           rm_minus_set, rm_plus_set, rm_set_by_cosets)
+
+from test_quadfield import form_of_value, rm_value
 
 CTX5 = PadicContext(5, 18)
 
@@ -169,6 +171,25 @@ def test_double_coset_reps_match_the_orbit_search():
                 for n in range(1, 25):
                     assert double_coset_reps(t, n) == bfs_coset_reps(t, n), \
                         (D, i, t.form, n)
+
+
+def test_translate_matches_the_value_route():
+    # (a tau + b)/d by forms against the same translate of the QuadNum value:
+    # 25 fundamental discriminants, every class, tau and -tau, n = 1..12
+    discs = [D for D in range(5, 200) if is_fundamental_discriminant(D)][:25]
+    for D in discs:
+        group = NarrowClassGroup(D)
+        for i in range(group.h):
+            tau = group.rm_representative(i)
+            for t in (tau, tau.negate()):
+                w = rm_value(t)
+                for n in range(1, 13):
+                    for a in (a for a in range(1, n + 1) if n % a == 0):
+                        d = n // a
+                        for b in range(d):
+                            val = (w * a + QuadNum(D, b, 0)) * Fraction(1, d)
+                            assert _translate(t, ((a, b), (0, d))) == \
+                                form_of_value(val), (D, i, t.form, a, b, d)
 
 
 def test_coset_oracle_matches_ideal_route():
