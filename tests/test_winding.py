@@ -177,19 +177,19 @@ def test_translate_matches_the_value_route():
     # (a tau + b)/d by forms against the same translate of the QuadNum value:
     # 25 fundamental discriminants, every class, tau and -tau, n = 1..12
     discs = [D for D in range(5, 200) if is_fundamental_discriminant(D)][:25]
+    hnfs = [((a, b), (0, n // a)) for n in range(1, 13)
+            for a in range(1, n + 1) if n % a == 0 for b in range(n // a)]
     for D in discs:
         group = NarrowClassGroup(D)
         for i in range(group.h):
             tau = group.rm_representative(i)
             for t in (tau, tau.negate()):
                 w = rm_value(t)
-                for n in range(1, 13):
-                    for a in (a for a in range(1, n + 1) if n % a == 0):
-                        d = n // a
-                        for b in range(d):
-                            val = (w * a + QuadNum(D, b, 0)) * Fraction(1, d)
-                            assert _translate(t, ((a, b), (0, d))) == \
-                                form_of_value(val), (D, i, t.form, a, b, d)
+                for delta in hnfs:
+                    (a, b), (_, d) = delta
+                    val = (w * a + QuadNum(D, b, 0)) * Fraction(1, d)
+                    assert _translate(t, delta) == form_of_value(val), \
+                        (D, i, t.form, delta)
 
 
 def test_coset_oracle_matches_ideal_route():
