@@ -387,8 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--nmax", type=int,
                         help="q-expansion truncation (default 30)")
     common.add_argument("--depth", type=int,
-                        help="extrapolation depth for ordinary projection "
-                             "(default 4)")
+                        help="accepted and not read, but still part of the "
+                             "cache key: the series is the ordinary part "
+                             "of the raw coefficients in Katz's span, with "
+                             "no extrapolation (default 4)")
     common.add_argument("--out", help="write the JSON report here")
     common.add_argument("--cache-dir", dest="cache_dir",
                         help="coefficient cache directory")

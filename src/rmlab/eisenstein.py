@@ -17,10 +17,12 @@ coefficient.  A level is sieved over s >= 0 only: nu and its conjugate nu' add
 the same summand, as psi, a genus character, takes one value on conjugate
 primes.  Because the nu of trace n p divisible by p are p times those of trace
 n, every level with p | n is the level n/p plus its p-primitive nu.  The
-ordinary projection of the diagonal restriction derivative is the limit of its
-coefficients at indices n * p^m, extrapolated by iterated Shanks steps
-(`accelerated_ordinary_projection`); plain stabilization at n * p^{2m}
-(`ordinary_projection`) is kept as a check.
+series path (`gsunits.generating_series`) reads the raw coefficients at traces
+n <= max(n_max, 3 ell / 2) and takes their ordinary part in Katz's span.  The
+ordinary projection as the limit of the coefficients at indices n * p^m,
+extrapolated by iterated Shanks steps (`accelerated_ordinary_projection`), and
+plain stabilization at n * p^{2m} (`ordinary_projection`) are kept as the
+independent check.
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ from .quadfield import (IdealDivisorEngine, TotallyPositiveElement,
 
 # revision of the coefficient kernel: bumped by every change that can move a
 # coefficient's digits below its certified precision or its slack, so that
-# the CLI's coefficient cache, which is keyed by it, recomputes
-KERNEL_REVISION = 2
+# the CLI's coefficient cache, which is keyed by it, recomputes; 3 since the
+# series is the ordinary part in Katz's span, not a Shanks limit
+KERNEL_REVISION = 3
 
 
 class LogCache:

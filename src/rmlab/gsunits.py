@@ -1,8 +1,10 @@
 """The p-adic generating series at an RM point and the unit it encodes.
 
-Pipeline: stabilized coefficients a_n = log_p(T_n J_w[tau]) via Shanks
-extrapolation of the diagonal-restriction route, an exact fit to the
-weight-2 Eisenstein line on Gamma_0(p), exponentiation of the constant term
+Pipeline: coefficients a_n = log_p(T_n J_w[tau]) as the ordinary part of the
+diagonal restriction's raw coefficients, fitted exactly in Katz's span of
+overconvergent forms and projected by the ordinary projector of U_p on it
+(Shanks extrapolation in `eisenstein` is kept as the independent check), an
+exact fit to the basis of M_2(Gamma_0(p)), exponentiation of the constant term
 back to a unit candidate, and recognition of its minimal polynomial by
 p-adic lattice reduction, cross-checked against partial-zeta valuation
 predictions, a reciprocity symmetry, and splitting behaviour modulo
@@ -14,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eisenstein import (LogCache, diag_coefficient,
-                         accelerated_ordinary_projection)
+from .eisenstein import LogCache, diag_coefficient
 from .lattice import AlgdepResult, algdep_padic, primitive
 from .modforms import QSeries, FitResult, basis_for_level, fit_to_basis
 from .padic import (PadicContext, PadicScalar, _vp, iwasawa_log, padic_exp,
@@ -30,10 +31,22 @@ from .quadfield import (IdealDivisorEngine, NarrowClassGroup, RMPoint,
 # the generating series
 # --------------------------------------------------------------------------
 
+class SeriesCertificate:
+    """The digits a coefficient is certified to: the least residual
+    valuation of the fit to M_2(Gamma_0(p)), or the working precision when
+    every residual is exact.  A plain class: a dataclass costs the import
+    of rmlab about a millisecond more."""
+
+    __slots__ = ("stabilized_at",)
+
+    def __init__(self, stabilized_at: int):
+        self.stabilized_at = stabilized_at
+
+
 @dataclass
 class GSeriesResult:
     series: QSeries             # a_0 unknown; a_n for n >= 1
-    certificates: dict          # freshly computed n0 -> ProjectionCertificate
+    certificates: dict          # freshly computed n0 -> SeriesCertificate
     fit: FitResult
     a0: PadicScalar             # inferred constant term = log_p(u_tau)
     trivial: bool               # True when the series vanishes identically
@@ -47,27 +60,57 @@ def _series_sign(group: NarrowClassGroup, chi: tuple, tau: RMPoint) -> int:
     return -chi[group.class_of_rm_point(tau)]
 
 
+def ordinary_restriction(coefficient, n_max: int, ns, p: int,
+                         ctx: PadicContext) -> dict:
+    """n -> L_n = b_n - sum_j ((I - P) t)_j e_j[n] for n in `ns`, from the
+    raw coefficients b_n = coefficient(n), n <= N = max(n_max,
+    ceil(3 ell / 2)), so that a third of the rows of their fit are spare:
+    t fits b to Katz's span (`katz.katz_span`, ell = `span_dimension(p,
+    prec)`, mod p^(prec + 12)) and P is its ordinary projector, so L is b
+    less its fitted non-ordinary part."""
+    # imported here, so that importing rmlab does not load it
+    from .katz import katz_span, span_dimension
+    ell = span_dimension(p, ctx.prec)
+    N = max(n_max, -(-3 * ell // 2))
+    span = katz_span(p, ell, ctx.prec + 12, max(N, p * (ell - 1)) + 1)
+    raw = [None] + [coefficient(n) for n in range(1, N + 1)]
+    basis = [QSeries(tuple(ctx.from_int(c) for c in e[:N + 1]))
+             for e in span.basis]
+    t = fit_to_basis(QSeries(tuple(raw)), basis, ctx).coefficients
+    u = [tj - sum((ctx.from_int(c) * ti for c, ti in zip(row, t)),
+                  ctx.zero())
+         for tj, row in zip(t, span.projector)]
+    return {n: raw[n] - sum((uj * e[n] for uj, e in zip(u, basis)),
+                            ctx.zero()) for n in ns}
+
+
 def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
                       m_max: int = 4,
                       group: NarrowClassGroup | None = None,
                       known: dict | None = None) -> GSeriesResult:
     """G_tau up to q^{n_max}: coefficients a_n = log_p(T_n J_w[tau]) as the
-    Shanks-accelerated ordinary projection of the diagonal restriction
-    derivative, fitted exactly to the basis of M_2(Gamma_0(p)).
+    ordinary part of the diagonal restriction derivative, fitted exactly to
+    the basis of M_2(Gamma_0(p)).
 
-    Coefficients at p | n reuse the stabilized value at n / p^{v_p(n)}: the
-    ordinary limit lies in the U_p = 1 eigenspace.  Values in `known`
-    (n0 -> value before tau's sign, as in `stabilized`) are not recomputed;
-    one divisor engine and log cache serve the rest.  Fields with a unit of
-    norm -1, where (sqrt(D)) is narrowly principal and no character is odd,
-    give the zero series; other fields need an odd quadratic character, so
-    narrow class number 2 (ValueError otherwise)."""
+    The raw coefficients b_n = `diag_coefficient(n)` give L_n =
+    `ordinary_restriction`, and a_n = L_{n0} times tau's sign for
+    n0 = n / p^{v_p(n)}, since the ordinary part lies in the U_p = 1
+    eigenspace.  Every fresh n0 is certified by the least residual of the
+    fit of a to M_2(Gamma_0(p)).  Values in `known` (n0 -> value before
+    tau's sign, as in `stabilized`) are kept; when every n0 is known, no
+    raw coefficient is computed.  m_max is accepted and not read (the
+    Shanks route, `accelerated_ordinary_projection`, is now the check).
+    Fields with a unit of norm -1, where (sqrt(D)) is narrowly principal
+    and no character is odd, give the zero series; other fields need an
+    odd quadratic character, so narrow class number 2 (ValueError
+    otherwise)."""
     D = tau.disc
     check_inert(D, p)
+    basis = basis_for_level(p, n_max)   # an unsupported level, before work
     group = group or NarrowClassGroup(D)
     if has_norm_minus_one(D):
         zero = QSeries((None,) + (ctx.zero(),) * n_max)
-        fit = fit_to_basis(zero, basis_for_level(p, n_max), ctx)
+        fit = fit_to_basis(zero, basis, ctx)
         return GSeriesResult(zero, {}, fit, fit.a0, True, {})
     if group.h != 2:
         raise ValueError("only narrow class number 1 or 2 supported")
@@ -75,25 +118,23 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
     indices = [n0 for n0 in range(1, n_max + 1) if n0 % p]
     missing = [n0 for n0 in indices if n0 not in known]
     chi = group.odd_characters()[0]
-    engine = IdealDivisorEngine(group, p)
-    logs = LogCache(ctx)
-
-    def producer(k):
-        return diag_coefficient(k, chi, engine, ctx, logs)
-
-    fresh = {n0: accelerated_ordinary_projection(producer, n0, p, m_max, ctx)
-             for n0 in missing}
-    stabilized = {n0: known[n0] if n0 in known else fresh[n0][0]
-                  for n0 in indices}
-    certs = {n0: fresh[n0][1] for n0 in missing}
+    stabilized = dict(known)
+    if missing:
+        engine = IdealDivisorEngine(group, p)
+        logs = LogCache(ctx)
+        stabilized.update(ordinary_restriction(
+            lambda n: diag_coefficient(n, chi, engine, ctx, logs), n_max,
+            missing, p, ctx))
     sign = _series_sign(group, chi, tau)
     coeffs = [None] * (n_max + 1)
     for n in range(1, n_max + 1):
-        n0 = n // p ** _vp(n, p)
-        coeffs[n] = stabilized[n0] * sign
+        coeffs[n] = stabilized[n // p ** _vp(n, p)] * sign
     series = QSeries(tuple(coeffs))
-    fit = fit_to_basis(series, basis_for_level(p, n_max), ctx)
-    return GSeriesResult(series, certs, fit, fit.a0, False, stabilized)
+    fit = fit_to_basis(series, basis, ctx)
+    least = fit.min_residual_valuation
+    cert = SeriesCertificate(ctx.prec if least is None else least)
+    return GSeriesResult(series, {n0: cert for n0 in missing}, fit, fit.a0,
+                         False, {n0: stabilized[n0] for n0 in indices})
 
 
 # --------------------------------------------------------------------------
@@ -266,7 +307,8 @@ class RecognitionResult:
     reciprocal_ok: bool
     split_fraction: float
     matches: list               # (twist, coefficients) found by algdep, up
-                                # to and including the accepted twist
+                                # to and including the accepted twist, each
+                                # pair once
 
     @property
     def recognized(self) -> bool:
@@ -326,6 +368,8 @@ def recognize(candidates: list, group: NarrowClassGroup, tau_class: int,
                                     for i, c in enumerate(coeffs)])
             if sum(1 for c in coeffs if c) < 2:
                 continue        # degenerate lattice artifact, not a relation
+            if (cand.twist, coeffs) in matches:
+                continue        # a lower degree's relation, found again
             # a wrong torsion twist can still satisfy a cyclotomic-scaled
             # relation; the Newton polygon gives it away
             matches.append((cand.twist, coeffs))

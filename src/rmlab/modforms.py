@@ -92,7 +92,9 @@ def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext) -> FitResult:
     the known n.  Each step pivots on the basis entry of least valuation
     among the rows not yet pivoted, ties going to the smaller n and then
     the smaller column, and clears that column from every other row
-    (Caruso, arXiv:1701.06794, section 3).  The pivot rows, in pivot order,
+    (Caruso, arXiv:1701.06794, section 3), touching only the entries where
+    the pivot row is not zero: the triangular spans of `katz` leave most of
+    them zero.  The pivot rows, in pivot order,
     give the coefficients; each row left over ends as its residual
     a_n - sum c_j b_j(n).
     """
@@ -111,10 +113,12 @@ def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext) -> FitResult:
             raise ArithmeticError("no nonsingular subsystem found")
         _, n, j = min(entries)
         prow, inv = rows[n], rows[n][j].inverse()
+        nonzero = [i for i, y in enumerate(prow) if not y.is_zero]
         for m, row in rows.items():
             if m != n and not row[j].is_zero:
                 f = row[j] * inv
-                rows[m] = [x - f * y for x, y in zip(row, prow)]
+                for i in nonzero:
+                    row[i] = row[i] - f * prow[i]
         pivots[n] = j
     pivot_row = {j: rows[n] for n, j in pivots.items()}
     coeffs = [pivot_row[j][k] / pivot_row[j][j] for j in range(k)]

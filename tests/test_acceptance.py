@@ -1,9 +1,7 @@
 """Acceptance gate: end-to-end criteria with pinned tolerances.
 
-Each test states its numeric bar explicitly.  One test asserts a bar the
-program does not yet meet (the (12, 7) residual bar, which is
-extrapolation-limited); it is expected to fail and is kept red rather than
-weakened.
+Each test states its numeric bar explicitly, and no bar is loosened to make
+a test pass.
 """
 
 import random
@@ -65,16 +63,12 @@ def test_criterion1_flagship_modularity_p5():
 
 
 def test_criterion1_flagship_modularity_p7():
-    # The (12, 7) repeat is extrapolation-limited.  At depth 2, 28 of the 29
-    # residuals have valuation 8-10; the one at n = 7 is exactly zero since
-    # a_7 reuses a_1.  At n = 1 (prec 40) the consecutive differences of
-    # a_{7^m} have valuations 2, 4, 6, ... and those of the first Shanks
-    # column grow by three per step.  Three terms per coefficient remove
-    # only one geometric transient, so depth 2 cannot certify 20 digits.
-    # Single-core timings: depth 5 certifies 14 digits (29 s for n = 1),
-    # depth 6 certifies 18 (290 s for n = 1 alone), and depth 7 would
-    # enumerate trace 30 * 7^7 ~ 2.5e7 for n = 30, which takes hours.  The
-    # bar is asserted unchanged and this test is expected to fail.
+    # The (12, 7) repeat.  Shanks extrapolation at depth 2 left 28 of the 29
+    # residuals at valuation 8-10, and this test failed.  The ordinary part
+    # of the raw coefficients in Katz's span (ell = 15) gives 28 or more at
+    # n >= 15; at the rows below, on which the span fit is solved, and at
+    # n = 21 and 28, which reuse a_3 and a_4, no digit differs.  The depth
+    # argument is not read.
     res = run_flagship(7, 32, 30, 2)
     fit = res.fit
     assert len(fit.residuals) == 29

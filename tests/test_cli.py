@@ -401,6 +401,18 @@ def test_recognize_unit_budget_held_below_certificates(capsys):
     assert rep["polynomial"] == [5, -6, 5]
 
 
+def test_recognize_unit_at_p_11_defaults(capsys):
+    # (21, 11) at the defaults: span size 22 at prec 32 gives a_0 enough
+    # digits for the unit of Q(sqrt(21)) at twist 36
+    code, rep = run(capsys, ["--disc", "21", "--p", "11", "recognize-unit"])
+    assert code == EXIT_OK
+    assert rep["polynomial"] == [121, -206, 121]
+    assert rep["twist"] == 36
+    assert rep["split_fraction"] >= 0.95
+    pairs = [(t, tuple(c)) for t, c in rep["matches"]]
+    assert len(pairs) == len(set(pairs))
+
+
 def test_recognize_unit_degree_0_exits_2(capsys, no_series):
     # refused before the series, which at the defaults takes seconds, as is
     # a recognition budget below 1 that --budget or --prec sets

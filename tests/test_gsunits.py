@@ -167,6 +167,18 @@ def test_recognize_rejects_wrong_newton():
     assert rec.matches and rec.matches[0][1] == (1, -4, 1)
 
 
+def test_recognize_records_each_relation_once():
+    # at budget 6 the wrong twists satisfy many spurious relations, and the
+    # degree-d and degree-(d + 1) lattices often return the same one
+    ctx = PadicContext(5, 24)
+    group = NarrowClassGroup(12)
+    a0 = flagship_log(ctx) * ctx.from_rational(Fraction(1, 12))
+    cands = unit_from_constant_term(a0, group, group.identity, ctx)
+    for budget, count in ((6, 72), (14, 2)):
+        rec = recognize(cands, group, group.identity, ctx, budget=budget)
+        assert len(rec.matches) == len(set(rec.matches)) == count
+
+
 def test_recognize_rejects_degree_below_1():
     # as algdep_padic does, rather than report "not recognized"
     ctx = PadicContext(5, 32)

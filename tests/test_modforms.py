@@ -1,9 +1,11 @@
 import pytest
 
+from rmlab import gsunits
 from rmlab.gsunits import generating_series
+from rmlab.katz import _delta, _mul, katz_span, span_dimension
 from rmlab.modforms import (QSeries, _to_padic, basis_for_level, e2p_series,
                             eta_cusp_series, fit_to_basis, sigma_p)
-from rmlab.padic import PadicContext
+from rmlab.padic import PadicContext, iwasawa_log
 from rmlab.quadfield import NarrowClassGroup
 
 CTX = PadicContext(5, 20)
@@ -243,3 +245,179 @@ def test_fit_matches_row_order_oracle(system):
     assert fit.a0.to_json() == a0.to_json()
     assert fit.residuals == residuals
     assert fit.solve_indices == solve
+
+
+# --------------------------------------------------------------------------
+# Katz's span
+# --------------------------------------------------------------------------
+
+# -2k / B_k for the Eisenstein series that the spans at p = 5, 7, 11 read
+EISENSTEIN_FACTOR = {4: 240, 6: -504, 10: -264}
+
+
+def _schoolbook(f, g, M, length):
+    out = [0] * length
+    for i, a in enumerate(f[:length]):
+        for j, b in enumerate(g[:length - i]):
+            out[i + j] += a * b
+    return [c % M for c in out]
+
+
+def _schoolbook_power(f, e, M, length):
+    out = [1] + [0] * (length - 1)
+    for _ in range(e):
+        out = _schoolbook(out, f, M, length)
+    return out
+
+
+def _schoolbook_inverse(f, M, length):
+    g = [1]
+    for n in range(1, length):
+        g.append(-sum(f[i] * g[n - i] for i in range(1, n + 1)) % M)
+    return g
+
+
+def _eisenstein_by_divisors(k, M, length):
+    return [1] + [EISENSTEIN_FACTOR[k] * sum(d ** (k - 1)
+                                             for d in range(1, n + 1)
+                                             if n % d == 0) % M
+                  for n in range(1, length)]
+
+
+def _delta_by_product(M, length):
+    """q prod (1 - q^n)^24 mod M."""
+    poly = [1] + [0] * (length - 2)
+    for n in range(1, length - 1):
+        for _ in range(24):
+            for k in range(length - 2, n - 1, -1):
+                poly[k] -= poly[k - n]
+    return [0] + [c % M for c in poly]
+
+
+def _fresh_span(p, ell, M, length):
+    """e_j = Delta^j E_4^a E_6^b / E_{p-1}^m from fresh powers for each j,
+    with schoolbook products and the weight read off dim M_k >= ell."""
+    k = 2
+    while (k // 12 if k % 12 == 2 else k // 12 + 1) < ell:
+        k += p - 1
+    b = 1 if k % 4 else 0
+    delta = _delta_by_product(M, length)
+    E4, E6, Ep = (_eisenstein_by_divisors(w, M, length) for w in (4, 6, p - 1))
+    quotient = _schoolbook_power(_schoolbook_inverse(Ep, M, length),
+                                 (k - 2) // (p - 1), M, length)
+    basis = []
+    for j in range(ell):
+        a = (k - 12 * j - 6 * b) // 4
+        e = _schoolbook(_schoolbook_power(delta, j, M, length),
+                        _schoolbook_power(E4, a, M, length), M, length)
+        e = _schoolbook(e, _schoolbook_power(E6, b, M, length), M, length)
+        basis.append(tuple(_schoolbook(e, quotient, M, length)))
+    return tuple(basis)
+
+
+def _matrix_product(X, Y, M):
+    return [[sum(X[i][t] * Y[t][j] for t in range(len(Y))) % M
+             for j in range(len(Y[0]))] for i in range(len(X))]
+
+
+def _rank_mod(P, p):
+    rows, rank = [[x % p for x in row] for row in P], 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i],
+                                                           rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p, ell", [(5, 4), (5, 8), (7, 4), (7, 6),
+                                    (11, 3), (11, 5)])
+def test_span_matches_fresh_schoolbook_build(p, ell):
+    K = 20
+    M, length = p ** K, p * (ell - 1) + 1
+    assert _delta(M, length) == _delta_by_product(M, length)
+    f = _eisenstein_by_divisors(4, M, length)
+    g = _delta_by_product(M, length)
+    assert _mul(f, g, M, length) == _schoolbook(f, g, M, length)
+    span = katz_span(p, ell, K, length)
+    assert span.basis == _fresh_span(p, ell, M, length)
+    # U_p e_c = sum_i A[i][c] e_i on the first ell coefficients
+    A = span.up
+    for c, e in enumerate(span.basis):
+        for t in range(ell):
+            assert sum(A[i][c] * span.basis[i][t]
+                       for i in range(ell)) % M == e[p * t]
+    # the Newton projector is the limit A^((p-1) p^K) itself
+    P, base, n = None, A, (p - 1) * p ** K
+    while n:
+        if n & 1:
+            P = base if P is None else _matrix_product(P, base, M)
+        base, n = _matrix_product(base, base, M), n >> 1
+    assert [list(row) for row in span.projector] == P
+
+
+@pytest.mark.parametrize("p, rank", [(5, 1), (7, 1), (11, 2), (17, 2)])
+def test_ordinary_projector_has_the_rank_of_m2(p, rank):
+    # ordinary forms of weight 2 are classical of level Gamma_0(p), so the
+    # rank mod p is dim M_2(Gamma_0(p)) = 1 + genus(X_0(p))
+    K, ell = 20, 6
+    M = p ** K
+    span = katz_span(p, ell, K, p * (ell - 1) + 1)
+    P, A = span.projector, span.up
+    assert _matrix_product(P, P, M) == [list(row) for row in P]
+    assert _matrix_product(P, A, M) == _matrix_product(A, P, M)
+    assert _rank_mod(P, p) == rank
+
+
+def test_span_dimension_closed_form():
+    assert [span_dimension(p, 32) for p in (5, 7, 11)] == [11, 15, 22]
+    assert span_dimension(5, 1) == span_dimension(5, 5) == 2
+    with pytest.raises(ValueError, match="cannot read U_p"):
+        katz_span(5, 4, 20, 15)
+
+
+def _closed_form_log(ctx):
+    """log_p of (3 + 4i)/5 at p = 5 and of (1 + 4 sqrt(-3))/7 at p = 7, the
+    12th powers of the units at the principal RM point of D = 12, with
+    sqrt(-3) = 2 mod 7."""
+    if ctx.p == 5:
+        return iwasawa_log(ctx.from_int(3 + 4 * ctx.sqrt_zp(-1 % ctx.modulus)))
+    s = ctx.sqrt_zp(-3 % ctx.modulus)
+    s = s if s % 7 == 2 else ctx.modulus - s
+    return iwasawa_log(ctx.from_int(1 + 4 * s))
+
+
+def _flagship_series(p):
+    group = NarrowClassGroup(12)
+    return generating_series(group.rm_representative(group.identity), p, 30,
+                             PadicContext(p, 32), group=group)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_unit_log_agrees_to_the_least_residual(p):
+    res = _flagship_series(p)
+    least = res.fit.min_residual_valuation
+    assert least >= 26
+    diff = res.a0 * 12 - _closed_form_log(res.a0.ctx)
+    assert diff.is_zero or diff.v >= least
+    assert all(c.stabilized_at == least for c in res.certificates.values())
+
+
+@pytest.mark.parametrize("p, n, e", [(5, 17, 10), (7, 23, 12), (7, 2, 15)])
+def test_planted_fault_sets_the_least_residual(monkeypatch, p, n, e):
+    true = gsunits.diag_coefficient
+
+    def planted(k, chi, engine, ctx, logs=None):
+        value = true(k, chi, engine, ctx, logs)
+        return value + ctx.from_int(p ** e) if k == n else value
+
+    monkeypatch.setattr(gsunits, "diag_coefficient", planted)
+    least = _flagship_series(p).fit.min_residual_valuation
+    assert abs(least - e) <= 2

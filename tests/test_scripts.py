@@ -78,8 +78,7 @@ def test_flagship_script_refuses_budget_before_the_series():
 
 @pytest.mark.parametrize("args, message", [
     (["--nmax", "1"], "not enough known coefficients to overdetermine"),
-    (["--depth", "1"], "need at least three terms to extrapolate"),
-], ids=["nmax1", "depth1"])
+], ids=["nmax1"])
 def test_flagship_script_refuses_a_series_too_short_to_fit(args, message):
     out = run_python([os.path.join(SCRIPTS, "flagship_pipeline.py")] + args)
     assert out.returncode == 2
