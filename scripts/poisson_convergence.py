@@ -49,7 +49,7 @@ def main() -> int:
         ctx = PadicContext(args.p, args.prec)
         group = NarrowClassGroup(args.disc)
         tau = group.rm_representative(group.identity)
-        res = generating_series(tau, args.p, 4, ctx, m_max=3, group=group)
+        res = generating_series(tau, args.p, 4, ctx, group=group)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

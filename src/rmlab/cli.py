@@ -211,7 +211,7 @@ def stabilized_coefficients(args, tau: RMPoint, group: NarrowClassGroup,
     D, p, prec, depth = args.disc, args.p, args.prec, args.depth
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
-    res = generating_series(tau, p, args.nmax, ctx, m_max=depth, group=group,
+    res = generating_series(tau, p, args.nmax, ctx, group=group,
                             known=cache_load(args.cache_dir, D, p, prec,
                                              depth))
     cache_append(args.cache_dir, D, p, prec, depth,

@@ -94,9 +94,8 @@ def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext) -> FitResult:
     the smaller column, and clears that column from every other row
     (Caruso, arXiv:1701.06794, section 3), touching only the entries where
     the pivot row is not zero: the triangular spans of `katz` leave most of
-    them zero.  The pivot rows, in pivot order,
-    give the coefficients; each row left over ends as its residual
-    a_n - sum c_j b_j(n).
+    them zero.  The pivot rows, in pivot order, give the coefficients; each
+    row left over ends as its residual a_n - sum c_j b_j(n).
     """
     k = len(basis)
     known = [n for n in range(1, s.n_max + 1) if s.coeffs[n] is not None]
