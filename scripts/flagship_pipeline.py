@@ -11,8 +11,9 @@ Gross-Stark unit by p-adic lattice reduction.
 The recognition budget is `gsunits.recognition_budget` with --budget as its
 cap; a --budget or --prec that leaves it below 1 exits 2 with a one-line
 message on stderr before the series, and so does an --nmax too small to fit
-the series (--nmax 1).  Each coefficient is reported with its certificate,
-the least residual valuation of the fit to M_2(Gamma_0(5)).
+the series (--nmax 1).  The series is reported with its one certificate,
+the least residual valuation of the fit to M_2(Gamma_0(5)), or prec when
+every residual is exact.
 """
 
 import argparse
@@ -51,9 +52,8 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"\nseries computed in {time.time() - t0:.3f} s")
-    for n, cert in sorted(res.certificates.items()):
-        print(f"  a_{n}: certified to {cert.stabilized_at} digits "
-              "(least fit residual)")
+    print(f"series certified to {res.fit.certified_digits} digits "
+          "(least fit residual, or prec when every residual is exact)")
     print(f"fit residual valuations: {res.fit.residuals}")
     print(f"constant term a_0 = {res.a0}")
 

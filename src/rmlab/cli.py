@@ -204,19 +204,19 @@ def instance_from_args(args) -> tuple:
 
 def stabilized_coefficients(args, tau: RMPoint, group: NarrowClassGroup,
                             ctx: PadicContext):
-    """generating_series for the instance over the coefficient cache:
-    cached values are reused and freshly computed ones appended.  The cache
-    directory is made first, so that a bad one is refused before the
-    series."""
+    """generating_series for the instance over the coefficient cache, and
+    the n0 it computed afresh: cached values are reused and fresh ones
+    appended.  The cache directory is made first, so that a bad one is
+    refused before the series."""
     D, p, prec, depth = args.disc, args.p, args.prec, args.depth
     if args.cache_dir:
         os.makedirs(args.cache_dir, exist_ok=True)
-    res = generating_series(tau, p, args.nmax, ctx, group=group,
-                            known=cache_load(args.cache_dir, D, p, prec,
-                                             depth))
+    known = cache_load(args.cache_dir, D, p, prec, depth)
+    res = generating_series(tau, p, args.nmax, ctx, group=group, known=known)
+    fresh = [n for n in res.stabilized if n not in known]
     cache_append(args.cache_dir, D, p, prec, depth,
-                 {n: res.stabilized[n].to_json() for n in res.certificates})
-    return res
+                 {n: res.stabilized[n].to_json() for n in fresh})
+    return res, fresh
 
 
 def fit_report(fit) -> dict:
@@ -236,13 +236,12 @@ def fit_report(fit) -> dict:
 
 def cmd_gtau(args) -> tuple:
     ctx, group, tau = instance_from_args(args)
-    res = stabilized_coefficients(args, tau, group, ctx)
+    res, fresh = stabilized_coefficients(args, tau, group, ctx)
     report = {
         "form": list(tau.form),
         "coefficients": {str(n): res.series.coeffs[n].to_json()
                          for n in range(1, args.nmax + 1)},
-        "stabilized_at": {str(n): cert.stabilized_at
-                          for n, cert in res.certificates.items()},
+        "stabilized_at": {str(n): res.fit.certified_digits for n in fresh},
         "fit": fit_report(res.fit),
     }
     return report, EXIT_OK
@@ -250,11 +249,9 @@ def cmd_gtau(args) -> tuple:
 
 def cmd_verify(args) -> tuple:
     ctx, group, tau = instance_from_args(args)
-    res = stabilized_coefficients(args, tau, group, ctx)
-    fit = res.fit
+    fit = stabilized_coefficients(args, tau, group, ctx)[0].fit
     bar = args.threshold if args.threshold is not None else args.prec - 5
-    ok = fit.min_residual_valuation is None \
-        or fit.min_residual_valuation >= bar
+    ok = fit.certified_digits >= bar
     report = {
         "form": list(tau.form),
         "fit": fit_report(fit),
@@ -274,7 +271,7 @@ def cmd_recognize(args) -> tuple:
     if has_norm_minus_one(group.D):     # the series is 0: no unit to find
         raise ValueError(f"Q(sqrt({group.D})) has a unit of norm -1 and so "
                          "no odd character")
-    res = stabilized_coefficients(args, tau, group, ctx)
+    res = stabilized_coefficients(args, tau, group, ctx)[0]
     tau_class = group.class_of_rm_point(tau)
     candidates = unit_from_constant_term(res.a0, group, tau_class, ctx)
     rec = recognize(candidates, group, tau_class, ctx, degree=args.degree,
@@ -410,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common],
                             help="certify the overdetermined fit")
     verify.add_argument("--threshold", type=int,
-                        help="required residual valuation (default prec-5)")
+                        help="digits the fit must certify (default prec-5)")
     rec = sub.add_parser("recognize-unit", parents=[common],
                          help="minimal polynomial of the encoded unit")
     rec.add_argument("--degree", type=int, default=4)

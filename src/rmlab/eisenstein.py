@@ -373,7 +373,6 @@ def _agreement_profile(seq: list) -> list:
 
 @dataclass
 class ProjectionCertificate:
-    depth: int                 # number of Shanks columns applied
     agreements: list           # per column, valuations of consecutive diffs
     stabilized_at: int         # agreement of the last two deepest entries
 
@@ -386,7 +385,7 @@ def _certificate(columns: list, ctx: PadicContext) -> ProjectionCertificate:
     two entries are equal."""
     agreements = [_agreement_profile(col) for col in columns]
     last = next((prof[-1] for prof in reversed(agreements) if prof), None)
-    return ProjectionCertificate(len(columns) - 1, agreements,
+    return ProjectionCertificate(agreements,
                                  ctx.prec if last is None else last)
 
 
@@ -414,8 +413,9 @@ def ordinary_projection(producer, n: int, p: int, m_max: int,
                         threshold: int | None = None):
     """Stabilized limit of producer(n * p^{2m}) for m = 0..m_max.
 
-    Returns (value, certificate of depth 0); raises if the last two terms
-    do not agree to the threshold (default: half the working precision)."""
+    Returns (value, certificate of the raw terms); raises if the last two
+    terms do not agree to the threshold (default: half the working
+    precision)."""
     if gcd(n, p) != 1:
         raise ValueError("n must be coprime to p")
     if threshold is None:

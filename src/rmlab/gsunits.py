@@ -31,22 +31,9 @@ from .quadfield import (IdealDivisorEngine, NarrowClassGroup, RMPoint,
 # the generating series
 # --------------------------------------------------------------------------
 
-class SeriesCertificate:
-    """The digits a coefficient is certified to: the least residual
-    valuation of the fit to M_2(Gamma_0(p)), or the working precision when
-    every residual is exact.  A plain class: a dataclass costs the import
-    of rmlab about a millisecond more."""
-
-    __slots__ = ("stabilized_at",)
-
-    def __init__(self, stabilized_at: int):
-        self.stabilized_at = stabilized_at
-
-
 @dataclass
 class GSeriesResult:
     series: QSeries             # a_0 unknown; a_n for n >= 1
-    certificates: dict          # freshly computed n0 -> SeriesCertificate
     fit: FitResult
     a0: PadicScalar             # inferred constant term = log_p(u_tau)
     trivial: bool               # True when the series vanishes identically
@@ -95,11 +82,12 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
     The raw coefficients b_n = `diag_coefficient(n)` give L_n =
     `ordinary_restriction`, and a_n = L_{n0} times tau's sign for
     n0 = n / p^{v_p(n)}, since the ordinary part lies in the U_p = 1
-    eigenspace.  Every fresh n0 is certified by the least residual of the
-    fit of a to M_2(Gamma_0(p)).  Values in `known` (n0 -> value before
-    tau's sign, as in `stabilized`) are kept; when every n0 is known, no
-    raw coefficient is computed.  m_max is accepted and not read (the
-    Shanks route, `accelerated_ordinary_projection`, is now the check).
+    eigenspace.  The series is certified to `fit.certified_digits`, read
+    off the residuals of the fit of a to M_2(Gamma_0(p)).  Values in
+    `known` (n0 -> value before tau's sign, as in `stabilized`) are kept;
+    when every n0 is known, no raw coefficient is computed.  m_max is
+    accepted and not read (the Shanks route,
+    `accelerated_ordinary_projection`, is now the check).
     Fields with a unit of norm -1, where (sqrt(D)) is narrowly principal
     and no character is odd, give the zero series; other fields need an
     odd quadratic character, so narrow class number 2 (ValueError
@@ -111,7 +99,7 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
     if has_norm_minus_one(D):
         zero = QSeries((None,) + (ctx.zero(),) * n_max)
         fit = fit_to_basis(zero, basis, ctx)
-        return GSeriesResult(zero, {}, fit, fit.a0, True, {})
+        return GSeriesResult(zero, fit, fit.a0, True, {})
     if group.h != 2:
         raise ValueError("only narrow class number 1 or 2 supported")
     known = known or {}
@@ -131,10 +119,8 @@ def generating_series(tau: RMPoint, p: int, n_max: int, ctx: PadicContext,
         coeffs[n] = stabilized[n // p ** _vp(n, p)] * sign
     series = QSeries(tuple(coeffs))
     fit = fit_to_basis(series, basis, ctx)
-    least = fit.min_residual_valuation
-    cert = SeriesCertificate(ctx.prec if least is None else least)
-    return GSeriesResult(series, {n0: cert for n0 in missing}, fit, fit.a0,
-                         False, {n0: stabilized[n0] for n0 in indices})
+    return GSeriesResult(series, fit, fit.a0, False,
+                         {n0: stabilized[n0] for n0 in indices})
 
 
 # --------------------------------------------------------------------------
@@ -319,15 +305,14 @@ class RecognitionResult:
 def recognition_budget(fit: FitResult | None, ctx: PadicContext,
                        cap: int = 20) -> int:
     """The p-adic digits recognition may ask of a_0: the least of `cap`, six
-    below the working precision and, given a fit with a residual, two below
-    its least residual valuation, the certificate of the digits a_0 is good
-    to.  With fit None (before the series) only the first two count.
-    ValueError, naming the first least bound, when that is below 1."""
+    below the working precision and, given a fit, two below the digits it
+    certifies (`FitResult.certified_digits`).  With fit None (before the
+    series) only the first two count.  ValueError, naming the first least
+    bound, when that is below 1."""
     bounds = [(cap, f"--budget {cap}"), (ctx.prec - 6, f"--prec {ctx.prec}")]
-    least = fit.min_residual_valuation if fit else None
-    if least is not None:
-        bounds.append((least - 2, "the fit's least residual valuation "
-                       f"{least}"))
+    if fit:
+        bounds.append((fit.certified_digits - 2, "the fit's least residual "
+                       f"valuation {fit.certified_digits}"))
     budget, bound = min(bounds, key=lambda b: b[0])
     if budget < 1:
         raise ValueError(f"{bound} leaves a recognition budget of {budget}; "

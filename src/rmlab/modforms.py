@@ -75,7 +75,8 @@ class FitResult:
     a0: PadicScalar             # inferred constant term
     residuals: dict             # n -> residual valuation (None = exact zero)
     min_residual_valuation: int | None  # None when all residuals vanish
-    certified: bool             # every residual valuation >= prec - 5
+    certified_digits: int       # the least residual valuation, else prec
+    certified: bool             # certified_digits >= prec - 5
     solve_indices: tuple = field(default=())
 
 
@@ -95,7 +96,10 @@ def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext) -> FitResult:
     (Caruso, arXiv:1701.06794, section 3), touching only the entries where
     the pivot row is not zero: the triangular spans of `katz` leave most of
     them zero.  The pivot rows, in pivot order, give the coefficients; each
-    row left over ends as its residual a_n - sum c_j b_j(n).
+    row left over ends as its residual a_n - sum c_j b_j(n).  The fit
+    certifies the least residual valuation, or prec when every residual is
+    exact: `certified_digits`, the one certificate that `certified`, the
+    CLI's `verify` and `gsunits.recognition_budget` read.
     """
     k = len(basis)
     known = [n for n in range(1, s.n_max + 1) if s.coeffs[n] is not None]
@@ -126,9 +130,9 @@ def fit_to_basis(s: QSeries, basis: list, ctx: PadicContext) -> FitResult:
                   default=None)
     a0 = sum((c * _to_padic(b.coeffs[0], ctx)
               for c, b in zip(coeffs, basis)), ctx.zero())
-    certified = min_val is None or min_val >= ctx.prec - 5
-    return FitResult(coeffs, a0, residuals, min_val, certified,
-                     tuple(pivots))
+    digits = ctx.prec if min_val is None else min_val
+    return FitResult(coeffs, a0, residuals, min_val, digits,
+                     digits >= ctx.prec - 5, tuple(pivots))
 
 
 def basis_for_level(p: int, n_max: int) -> list:

@@ -236,12 +236,6 @@ class PadicScalar:
     def __sub__(self, other: "PadicScalar") -> "PadicScalar":
         return self + (-other)
 
-    def __radd__(self, other):
-        return self + other
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other: "PadicScalar") -> "PadicScalar":
         ctx = self.ctx
         other = self._coerce(other)
@@ -498,9 +492,6 @@ class DualScalar:
 
     def __neg__(self):
         return DualScalar(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         return DualScalar(self.a * other.a,

@@ -157,6 +157,14 @@ def test_verify_threshold_and_exit_3(capsys):
     assert code == EXIT_CRITERION and not rep["passed"]
 
 
+def test_verify_bar_above_the_precision_fails(capsys):
+    # every residual of (12, 5) at nmax 8 is exact, and an exact fit
+    # certifies no more digits than the working precision holds
+    code, rep = run(capsys, ["--disc", "12", "--p", "5", "--nmax", "8",
+                             "--prec", "32", "verify", "--threshold", "33"])
+    assert code == EXIT_CRITERION and not rep["passed"]
+
+
 def test_jdr(capsys):
     code, rep = run(capsys, ["--disc", "12", "--p", "5", "--prec", "10",
                              "jdr", "--level", "2"])

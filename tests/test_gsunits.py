@@ -44,10 +44,8 @@ def test_generating_series_small():
     tau = group.rm_representative(group.identity)
     res = generating_series(tau, 5, 10, ctx, m_max=2, group=group)
     assert not res.trivial
-    assert set(res.certificates) == {1, 2, 3, 4, 6, 7, 8, 9}
-    assert all(c.stabilized_at >= 5 for c in res.certificates.values())
-    assert res.fit.min_residual_valuation is None \
-        or res.fit.min_residual_valuation >= 8
+    assert set(res.stabilized) == {1, 2, 3, 4, 6, 7, 8, 9}
+    assert res.fit.certified_digits >= 8
     # constant term = log of the unit; 12 a_0 = log((3+4i)/5)
     diff = res.a0 * 12 - flagship_log(ctx)
     assert diff.is_zero or diff.v >= 8
@@ -191,20 +189,20 @@ def test_recognize_rejects_degree_below_1():
 
 
 def test_recognition_budget():
-    # the least of the cap, prec - 6 and the least residual valuation - 2
+    # the least of the cap, prec - 6 and the certified digits - 2
     ctx = PadicContext(5, 32)
-    fit = FitResult([], ctx.zero(), {2: 21, 3: 25}, 21, True)
+    fit = FitResult([], ctx.zero(), {2: 21, 3: 25}, 21, 21, False)
     assert recognition_budget(fit, ctx) == 19
     assert recognition_budget(fit, ctx, 12) == 12
     assert recognition_budget(fit, PadicContext(5, 24)) == 18
-    exact = FitResult([], ctx.zero(), {2: None}, None, True)
+    exact = FitResult([], ctx.zero(), {2: None}, None, 32, True)
     assert recognition_budget(exact, ctx, 30) == 26
 
 
 def test_recognition_budget_below_1_names_its_bound():
     # the --budget and --prec bounds are named in tests/test_cli.py
     ctx = PadicContext(5, 32)
-    fit = FitResult([], ctx.zero(), {2: 2, 3: 25}, 2, True)
+    fit = FitResult([], ctx.zero(), {2: 2, 3: 25}, 2, 2, False)
     with pytest.raises(ValueError, match="^the fit's least residual "
                        "valuation 2 leaves a recognition budget of 0; "):
         recognition_budget(fit, ctx)
@@ -230,6 +228,11 @@ def test_reciprocal_up_to_p_power():
     assert is_reciprocal_up_to_p_power((5, -6, 1), 5)    # roots 1, 5
     assert not is_reciprocal_up_to_p_power((2, -6, 5), 5)
     assert not is_reciprocal_up_to_p_power((1, 2, 3), 5)
+    # root valuations -1/3 (x3): twice their sum, -2, is not a multiple of
+    # the degree 3
+    assert not is_reciprocal_up_to_p_power((1, 0, 0, 5), 5)
+    # no constant term: x^3 f(1/x) = 1 + x^2 vanishes at f's first term x
+    assert not is_reciprocal_up_to_p_power((0, 1, 0, 1), 5)
 
 
 def test_splitting_fraction():
