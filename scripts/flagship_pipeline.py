@@ -11,9 +11,10 @@ Gross-Stark unit by p-adic lattice reduction.
 The recognition budget is `gsunits.recognition_budget` with --budget as its
 cap; a --budget or --prec that leaves it below 1 exits 2 with a one-line
 message on stderr before the series, and so does an --nmax too small to fit
-the series (--nmax 1).  The series is reported with its one certificate,
-the least residual valuation of the fit to M_2(Gamma_0(5)), or prec when
-every residual is exact.
+the series (--nmax 1).  A reader that closes stdout early ends the script
+with exit 2 and nothing on stderr, as the CLI does.  The series is reported
+with its one certificate, the least residual valuation of the fit to
+M_2(Gamma_0(5)), or prec when every residual is exact.
 """
 
 import argparse
@@ -80,4 +81,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:   # the reader closed stdout: write no more,
+        sys.stdout = None     # not even at exit
+        code = 2
+    sys.exit(code)

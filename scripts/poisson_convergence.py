@@ -20,7 +20,9 @@ piece and P^1 point counts next to the time of the product.
     python3 scripts/poisson_convergence.py [--disc 12] [--p 5] [--levels 4]
 
 A field or prime the pipeline does not support, or --levels below 1,
-exits 2 with a one-line message on stderr before the series is computed.
+exits 2 with a one-line message on stderr before the series is computed;
+a reader that closes stdout early ends the script with exit 2 and nothing on
+stderr, as the CLI does.
 """
 
 import argparse
@@ -75,4 +77,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:   # the reader closed stdout: write no more,
+        sys.stdout = None     # not even at exit
+        code = 2
+    sys.exit(code)

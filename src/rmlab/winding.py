@@ -7,10 +7,11 @@ Two independent routes to the same weighted multisets of RM points:
   (1, tau), mapped to w = nu_0 * sqrt(D) / Nm(I);
 * the double-coset route: representatives delta of determinant-n matrices
   modulo SL2(Z) on the left and the stabilizer of tau on the right, with the
-  crossing points of each orbit SL2(Z) * delta(tau) enumerated exactly via
-  the finitely many forms (A, B, C) with A*C < 0 in the right class.
+  crossing points of each orbit SL2(Z) * delta(tau) read off one period of
+  the river of delta(tau)'s form: its forms (A, B, C) with A*C < 0.
 
-Both feed the weighted p-adic log sum log_Tn_Jw.
+Both give log_Tn_Jw, the weighted p-adic log sum, as one Iwasawa log of the
+weighted product of the points.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from math import gcd, isqrt
 from .padic import PadicContext, PadicScalar, _vp, iwasawa_log
 from .quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
                         RMPoint, _ext_gcd, apply_sl2, automorph, check_inert,
-                        embed_quadnum, enumerate_trace, is_primitive,
-                        reduce_cycle, reduce_form)
+                        embed_quadnum, enumerate_trace, reduce_form)
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,9 @@ class WeightedRMPoint:
     weight: int          # +1 iff w > 0 > w', -1 iff w < 0 < w'
 
     def __post_init__(self):
-        assert self.w.sign() * self.w.conj().sign() < 0
-        assert self.weight == (1 if self.w.sign() > 0 else -1)
+        sign = self.w.sign()
+        assert sign * self.w.conj().sign() < 0
+        assert self.weight == sign
 
 
 def _check_instance(D: int, n: int, p: int):
@@ -78,15 +79,19 @@ def log_Tn_Jw(tau: RMPoint, n: int, p: int, ctx: PadicContext,
               group: NarrowClassGroup | None = None,
               engine: IdealDivisorEngine | None = None) -> PadicScalar:
     """Weighted p-adic log sum over RM_n^+(tau) and RM_n^-(tau)."""
-    D = tau.disc
-    group = group or NarrowClassGroup(D)
+    group = group or NarrowClassGroup(tau.disc)
     engine = engine or IdealDivisorEngine(group, p)
-    total = ctx.zero()
-    for pt in rm_plus_set(tau, n, p, group, engine):
-        total = total + iwasawa_log(embed_quadnum(pt.w, ctx))
-    for pt in rm_minus_set(tau, n, p, group, engine):
-        total = total - iwasawa_log(embed_quadnum(pt.w, ctx))
-    return total
+    return _log_of_product(rm_plus_set(tau, n, p, group, engine)
+                           + rm_minus_set(tau, n, p, group, engine), ctx)
+
+
+def _log_of_product(points: list, ctx: PadicContext) -> PadicScalar:
+    """The weighted log sum over `points` as one Iwasawa log: that of the
+    product of the w^weight in Q_{p^2}."""
+    prod = {1: ctx.one(), -1: ctx.one()}
+    for pt in points:
+        prod[pt.weight] = prod[pt.weight] * embed_quadnum(pt.w, ctx)
+    return iwasawa_log(prod[1] / prod[-1])
 
 
 # --------------------------------------------------------------------------
@@ -141,31 +146,27 @@ def double_coset_reps(tau: RMPoint, n: int):
 def _crossing_points(point: RMPoint, D: int):
     """All RM points w in the SL2(Z)-orbit of `point` whose geodesic (w', w)
     separates 0 from infinity: exactly the roots of equivalent forms with
-    A*C < 0.  Finite, enumerated exactly; values returned over sqrt(D)."""
+    A*C < 0.  Those with A > 0 > C are the edges of the form's river
+    (Conway, The Sensual (Quadratic) Form), and the rest are their images
+    (C, -B, A) under S; one period of the river is walked from a reduced
+    form.  Values are returned over sqrt(D)."""
     Dp = point.disc
     k = isqrt(Dp // D)
     assert k * k * D == Dp
-    cycle = set(reduce_cycle(point.form))
-    s = isqrt(Dp)
+    A, B, C = start = reduce_form(point.form)   # reduced, so A*C < 0
+    if A < 0:
+        A, B, C = start = (C, -B, A)           # S keeps the proper class
     out = []
-    for B in range(-s, s + 1):
-        if (B * B - Dp) % 4:
-            continue
-        AC = (B * B - Dp) // 4  # negative: B^2 < Dp = k^2 D, not a square
-        for A in range(1, -AC + 1):
-            if AC % A:
-                continue
-            for Asigned in (A, -A):
-                fcand = (Asigned, B, AC // Asigned)
-                if not is_primitive(fcand):
-                    continue
-                if reduce_form(fcand) not in cycle:
-                    continue
-                # (-B + k*sqrt(D)) / (2A), expressed over sqrt(D)
-                w = QuadNum(D, Fraction(-B, 2 * Asigned),
-                            Fraction(k, 2 * Asigned))
-                out.append(w)
-    return out
+    # a river form has B^2 < Dp and A | (Dp - B^2)/4: fewer than 2 Dp of them
+    for _ in range(2 * Dp):
+        # (-B + k*sqrt(D)) / (2A), and (B + k*sqrt(D)) / (2C) for (C, -B, A)
+        out.append(QuadNum(D, Fraction(-B, 2 * A), Fraction(k, 2 * A)))
+        out.append(QuadNum(D, Fraction(B, 2 * C), Fraction(k, 2 * C)))
+        s = A + B + C   # the value at (1, 1); never 0, as Dp is no square
+        A, B, C = (A, B + 2 * A, s) if s < 0 else (s, B + 2 * C, C)
+        if (A, B, C) == start:
+            return out
+    raise ArithmeticError("river walk failed to close")
 
 
 def _strip_p(w: QuadNum, p: int) -> QuadNum:
@@ -194,15 +195,10 @@ def rm_set_by_cosets(tau: RMPoint, n: int, p: int) -> list:
     for delta in double_coset_reps(tau, n):
         for w in _crossing_points(_translate(tau, delta), D):
             w0 = _strip_p(w, p)
-            weight = 1 if w0.sign() > 0 else -1
-            out.append(WeightedRMPoint(w0, weight))
+            out.append(WeightedRMPoint(w0, w0.sign()))
     return out
 
 
 def log_Tn_Jw_by_cosets(tau: RMPoint, n: int, p: int,
                         ctx: PadicContext) -> PadicScalar:
-    total = ctx.zero()
-    for pt in rm_set_by_cosets(tau, n, p):
-        term = iwasawa_log(embed_quadnum(pt.w, ctx))
-        total = total + (term if pt.weight > 0 else -term)
-    return total
+    return _log_of_product(rm_set_by_cosets(tau, n, p), ctx)

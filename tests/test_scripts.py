@@ -70,6 +70,23 @@ def test_flagship_script_refuses_a_series_too_short_to_fit(args, message):
     assert "series computed" not in out.stdout
 
 
+@pytest.mark.parametrize("script, args", [
+    ("flagship_pipeline.py", ["--nmax", "30", "--prec", "32"]),
+    ("poisson_convergence.py", ["--levels", "3"]),
+], ids=["flagship_pipeline", "poisson_convergence"])
+def test_script_exits_2_quietly_when_the_reader_closes_stdout(script, args):
+    # unbuffered, so the first line arrives while the script still works
+    proc = subprocess.Popen(
+        [sys.executable, "-u", os.path.join(SCRIPTS, script)] + args,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=300) == 2
+    assert stderr == ""
+
+
 def test_readme_quick_start():
     with open(os.path.join(ROOT, "README.md")) as fh:
         block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]

@@ -1,16 +1,21 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, isqrt
 
 import pytest
 
+from rmlab import winding
 from rmlab.padic import PadicContext, iwasawa_log
 from rmlab.quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
                              automorph, embed_quadnum,
-                             is_fundamental_discriminant)
-from rmlab.winding import (WeightedRMPoint, _hnf2, _matmul, _translate,
-                           double_coset_reps, log_Tn_Jw, log_Tn_Jw_by_cosets,
-                           rm_minus_set, rm_plus_set, rm_set_by_cosets)
+                             is_fundamental_discriminant, is_primitive,
+                             reduce_cycle, reduce_form)
+from rmlab.winding import (WeightedRMPoint, _crossing_points, _hnf2, _matmul,
+                           _translate, double_coset_reps, log_Tn_Jw,
+                           log_Tn_Jw_by_cosets, rm_minus_set, rm_plus_set,
+                           rm_set_by_cosets)
 
 from test_quadfield import form_of_value, rm_value
 
@@ -190,6 +195,128 @@ def test_translate_matches_the_value_route():
                     val = (w * a + QuadNum(D, b, 0)) * Fraction(1, d)
                     assert _translate(t, delta) == form_of_value(val), \
                         (D, i, t.form, delta)
+
+
+@lru_cache(maxsize=None)
+def reduced_crossing_forms(Dp):
+    """Every primitive (A, B, C) of discriminant Dp with A*C < 0, found by
+    trying each (A, B) with B^2 < Dp and A | AC and both signs of A, paired
+    with its reduced form; kept per Dp, which many translates share."""
+    s = isqrt(Dp)
+    out = []
+    for B in range(-s, s + 1):
+        if (B * B - Dp) % 4:
+            continue
+        AC = (B * B - Dp) // 4  # negative: Dp is not a square
+        for A in range(1, -AC + 1):
+            if AC % A:
+                continue
+            for Asigned in (A, -A):
+                f = (Asigned, B, AC // Asigned)
+                if is_primitive(f):
+                    out.append((f, reduce_form(f)))
+    return out
+
+
+def lowest_terms(num, den):
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
+
+
+def search_crossing_points(point, D):
+    """Oracle for `_crossing_points`: the roots (-B + k sqrt(D))/(2A) of the
+    forms of `reduced_crossing_forms` that reduce into the cycle of
+    `point`'s form, as sorted tuples (a, a', b, b') of the value
+    a/a' + (b/b') sqrt(D) in lowest terms with a', b' > 0."""
+    k = isqrt(point.disc // D)
+    cycle = set(reduce_cycle(point.form))
+    return sorted(lowest_terms(-B, 2 * A) + lowest_terms(k, 2 * A)
+                  for (A, B, _), reduced in reduced_crossing_forms(point.disc)
+                  if reduced in cycle)
+
+
+def sorted_values(points):
+    """QuadNums as the sorted tuples of `search_crossing_points`."""
+    return sorted((w.a.numerator, w.a.denominator,
+                   w.b.numerator, w.b.denominator) for w in points)
+
+
+def test_crossing_points_walk_matches_the_search():
+    # 25 fundamental discriminants, every class, tau and -tau, n = 1..6:
+    # every double-coset translate (1,628 of them)
+    discs = [D for D in range(5, 200) if is_fundamental_discriminant(D)][:25]
+    translates = 0
+    for D in discs:
+        group = NarrowClassGroup(D)
+        for i in range(group.h):
+            tau = group.rm_representative(i)
+            for t in (tau, tau.negate()):
+                for n in range(1, 7):
+                    for delta in double_coset_reps(t, n):
+                        point = _translate(t, delta)
+                        walk = sorted_values(_crossing_points(point, D))
+                        assert walk == search_crossing_points(point, D), \
+                            (D, i, t.form, delta)
+                        translates += 1
+    assert translates == 1628
+
+
+def per_point_log_sum(points, ctx):
+    """Oracle for the one log of `log_Tn_Jw` and `log_Tn_Jw_by_cosets`: the
+    weighted sum of one Iwasawa log per point."""
+    total = ctx.zero()
+    for pt in points:
+        term = iwasawa_log(embed_quadnum(pt.w, ctx))
+        total = total + (term if pt.weight > 0 else -term)
+    return total
+
+
+@pytest.mark.parametrize("D, p", [(12, 5), (21, 11), (60, 13), (136, 7)])
+def test_one_log_matches_the_per_point_sum(D, p):
+    # both routes give the same points, so one sum checks both; the one log
+    # knows every digit the sum does, and more where the sum cancels: at
+    # (136, 7), n = 4, logs of valuation 1 add up to valuation 2, and the
+    # sum keeps slack 3 where the one log has 2
+    ctx = PadicContext(p, 12)
+    g, eng = group_engine(D, p)
+    for i in range(g.h):
+        tau = g.rm_representative(i)
+        for n in [k for k in range(1, 7) if k % p]:
+            oracle = per_point_log_sum(rm_set_by_cosets(tau, n, p), ctx)
+            for value in (log_Tn_Jw(tau, n, p, ctx, g, eng),
+                          log_Tn_Jw_by_cosets(tau, n, p, ctx)):
+                assert (value - oracle).is_zero, (i, n)
+                assert value.v == oracle.v and value.slack <= oracle.slack
+
+
+@pytest.mark.parametrize("D, p", [(5, 7), (13, 5)])
+def test_one_log_vanishes_exactly_on_norm_minus_one_fields(D, p):
+    ctx = PadicContext(p, 12)
+    g, eng = group_engine(D, p)
+    tau = g.rm_representative(0)
+    for n in [k for k in range(1, 9) if k % p]:
+        assert log_Tn_Jw(tau, n, p, ctx, g, eng).is_zero
+        assert log_Tn_Jw_by_cosets(tau, n, p, ctx).is_zero
+
+
+def test_one_value_costs_one_log(monkeypatch):
+    calls = []
+
+    def counting_log(x):
+        calls.append(x)
+        return iwasawa_log(x)
+
+    monkeypatch.setattr(winding, "iwasawa_log", counting_log)
+    ctx = PadicContext(7, 12)
+    g, eng = group_engine(136, 7)
+    tau = g.rm_representative(1)
+    for n in (1, 4, 6):
+        calls.clear()
+        log_Tn_Jw(tau, n, 7, ctx, g, eng)
+        assert len(calls) == 1
+        calls.clear()
+        log_Tn_Jw_by_cosets(tau, n, 7, ctx)
+        assert len(calls) == 1
 
 
 def test_coset_oracle_matches_ideal_route():
