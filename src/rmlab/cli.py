@@ -248,9 +248,15 @@ def cmd_gtau(args) -> tuple:
 
 
 def cmd_verify(args) -> tuple:
+    # a bar below 1 certifies nothing, so it is refused before the series
+    bar, source = ((args.threshold, f"--threshold {args.threshold}")
+                   if args.threshold is not None
+                   else (args.prec - 5, f"--prec {args.prec}"))
+    if bar < 1:
+        raise ValueError(f"{source} leaves a verify bar of {bar}; it must be "
+                         "at least 1")
     ctx, group, tau = instance_from_args(args)
     fit = stabilized_coefficients(args, tau, group, ctx)[0].fit
-    bar = args.threshold if args.threshold is not None else args.prec - 5
     ok = fit.certified_digits >= bar
     report = {
         "form": list(tau.form),
@@ -327,6 +333,10 @@ def cmd_fit(args) -> tuple:
     coeffs = data.get("coefficients") if isinstance(data, dict) else None
     if isinstance(coeffs, dict):
         # a gtau report: keyed by n >= 1; a_0 and absent n are unknown
+        bad = [n for n in coeffs if not re.fullmatch("[0-9]+", n)]
+        if bad:
+            raise ValueError(f"coefficient key {bad[0]!r} is not an integer "
+                             "n >= 0")
         known = {int(n): c for n, c in coeffs.items()}
         coeffs = [None] + [known.get(n)
                            for n in range(1, max(known, default=0) + 1)]
@@ -407,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common],
                             help="certify the overdetermined fit")
     verify.add_argument("--threshold", type=int,
-                        help="digits the fit must certify (default prec-5)")
+                        help="digits the fit must certify, at least 1 "
+                        "(default prec-5)")
     rec = sub.add_parser("recognize-unit", parents=[common],
                          help="minimal polynomial of the encoded unit")
     rec.add_argument("--degree", type=int, default=4)

@@ -6,9 +6,11 @@ D = d * (D/d), read at rational primes (`genus_value`), exact elements
 a + b*sqrt(D), prime ideals and the factorization of principal ideals into
 them, totally-positive trace enumeration with the progression helpers of the
 divisor-sum kernel's sieve (`eisenstein._fold`), and partial zeta values at
-s = 0 (reduced-cycle formula, with a Shintani cone sum as the independent
-oracle).  Matrices act on RM points through their forms (`apply_sl2`), so
-the minus continued fraction and the fundamental automorph walk forms.
+s = 0 (the quotients of the rho steps around a class's cycle of reduced
+forms, with a Shintani cone sum as the independent oracle).  The principal
+cycle also gives the fundamental automorph, as the product of its steps'
+matrices, and the test for a unit of norm -1.  Matrices act on RM points
+through their forms (`apply_sl2`).
 
 `factor` (trial division) serves the integers met outside that sieve:
 discriminants, group orders and the norms factored into prime ideals by
@@ -287,13 +289,19 @@ def all_reduced_forms(D: int) -> list:
 
 @lru_cache(maxsize=None)
 def pell_fundamental(D: int):
-    """Least (t, u), t, u > 0, with t^2 - D u^2 = 4, read off the automorph
-    [[(t - Bu)/2, -Cu], [Au, (t + Bu)/2]] of the first periodic form
-    (A, B, C), A > 0, of the principal form's minus continued fraction."""
+    """Least (t, u), t, u > 0, with t^2 - D u^2 = 4, read off the product M
+    of the rho steps' [[0, -1], [1, m]] once around the principal cycle:
+    +-[[(t - Bu)/2, -Cu], [Au, (t + Bu)/2]], the automorph of its first
+    form (A, B, C)."""
     check_fundamental(D)
-    _, forms, M = minus_cf_cycle(principal_form(D))
+    cycle = reduce_cycle(principal_form(D))
+    M = ((1, 0), (0, 1))
+    for f in cycle:
+        m = rho_step(f)[1]
+        M = ((M[0][1], m * M[0][1] - M[0][0]),
+             (M[1][1], m * M[1][1] - M[1][0]))
     t = abs(M[0][0] + M[1][1])
-    u = abs(M[1][0]) // forms[0][0]
+    u = abs(M[1][0]) // abs(cycle[0][0])
     assert t * t - D * u * u == 4 and u > 0
     return t, u
 
@@ -311,20 +319,13 @@ def automorph(f: Form):
 
 
 def has_norm_minus_one(D: int) -> bool:
-    """True iff x^2 - D y^2 = -4 is solvable (fundamental unit of norm -1).
-
-    With (t, u) the least solution of t^2 - D u^2 = 4, a norm -1 unit exists
-    iff t - 2 and (t + 2)/D are perfect squares (then eps_- = sqrt(eps_+)).
-    """
+    """True iff x^2 - D y^2 = -4 is solvable (fundamental unit of norm -1):
+    exactly when the form (-1, D mod 2, (D - D mod 2)/4), whose class is
+    that of (sqrt(D)), is properly equivalent to the principal form, so
+    reduces into its cycle (H. Cohen, GTM 138, 5.2)."""
     check_fundamental(D)
-    t, _ = pell_fundamental(D)
-    x2 = t - 2
-    if isqrt(x2) ** 2 != x2:
-        return False
-    if (t + 2) % D:
-        return False
-    y2 = (t + 2) // D
-    return isqrt(y2) ** 2 == y2
+    return (reduce_form((-1, D % 2, (D - D % 2) // 4))
+            in reduce_cycle(principal_form(D)))
 
 
 # --------------------------------------------------------------------------
@@ -738,39 +739,13 @@ def embed_quadnum(x: QuadNum, ctx: PadicContext) -> PadicScalar:
 # partial zeta values at s = 0
 # --------------------------------------------------------------------------
 
-def minus_cf_cycle(f: Form):
-    """Period of the minus continued fraction of the root w of f: the
-    (b_0, ..., b_{m-1}), the periodic forms and their product M of the
-    [[b_i, -1], [1, 0]], the automorph of the first periodic form.
-
-    The step w -> 1/(b - w), b the ceiling of w, is the form f(bx - y, x)
-    = (f(b, 1), -2Ab - B, A).  w = (-B + sqrt(D))/(2A) is irrational, so its
-    ceiling is its floor plus one, read off s = isqrt(D)."""
-    s = isqrt(form_disc(f))
-    seen, path = {}, []
-    while f not in seen:
-        seen[f] = len(path)
-        A, B, _ = f
-        b = ((s - B) // (2 * A) if A > 0 else (B - s - 1) // (-2 * A)) + 1
-        path.append((f, b))
-        f = apply_sl2(f, ((b, -1), (1, 0)))
-    period = path[seen[f]:]
-    M = ((1, 0), (0, 1))
-    for _, b in period:
-        M = ((b * M[0][0] + M[0][1], -M[0][0]),
-             (b * M[1][0] + M[1][1], -M[1][0]))
-    return [b for _, b in period], [g for g, _ in period], M
-
-
 def partial_zeta_zero(group: NarrowClassGroup, class_idx: int) -> Fraction:
-    """Zeta value at 0 of a narrow class: sum(b_i - 3)/12 over the period of
-    the minus continued fraction of its representative (D. Zagier, Math.
-    Ann. 213, 1975)."""
-    bs, forms, _ = minus_cf_cycle(group.representative(class_idx))
-    # the periodic forms are properly equivalent to the representative, so
-    # the cycle is that of the requested class; guard anyway
-    assert group.class_of_form(forms[0]) == class_idx
-    return Fraction(sum(bs) - 3 * len(bs), 12)
+    """Zeta value at 0 of a narrow class: sum(m)/12 over the partial
+    quotients m of the rho steps once around its cycle of reduced forms
+    (D. Zagier, Math. Ann. 213, 1975, there as sum(b_i - 3)/12 over the
+    minus continued fraction)."""
+    return Fraction(sum(rho_step(f)[1] for f in group.cycles[class_idx]),
+                    12)
 
 
 def _B1(x: Fraction) -> Fraction:

@@ -143,13 +143,16 @@ def double_coset_reps(tau: RMPoint, n: int):
     return reps
 
 
-def _crossing_points(point: RMPoint, D: int):
-    """All RM points w in the SL2(Z)-orbit of `point` whose geodesic (w', w)
-    separates 0 from infinity: exactly the roots of equivalent forms with
-    A*C < 0.  Those with A > 0 > C are the edges of the form's river
-    (Conway, The Sensual (Quadratic) Form), and the rest are their images
-    (C, -B, A) under S; one period of the river is walked from a reduced
-    form.  Values are returned over sqrt(D)."""
+def _crossing_points(point: RMPoint, D: int, p: int) -> list:
+    """(w, weight) for all RM points w in the SL2(Z)-orbit of `point` whose
+    geodesic (w', w) separates 0 from infinity, with their p-power content
+    divided out: exactly the roots of equivalent forms with A*C < 0.  Those
+    with A > 0 > C are the edges of the form's river (Conway, The Sensual
+    (Quadratic) Form), of weight +1, and the rest are their images
+    (C, -B, A) under S, of weight -1; one period of the river is walked from
+    a reduced form.  The root of (A, B, C) has norm C/A, so for inert p its
+    valuation is (v_p(C) - v_p(A))/2, and its S-image has the opposite one.
+    Values are returned over sqrt(D)."""
     Dp = point.disc
     k = isqrt(Dp // D)
     assert k * k * D == Dp
@@ -159,22 +162,19 @@ def _crossing_points(point: RMPoint, D: int):
     out = []
     # a river form has B^2 < Dp and A | (Dp - B^2)/4: fewer than 2 Dp of them
     for _ in range(2 * Dp):
-        # (-B + k*sqrt(D)) / (2A), and (B + k*sqrt(D)) / (2C) for (C, -B, A)
-        out.append(QuadNum(D, Fraction(-B, 2 * A), Fraction(k, 2 * A)))
-        out.append(QuadNum(D, Fraction(B, 2 * C), Fraction(k, 2 * C)))
+        # (-B + k*sqrt(D)) / (2A p^v), and (B + k*sqrt(D)) p^v / (2C) for
+        # (C, -B, A)
+        v = (_vp(C, p) - _vp(A, p)) // 2
+        up, down = p ** max(-v, 0), p ** max(v, 0)
+        a, c = 2 * A * down, 2 * C * up
+        out.append((QuadNum(D, Fraction(-B * up, a), Fraction(k * up, a)), 1))
+        out.append((QuadNum(D, Fraction(B * down, c), Fraction(k * down, c)),
+                    -1))
         s = A + B + C   # the value at (1, 1); never 0, as Dp is no square
         A, B, C = (A, B + 2 * A, s) if s < 0 else (s, B + 2 * C, C)
         if (A, B, C) == start:
             return out
     raise ArithmeticError("river walk failed to close")
-
-
-def _strip_p(w: QuadNum, p: int) -> QuadNum:
-    """Divide out the p-power content of an RM point (inert p, so
-    v_p(w) = v_p(Nm w) / 2)."""
-    nm = w.norm()
-    vp = _vp(nm.numerator, p) // 2 - _vp(nm.denominator, p) // 2
-    return w * Fraction(1, p) ** vp if vp else w
 
 
 def _translate(tau: RMPoint, delta) -> RMPoint:
@@ -191,12 +191,8 @@ def rm_set_by_cosets(tau: RMPoint, n: int, p: int) -> list:
     translates (a tau + b)/d of tau by the coset representatives."""
     D = tau.disc
     _check_instance(D, n, p)
-    out = []
-    for delta in double_coset_reps(tau, n):
-        for w in _crossing_points(_translate(tau, delta), D):
-            w0 = _strip_p(w, p)
-            out.append(WeightedRMPoint(w0, w0.sign()))
-    return out
+    return [WeightedRMPoint(w, weight) for delta in double_coset_reps(tau, n)
+            for w, weight in _crossing_points(_translate(tau, delta), D, p)]
 
 
 def log_Tn_Jw_by_cosets(tau: RMPoint, n: int, p: int,

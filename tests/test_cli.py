@@ -165,6 +165,19 @@ def test_verify_bar_above_the_precision_fails(capsys):
     assert code == EXIT_CRITERION and not rep["passed"]
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--threshold", "0"], "--threshold 0 leaves a verify bar of 0"),
+    (["--threshold", "-1"], "--threshold -1 leaves a verify bar of -1"),
+    (["--prec", "5"], "--prec 5 leaves a verify bar of 0")],
+    ids=["threshold-0", "threshold-minus-1", "prec-5"])
+def test_verify_bar_below_1_exits_2(capsys, no_series, flags, error):
+    # a bar below 1 certifies nothing: refused before the series, naming
+    # the flag it comes from (--threshold, or --prec through prec - 5)
+    code, rep = run(capsys, ["--nmax", "8", "verify"] + flags)
+    assert code == EXIT_INVALID
+    assert rep["error"] == error + "; it must be at least 1"
+
+
 def test_jdr(capsys):
     code, rep = run(capsys, ["--disc", "12", "--p", "5", "--prec", "10",
                              "jdr", "--level", "2"])
@@ -246,6 +259,25 @@ def test_fit_from_file(capsys, tmp_path, source):
         a0 = PadicScalar.from_json(rep["fit"]["a0"])
         assert a0.equals(ctx.from_int(12))  # 3 * (p - 1)
         assert rep["fit"]["certified"]
+
+
+@pytest.mark.parametrize("key", ["x", "-1", "2"])
+def test_fit_reads_coefficients_keyed_by_n(capsys, tmp_path, key):
+    # a gtau report's coefficients are keyed by n >= 1; "0" is accepted and
+    # not read, as a_0 is in the list form, and any key that is no n >= 0
+    # is named
+    one = PadicContext(5, 10).from_int(1).to_json()
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps({"coefficients": {"0": one, "1": one,
+                                                 key: one}}))
+    code, rep = run(capsys, ["--p", "5", "--prec", "10", "fit", "--series",
+                             str(path)])
+    if key == "2":
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_INVALID
+        assert rep["error"] == \
+            f"coefficient key '{key}' is not an integer n >= 0"
 
 
 @pytest.mark.parametrize("command, flag, name", [

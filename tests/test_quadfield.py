@@ -15,8 +15,7 @@ from rmlab.quadfield import (IdealF, IdealDivisorEngine, NarrowClassGroup,
                              embed_quadnum, enumerate_trace,
                              factor_alpha, form_disc, genus_value,
                              has_norm_minus_one,
-                             is_fundamental_discriminant,
-                             minus_cf_cycle, partial_zeta_zero,
+                             is_fundamental_discriminant, partial_zeta_zero,
                              pell_fundamental, prime_ideal, prime_pairs,
                              principal_form, reduce_form,
                              rho_step, shintani_zeta_zero, splitting_type,
@@ -26,6 +25,8 @@ from rmlab.quadfield import (_ext_gcd, _odd_primes_upto, _split_exponent,
 
 DISCS = [5, 8, 12, 13, 21, 24, 28, 33, 40, 44, 56, 57, 60, 61]
 FUNDAMENTAL_500 = [D for D in range(5, 500) if is_fundamental_discriminant(D)]
+# the discriminants of the minus continued fraction oracle's tests
+ORACLE_DISCS = [D for D in range(5, 2000) if is_fundamental_discriminant(D)]
 
 
 def rand_quadnum(D, rng, integral=False, nonzero=True):
@@ -70,6 +71,43 @@ def quadnum_minus_cf_cycle(w):
         w = (QuadNum(w.D, b, 0) - w).inverse()
     start = seen[w]
     return [b for (_, b) in path[start:]], [x for (x, _) in path[start:]]
+
+
+def minus_cf_cycle(f):
+    """Oracle for `partial_zeta_zero` and `pell_fundamental`: the period of
+    the minus continued fraction of the root w of f, as the
+    (b_0, ..., b_{m-1}), the periodic forms and their product M of the
+    [[b_i, -1], [1, 0]], the automorph of the first periodic form.
+
+    The step w -> 1/(b - w), b the ceiling of w, is the form f(bx - y, x)
+    = (f(b, 1), -2Ab - B, A).  w = (-B + sqrt(D))/(2A) is irrational, so its
+    ceiling is its floor plus one, read off s = isqrt(D)."""
+    s = isqrt(form_disc(f))
+    seen, path = {}, []
+    while f not in seen:
+        seen[f] = len(path)
+        A, B, _ = f
+        b = ((s - B) // (2 * A) if A > 0 else (B - s - 1) // (-2 * A)) + 1
+        path.append((f, b))
+        f = apply_sl2(f, ((b, -1), (1, 0)))
+    period = path[seen[f]:]
+    M = ((1, 0), (0, 1))
+    for _, b in period:
+        M = ((b * M[0][0] + M[0][1], -M[0][0]),
+             (b * M[1][0] + M[1][1], -M[1][0]))
+    return [b for _, b in period], [g for g, _ in period], M
+
+
+def pell_square_test(D):
+    """Oracle for `has_norm_minus_one`: with (t, u) the least solution of
+    t^2 - D u^2 = 4, read off the minus continued fraction, a unit of norm
+    -1 exists iff t - 2 and (t + 2)/D are perfect squares (then
+    eps_- = sqrt(eps_+))."""
+    M = minus_cf_cycle(principal_form(D))[2]
+    t = abs(M[0][0] + M[1][1])
+    y2 = (t + 2) // D
+    return (isqrt(t - 2) ** 2 == t - 2 and (t + 2) % D == 0
+            and isqrt(y2) ** 2 == y2)
 
 
 def rm_value(tau):
@@ -243,12 +281,11 @@ def test_pell_fundamental_against_brute_force():
     assert pell_fundamental(57) == (302, 40)
 
 
-def test_pell_fundamental_matches_the_gauss_cycle():
-    # the minus continued fraction's automorph against the reduced cycle's
-    for D in FUNDAMENTAL_500:
-        f = reduce_form(principal_form(D))
-        M = gauss_cycle_matrix(f)
-        t, u = abs(M[0][0] + M[1][1]), abs(M[1][0]) // abs(f[0])
+def test_pell_fundamental_matches_the_minus_continued_fraction():
+    # the rho steps' automorph against the minus continued fraction's
+    for D in ORACLE_DISCS:
+        _, forms, M = minus_cf_cycle(principal_form(D))
+        t, u = abs(M[0][0] + M[1][1]), abs(M[1][0]) // forms[0][0]
         assert pell_fundamental(D) == (t, u), D
 
 
@@ -264,6 +301,11 @@ def test_has_norm_minus_one():
     expected_true = {5, 8, 13, 17, 29, 37, 40, 41, 53, 61, 65}
     for D in DISCS + [17, 29, 37, 41, 53, 65]:
         assert has_norm_minus_one(D) == (D in expected_true), D
+
+
+def test_has_norm_minus_one_matches_the_pell_square_test():
+    for D in ORACLE_DISCS:
+        assert has_norm_minus_one(D) == pell_square_test(D), D
 
 
 def _compose_by_search(f1, f2):
@@ -847,6 +889,19 @@ ZETA_TABLE = {
     60: [Fraction(5, 12), Fraction(-5, 12), Fraction(1, 12), Fraction(-1, 12)],
     61: [Fraction(0)],
 }
+
+
+def test_partial_zeta_matches_the_minus_continued_fraction():
+    # Zagier's sum(b_i - 3)/12 over the period of the minus continued
+    # fraction, whose forms lie in the class, against sum(m)/12 over the
+    # rho steps of its cycle
+    for D in ORACLE_DISCS:
+        g = NarrowClassGroup(D)
+        for i in range(g.h):
+            bs, forms, _ = minus_cf_cycle(g.representative(i))
+            assert g.class_of_form(forms[0]) == i
+            assert partial_zeta_zero(g, i) == \
+                Fraction(sum(bs) - 3 * len(bs), 12), (D, i)
 
 
 def test_partial_zeta_pinned_values():

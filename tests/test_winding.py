@@ -5,13 +5,14 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 import pytest
+from sympy import primerange
 
 from rmlab import winding
-from rmlab.padic import PadicContext, iwasawa_log
+from rmlab.padic import PadicContext, _vp, iwasawa_log
 from rmlab.quadfield import (IdealDivisorEngine, NarrowClassGroup, QuadNum,
                              automorph, embed_quadnum,
                              is_fundamental_discriminant, is_primitive,
-                             reduce_cycle, reduce_form)
+                             reduce_cycle, reduce_form, splitting_type)
 from rmlab.winding import (WeightedRMPoint, _crossing_points, _hnf2, _matmul,
                            _translate, double_coset_reps, log_Tn_Jw,
                            log_Tn_Jw_by_cosets, rm_minus_set, rm_plus_set,
@@ -223,30 +224,40 @@ def lowest_terms(num, den):
     return num // g, den // g
 
 
-def search_crossing_points(point, D):
-    """Oracle for `_crossing_points`: the roots (-B + k sqrt(D))/(2A) of the
-    forms of `reduced_crossing_forms` that reduce into the cycle of
-    `point`'s form, as sorted tuples (a, a', b, b') of the value
-    a/a' + (b/b') sqrt(D) in lowest terms with a', b' > 0."""
+def search_crossing_points(point, D, p):
+    """Oracle for `_crossing_points`: the roots w = (-B + k sqrt(D))/(2A) of
+    the forms of `reduced_crossing_forms` that reduce into the cycle of
+    `point`'s form, each divided by p^(v_p(Nm w)/2) (p inert), read off
+    Nm w = (B^2 - k^2 D)/(4A^2), as sorted tuples (a, a', b, b', sign A) of
+    the value a/a' + (b/b') sqrt(D) in lowest terms with a', b' > 0 and its
+    weight (`WeightedRMPoint` checks each weight of `rm_set_by_cosets`
+    against the exact sign)."""
     k = isqrt(point.disc // D)
     cycle = set(reduce_cycle(point.form))
-    return sorted(lowest_terms(-B, 2 * A) + lowest_terms(k, 2 * A)
-                  for (A, B, _), reduced in reduced_crossing_forms(point.disc)
-                  if reduced in cycle)
+    out = []
+    for (A, B, _), reduced in reduced_crossing_forms(point.disc):
+        if reduced in cycle:
+            v = (_vp(point.disc - B * B, p) - _vp(4 * A * A, p)) // 2
+            up, down = p ** max(-v, 0), 2 * A * p ** max(v, 0)
+            out.append(lowest_terms(-B * up, down) + lowest_terms(k * up, down)
+                       + ((A > 0) - (A < 0),))
+    return sorted(out)
 
 
 def sorted_values(points):
-    """QuadNums as the sorted tuples of `search_crossing_points`."""
-    return sorted((w.a.numerator, w.a.denominator,
-                   w.b.numerator, w.b.denominator) for w in points)
+    """(QuadNum, weight) pairs as the sorted tuples of
+    `search_crossing_points`."""
+    return sorted((w.a.numerator, w.a.denominator, w.b.numerator,
+                   w.b.denominator, weight) for w, weight in points)
 
 
 def test_crossing_points_walk_matches_the_search():
     # 25 fundamental discriminants, every class, tau and -tau, n = 1..6:
-    # every double-coset translate (1,628 of them)
+    # every double-coset translate (1,628 of them), at the least inert p
     discs = [D for D in range(5, 200) if is_fundamental_discriminant(D)][:25]
     translates = 0
     for D in discs:
+        p = next(q for q in primerange(2, D) if splitting_type(D, q) == "inert")
         group = NarrowClassGroup(D)
         for i in range(group.h):
             tau = group.rm_representative(i)
@@ -254,8 +265,8 @@ def test_crossing_points_walk_matches_the_search():
                 for n in range(1, 7):
                     for delta in double_coset_reps(t, n):
                         point = _translate(t, delta)
-                        walk = sorted_values(_crossing_points(point, D))
-                        assert walk == search_crossing_points(point, D), \
+                        walk = sorted_values(_crossing_points(point, D, p))
+                        assert walk == search_crossing_points(point, D, p), \
                             (D, i, t.form, delta)
                         translates += 1
     assert translates == 1628
